@@ -6,9 +6,11 @@ own under --out with a fixed name, so stages can be re-run independently:
     spinescale simulate     --config cfg.json --duration-hours 504 --out out/
     spinescale train        --config cfg.json --out out/
     spinescale forecast     --out out/ --horizon 120
-    spinescale decide       --out out/ --remove-threshold-us 6.0
+    spinescale decide       --config cfg.json --out out/
     spinescale run          --config cfg.json --out out/
-    spinescale export-plots --out out/
+    spinescale export-plots --config cfg.json --out out/
+
+Policy thresholds and spine bounds come only from the config file.
 
 Artifacts: telemetry.log, model.ckpt, forecast.csv, journal.log, manifest.
 """
@@ -19,14 +21,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SimConfig, derive_seed, load_config
+from .config import SimConfig, derive_seed, load_config, policy_from_config
 from .errors import SpinescaleError
 from .forecaster import (digest_forecast, forecast_horizon, load_checkpoint, load_forecast_csv,
                          save_checkpoint, save_forecast_csv)
 from .pipeline import (CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, METRICS_TOPIC,
                        TELEMETRY_FILE, recent_history, run_closed_loop, series_from_bus,
                        simulate_hours, topology_from_config, train_from_series)
-from .policy import PolicyConfig, PolicyJournal, evaluate
+from .policy import PolicyJournal, evaluate
 from .telemetry import TopicBus
 
 PLOT_LATENCY_FILE = "plot_latency.csv"
@@ -103,20 +105,11 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _policy_from_args(args) -> PolicyConfig:
-    return PolicyConfig(remove_threshold_us=args.remove_threshold_us,
-                        add_threshold_us=args.add_threshold_us,
-                        min_spines=args.min_spines, max_spines=args.max_spines,
-                        cooldown_cycles=args.cooldown,
-                        horizon_fraction=args.horizon_fraction,
-                        add_aggregate=args.add_aggregate)
-
-
 def cmd_decide(args) -> int:
+    policy_cfg = policy_from_config(load_config(args.config))
     out = _out_dir(args)
     forecast_path = Path(args.forecast) if args.forecast else out / FORECAST_FILE
     forecast = load_forecast_csv(forecast_path)
-    policy_cfg = _policy_from_args(args)
     cycles_since = args.cycles_since if args.cycles_since is not None \
         else policy_cfg.cooldown_cycles
     actions = evaluate(forecast, policy_cfg, forecast.spine_ids(), cycles_since,
@@ -141,18 +134,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_export_plots(args) -> int:
+    policy_cfg = policy_from_config(load_config(args.config))
     out = _out_dir(args)
     forecast_path = Path(args.forecast) if args.forecast else out / FORECAST_FILE
     forecast = load_forecast_csv(forecast_path)
 
     plot_path = out / PLOT_LATENCY_FILE
-    lines = ["hour,spine_id,predicted_latency_us"]
-    for sid in forecast.spine_ids():
-        for hour, value in enumerate(forecast.per_spine[sid], start=1):
-            lines.append(f"{hour},{sid},{float(value)!r}")
-    plot_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_forecast_csv(forecast, plot_path)
 
-    policy_cfg = _policy_from_args(args)
     candidates_path = out / PLOT_CANDIDATES_FILE
     cand_lines = ["spine_id,mean_predicted_latency_us,hours_below_threshold"]
     if forecast.per_spine:
@@ -165,24 +154,10 @@ def cmd_export_plots(args) -> int:
             below = int((preds < policy_cfg.remove_threshold_us).sum())
             cand_lines.append(f"{action.spine_id},{action.reason.statistic_us!r},{below}")
     candidates_path.write_text("\n".join(cand_lines) + "\n", encoding="utf-8")
-    print(f"wrote {plot_path} ({len(lines) - 1} rows) and {candidates_path} "
+    rows = forecast.horizon * len(forecast.per_spine)
+    print(f"wrote {plot_path} ({rows} rows) and {candidates_path} "
           f"({len(cand_lines) - 1} candidates)")
     return 0
-
-
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--remove-threshold-us", type=float, default=6.0,
-                   help="spines predicted below this are removal candidates")
-    p.add_argument("--add-threshold-us", type=float, default=12.0,
-                   help="aggregate prediction above this adds a spine")
-    p.add_argument("--min-spines", type=int, default=2)
-    p.add_argument("--max-spines", type=int, default=8)
-    p.add_argument("--cooldown", type=int, default=24,
-                   help="decision cycles required between actions")
-    p.add_argument("--horizon-fraction", type=float, default=1.0,
-                   help="fraction of horizon hours the removal condition must hold")
-    p.add_argument("--add-aggregate", choices=["mean", "max"], default="mean")
-    p.add_argument("--cycle", type=int, default=0, help="decision cycle index for the journal")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("decide", help="evaluate scaling policy on a forecast file")
+    p.add_argument("--config", required=True)
     p.add_argument("--forecast", default=None, help="default OUT/forecast.csv")
-    _add_policy_flags(p)
+    p.add_argument("--cycle", type=int, default=0, help="decision cycle index for the journal")
     p.add_argument("--cycles-since", type=int, default=None,
                    help="cycles since last action (default: cooldown elapsed)")
     p.add_argument("--out", default="out")
@@ -229,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("export-plots", help="emit plot-ready CSVs from a forecast file")
+    p.add_argument("--config", required=True)
     p.add_argument("--forecast", default=None, help="default OUT/forecast.csv")
-    _add_policy_flags(p)
+    p.add_argument("--cycle", type=int, default=0, help="decision cycle index for the journal")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_export_plots)
     return parser
@@ -240,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpinescaleError as exc:
+    except (SpinescaleError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 2
 

@@ -166,8 +166,39 @@ class PolicySection:
     remove_threshold_us: float = 6.0
     add_threshold_us: float = 12.0
     cooldown_cycles: int = 24
-    horizon_fraction: float = 1.0
-    add_aggregate: str = "mean"
+    horizon_fraction: float = 1.0     # fraction of horizon hours a condition must hold
+    add_aggregate: str = "mean"       # "mean" or "max" over spines when checking add
+
+
+@dataclass(frozen=True)
+class PolicyConfig:
+    """The policy's full parameter set: the `policy` section plus the spine
+    bounds from `topology`. Build it with policy_from_config."""
+
+    remove_threshold_us: float
+    add_threshold_us: float
+    min_spines: int
+    max_spines: int
+    cooldown_cycles: int
+    horizon_fraction: float
+    add_aggregate: str
+
+    def __post_init__(self) -> None:
+        if self.remove_threshold_us >= self.add_threshold_us:
+            raise InvalidConfigError(
+                f"remove_threshold_us ({self.remove_threshold_us}) must be below "
+                f"add_threshold_us ({self.add_threshold_us})")
+        if self.min_spines < 1 or self.min_spines > self.max_spines:
+            raise InvalidConfigError(
+                f"need 1 <= min_spines <= max_spines, got {self.min_spines}..{self.max_spines}")
+        if not 0.0 < self.horizon_fraction <= 1.0:
+            raise InvalidConfigError(
+                f"horizon_fraction must be in (0,1], got {self.horizon_fraction}")
+        if self.cooldown_cycles < 0:
+            raise InvalidConfigError(f"cooldown_cycles must be >= 0, got {self.cooldown_cycles}")
+        if self.add_aggregate not in ("mean", "max"):
+            raise InvalidConfigError(f"add_aggregate must be 'mean' or 'max', "
+                                     f"got {self.add_aggregate!r}")
 
 
 @dataclass
@@ -204,7 +235,20 @@ class SimConfig:
         self.traffic.validate()
         self.training.validate()
         self.run.validate()
+        policy_from_config(self)
         return self
+
+
+def policy_from_config(cfg: SimConfig) -> PolicyConfig:
+    """The one place the policy section and the topology's spine bounds meet."""
+    p = cfg.policy
+    t = cfg.topology
+    return PolicyConfig(remove_threshold_us=p.remove_threshold_us,
+                        add_threshold_us=p.add_threshold_us,
+                        min_spines=t.min_spines, max_spines=t.max_spines,
+                        cooldown_cycles=p.cooldown_cycles,
+                        horizon_fraction=p.horizon_fraction,
+                        add_aggregate=p.add_aggregate)
 
 
 _SECTIONS = {

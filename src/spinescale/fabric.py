@@ -120,13 +120,6 @@ class Topology:
     def active_spine_ids(self) -> list[int]:
         return sorted(s.id for s in self.spines if s.active)
 
-    def link_for(self, leaf_id: int, spine_id: int) -> Link:
-        link_id = spine_id * self.n_leaf + leaf_id
-        for link in self.links:
-            if link.id == link_id:
-                return link
-        raise NotFoundError(f"no active link between leaf {leaf_id} and spine {spine_id}")
-
     def ecmp_slots(self) -> list[int]:
         """Active spine ids repeated per their hash-slot weight, ascending."""
         out: list[int] = []

@@ -29,7 +29,7 @@ from .config import TrainingConfig, derive_seed
 from .errors import (DataError, DecodeError, InsufficientDataError, InsufficientHistoryError,
                      InvalidConfigError, NumericError, ShapeError, TrainingDivergedError)
 from .nn import (Adam, LstmCellParams, conv1d_backward, conv1d_forward, dropout_mask,
-                 lstm_cell_forward, lstm_layer_backward, lstm_layer_forward)
+                 lstm_layer_backward, lstm_layer_forward)
 from .windows import N_CHANNELS, Scaler, SwitchSeries, WindowedDataset
 
 SEASONAL_LAG_HOURS = 24
@@ -38,7 +38,6 @@ __all__ = [
     "LstmModel", "TrainReport", "Forecast", "init_model", "forward", "train",
     "gradient_check", "forecast_horizon", "save_checkpoint", "load_checkpoint",
     "models_equal", "save_forecast_csv", "load_forecast_csv", "digest_forecast",
-    "lstm_cell_forward", "conv1d_forward",
 ]
 
 

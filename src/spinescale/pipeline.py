@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, derive_seed
+from .config import SimConfig, derive_seed, policy_from_config
 from .errors import InsufficientDataError, InvalidConfigError
 from .fabric import Topology, apply_action, build_topology, generate_demands, simulate_tick
 from .forecaster import (LstmModel, TrainReport, digest_forecast, forecast_horizon,
                          init_model, save_checkpoint, save_forecast_csv, train)
-from .policy import PolicyConfig, PolicyJournal, evaluate
+from .policy import PolicyJournal, evaluate
 from .telemetry import TopicBus
 from .windows import (Scaler, SwitchSeries, WindowedDataset, aggregate_hourly, make_windows,
                       split_train_val)
@@ -40,17 +40,6 @@ def topology_from_config(cfg: SimConfig) -> Topology:
     return build_topology(t.n_leaf, t.n_spine, t.capacity_bps, t.base_latency_us,
                           min_spines=t.min_spines, max_spines=t.max_spines,
                           spine_slots=t.spine_slots)
-
-
-def policy_from_config(cfg: SimConfig) -> PolicyConfig:
-    p = cfg.policy
-    t = cfg.topology
-    return PolicyConfig(remove_threshold_us=p.remove_threshold_us,
-                        add_threshold_us=p.add_threshold_us,
-                        min_spines=t.min_spines, max_spines=t.max_spines,
-                        cooldown_cycles=p.cooldown_cycles,
-                        horizon_fraction=p.horizon_fraction,
-                        add_aggregate=p.add_aggregate)
 
 
 def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str,

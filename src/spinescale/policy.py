@@ -15,39 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError, DecodeError, InvalidConfigError, PersistenceError
+from .config import PolicyConfig
+from .errors import ConsistencyError, DecodeError, PersistenceError
 from .forecaster import Forecast
 
 ADD_SPINE = "add_spine"
 REMOVE_SPINE = "remove_spine"
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    remove_threshold_us: float = 6.0
-    add_threshold_us: float = 12.0
-    min_spines: int = 2
-    max_spines: int = 8
-    cooldown_cycles: int = 24
-    horizon_fraction: float = 1.0     # fraction of horizon hours a condition must hold
-    add_aggregate: str = "mean"       # "mean" or "max" over spines when checking add
-
-    def __post_init__(self) -> None:
-        if self.remove_threshold_us >= self.add_threshold_us:
-            raise InvalidConfigError(
-                f"remove_threshold_us ({self.remove_threshold_us}) must be below "
-                f"add_threshold_us ({self.add_threshold_us})")
-        if self.min_spines < 1 or self.min_spines > self.max_spines:
-            raise InvalidConfigError(
-                f"need 1 <= min_spines <= max_spines, got {self.min_spines}..{self.max_spines}")
-        if not 0.0 < self.horizon_fraction <= 1.0:
-            raise InvalidConfigError(
-                f"horizon_fraction must be in (0,1], got {self.horizon_fraction}")
-        if self.cooldown_cycles < 0:
-            raise InvalidConfigError(f"cooldown_cycles must be >= 0, got {self.cooldown_cycles}")
-        if self.add_aggregate not in ("mean", "max"):
-            raise InvalidConfigError(f"add_aggregate must be 'mean' or 'max', "
-                                     f"got {self.add_aggregate!r}")
 
 
 @dataclass(frozen=True)
@@ -192,10 +165,7 @@ class PolicyJournal:
         self._handle = None
         if self.path is not None:
             if self.path.exists():
-                with self.path.open("r", encoding="utf-8") as fh:
-                    for offset, line in enumerate(fh):
-                        if line.strip():
-                            self.entries.append(decode_journal_line(line, offset))
+                self.entries = replay_journal(self.path)
             try:
                 self._handle = self.path.open("a", encoding="utf-8")
             except OSError as exc:

@@ -73,9 +73,6 @@ class TopicBus:
         self._topics: dict[str, TopicLog] = {}
         self._handles: dict[str, object] = {}
 
-    def topics(self) -> list[str]:
-        return sorted(self._topics)
-
     def attach(self, topic: str, path: str | Path) -> int:
         """Bind a topic to a backing file, replaying any existing records.
 

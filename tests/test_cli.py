@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -29,8 +30,21 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def empty_config(tmp_path):
+    """A config file that takes every default: the policy thresholds
+    6/12 us, cooldown 24 and spine bounds 2..8."""
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    return str(path)
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_simulate_duration_zero(config_path, tmp_path):
@@ -76,31 +90,44 @@ def test_stage_chain_train_forecast_decide(config_path, tmp_path):
     assert all(len(forecast.per_spine[s]) == 120 for s in forecast.spine_ids())
 
     # dead-zone thresholds: empty journal, still exit 0
-    assert run_cli("decide", "--out", out, "--remove-threshold-us", 0.001,
-                   "--add-threshold-us", 10000.0) == 0
+    dead_zone = tmp_path / "dead_zone.json"
+    dead_zone.write_text(json.dumps(dict(SMALL_CONFIG, policy={
+        "remove_threshold_us": 0.001, "add_threshold_us": 10000.0})))
+    assert run_cli("decide", "--config", dead_zone, "--out", out) == 0
     assert (out / "journal.log").read_text() == ""
 
 
-def test_decide_writes_expected_removals(tmp_path):
+def test_decide_writes_expected_removals(empty_config, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     fc = Forecast(horizon=6, per_spine={0: np.full(6, 3.0), 1: np.full(6, 9.0),
                                         2: np.full(6, 9.5), 3: np.full(6, 4.5)})
     save_forecast_csv(fc, out / "forecast.csv")
-    assert run_cli("decide", "--out", out, "--min-spines", 2) == 0
+    assert run_cli("decide", "--config", empty_config, "--out", out) == 0
     entries = replay_journal(out / "journal.log")
     assert [(e.kind, e.spine_id) for e in entries] == [("remove_spine", 0),
                                                        ("remove_spine", 3)]
     assert all(e.remove_threshold_us == 6.0 for e in entries)
+    assert sha256(out / "journal.log") == \
+        "2df47b163cfc43f86b1cc2184efed77760d100927b59712ae259a2f400d41e94"
+
+    # both spines are below 5 us, but min_spines 3 leaves room for one removal
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"topology": {"min_spines": 3},
+                                "policy": {"remove_threshold_us": 5.0}}))
+    assert run_cli("decide", "--config", path, "--out", out) == 0
+    entries = replay_journal(out / "journal.log")
+    assert [(e.kind, e.spine_id, e.remove_threshold_us) for e in entries] == \
+        [("remove_spine", 0, 5.0)]
 
 
-def test_export_plots_row_counts(tmp_path):
+def test_export_plots_row_counts(empty_config, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     rng = np.random.default_rng(0)
     fc = Forecast(horizon=120, per_spine={s: rng.uniform(7, 11, 120) for s in range(5)})
     save_forecast_csv(fc, out / "forecast.csv")
-    assert run_cli("export-plots", "--out", out) == 0
+    assert run_cli("export-plots", "--config", empty_config, "--out", out) == 0
     data = (out / "plot_latency.csv").read_text().splitlines()
     assert data[0] == "hour,spine_id,predicted_latency_us"
     assert len(data) - 1 == 5 * 120
@@ -109,27 +136,32 @@ def test_export_plots_row_counts(tmp_path):
     assert len(cands) == 1          # dead zone: no candidates
 
 
-def test_export_plots_empty_forecast(tmp_path):
+def test_export_plots_empty_forecast(empty_config, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     save_forecast_csv(Forecast(horizon=0, per_spine={}), out / "forecast.csv")
-    assert run_cli("export-plots", "--out", out) == 0
+    assert run_cli("export-plots", "--config", empty_config, "--out", out) == 0
     assert (out / "plot_latency.csv").read_text() == "hour,spine_id,predicted_latency_us\n"
 
 
-def test_export_plots_candidates_match_decide(tmp_path):
+def test_export_plots_candidates_match_decide(empty_config, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     fc = Forecast(horizon=10, per_spine={0: np.full(10, 3.2), 1: np.full(10, 9.0),
                                          2: np.full(10, 4.8), 3: np.full(10, 9.1),
                                          4: np.full(10, 2.9)})
     save_forecast_csv(fc, out / "forecast.csv")
-    assert run_cli("decide", "--out", out, "--min-spines", 2) == 0
-    assert run_cli("export-plots", "--out", out, "--min-spines", 2) == 0
+    assert run_cli("decide", "--config", empty_config, "--out", out) == 0
+    assert run_cli("export-plots", "--config", empty_config, "--out", out) == 0
     removed = [e.spine_id for e in replay_journal(out / "journal.log")]
     cand_rows = (out / "plot_candidates.csv").read_text().splitlines()[1:]
     assert [int(r.split(",")[0]) for r in cand_rows] == removed
     assert all(int(r.split(",")[2]) == 10 for r in cand_rows)
+    assert sha256(out / "journal.log") == \
+        "4ecedb2ac2c513d9b0eb910f45ef0010766a015ebb667999cd1cf5b427983915"
+    assert sha256(out / "plot_candidates.csv") == \
+        "d8210df09c902e990fa45af4d5d95c52d2b8948362b21c82222cfd7b08968a72"
+    assert (out / "plot_latency.csv").read_bytes() == (out / "forecast.csv").read_bytes()
 
 
 def test_run_closed_loop_idle(config_path, tmp_path):
@@ -159,12 +191,20 @@ def test_bad_config_nonzero_exit(tmp_path, capsys):
     assert "n_leaf" in capsys.readouterr().err
 
 
-def test_missing_artifacts_nonzero_exit(tmp_path, capsys):
+def test_os_error_nonzero_exit(config_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a regular file, not a directory\n")
+    assert run_cli("simulate", "--config", config_path, "--duration-hours", 1,
+                   "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error [simulate]: ")
+
+
+def test_missing_artifacts_nonzero_exit(empty_config, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
     assert run_cli("forecast", "--out", out) == 2
     err = capsys.readouterr().err
     assert "model.ckpt" in err
     (out / "forecast.csv").write_text("hour,spine_id,predicted_latency_us\n2,0,5.0\n")
-    assert run_cli("decide", "--out", out) == 2
+    assert run_cli("decide", "--config", empty_config, "--out", out) == 2
     assert "forecast" in capsys.readouterr().err

@@ -57,6 +57,10 @@ def test_invalid_values_rejected(tmp_path):
         ("training", {"dropout": 1.5}),
         ("training", {"val_fraction": 0.0}),
         ("run", {"cycles": 0}),
+        ("policy", {"remove_threshold_us": 20, "add_threshold_us": 1}),
+        ("policy", {"add_aggregate": "median"}),
+        ("policy", {"horizon_fraction": 0}),
+        ("policy", {"cooldown_cycles": -1}),
     ]:
         path.write_text(json.dumps({section: payload}))
         with pytest.raises(InvalidConfigError):

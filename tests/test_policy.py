@@ -24,7 +24,7 @@ def make_forecast(levels: dict[int, float], horizon: int = H, wiggle: float = 0.
 
 def cfg(**over) -> PolicyConfig:
     base = dict(remove_threshold_us=6.0, add_threshold_us=12.0, min_spines=2,
-                max_spines=8, cooldown_cycles=0, horizon_fraction=1.0)
+                max_spines=8, cooldown_cycles=0, horizon_fraction=1.0, add_aggregate="mean")
     base.update(over)
     return PolicyConfig(**base)
 
