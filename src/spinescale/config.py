@@ -88,12 +88,9 @@ class TopologyConfig:
             raise InvalidConfigError(f"capacity_bps must be > 0, got {self.capacity_bps}")
         if self.base_latency_us <= 0:
             raise InvalidConfigError(f"base_latency_us must be > 0, got {self.base_latency_us}")
-        if self.min_spines < 1 or self.min_spines > self.max_spines:
-            raise InvalidConfigError(
-                f"need 1 <= min_spines <= max_spines, got {self.min_spines}..{self.max_spines}")
-        if self.n_spine < self.min_spines:
-            raise InvalidConfigError(
-                f"n_spine={self.n_spine} below min_spines={self.min_spines}")
+        if not self.min_spines <= self.n_spine <= self.max_spines:
+            raise InvalidConfigError(f"n_spine={self.n_spine} outside "
+                                     f"min_spines..max_spines={self.min_spines}..{self.max_spines}")
         if self.spine_slots is not None:
             if len(self.spine_slots) != self.n_spine:
                 raise InvalidConfigError(

@@ -342,33 +342,36 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     Predicted latency feeds the next window's latency channel; the speed
     channels repeat their value from SEASONAL_LAG_HOURS earlier (last value
     if the series is still shorter than the lag). Output is de-normalized
-    and clamped at zero.
+    and clamped at zero. All spines are stepped as one batch: one
+    forward_batch call per horizon hour.
     """
     if horizon < 1:
         raise InvalidConfigError(f"horizon must be >= 1, got {horizon}")
     if model.scaler is None:
         raise DataError("model has no scaler attached; cannot forecast raw history")
     n = model.hyper.lookback_hours
-    per_spine: dict[int, np.ndarray] = {}
-    for series in histories:
+    if not histories:
+        return Forecast(horizon=horizon, per_spine={})
+    # per spine: the last lookback hours, then the horizon, whose speed
+    # channels never depend on the forecast and are filled in up front
+    buf = np.empty((len(histories), n + horizon, N_CHANNELS))
+    for row, series in zip(buf, histories):
         if len(series) < n:
             raise InsufficientHistoryError(
                 f"spine {series.spine_id}: history {len(series)} h < lookback {n} h")
         norm = model.scaler.transform(series.channels())
-        lat = list(norm[:, 0])
-        fab = list(norm[:, 1])
-        edg = list(norm[:, 2])
-        preds_norm = np.empty(horizon)
-        for step in range(horizon):
-            window = np.stack([lat[-n:], fab[-n:], edg[-n:]], axis=1)
-            y = forward(model, window)
-            preds_norm[step] = y
-            lat.append(y)
-            fab.append(fab[-SEASONAL_LAG_HOURS] if len(fab) >= SEASONAL_LAG_HOURS else fab[-1])
-            edg.append(edg[-SEASONAL_LAG_HOURS] if len(edg) >= SEASONAL_LAG_HOURS else edg[-1])
-        preds_us = np.maximum(model.scaler.invert_latency(preds_norm), 0.0)
-        per_spine[series.spine_id] = preds_us
-    return Forecast(horizon=horizon, per_spine=per_spine)
+        speeds = list(norm[:, 1:])
+        for _ in range(horizon):
+            speeds.append(speeds[-SEASONAL_LAG_HOURS] if len(speeds) >= SEASONAL_LAG_HOURS
+                          else speeds[-1])
+        row[:n, 0] = norm[-n:, 0]
+        row[:, 1:] = speeds[-(n + horizon):]
+    for step in range(horizon):
+        preds, _ = forward_batch(model, buf[:, step:step + n])
+        buf[:, n + step, 0] = preds
+    return Forecast(horizon=horizon, per_spine={
+        series.spine_id: np.maximum(model.scaler.invert_latency(row[n:, 0]), 0.0)
+        for series, row in zip(histories, buf)})
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +518,13 @@ def load_checkpoint(path: str | Path) -> LstmModel:
         scaler = Scaler(mins=scaler_min, maxs=scaler_max)
 
     def layer(prefix: str) -> LstmCellParams:
-        kwargs = {f.name: arrays[f"{prefix}.{f.name}"]
-                  for f in dataclasses.fields(LstmCellParams)}
-        return LstmCellParams(**kwargs)
+        params = LstmCellParams(**{f.name: arrays[f"{prefix}.{f.name}"]
+                                   for f in dataclasses.fields(LstmCellParams)})
+        try:
+            params.validate()
+        except ShapeError as exc:
+            raise DecodeError(f"checkpoint {path}: {prefix}: {exc}") from exc
+        return params
 
     return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"],
                      layer1=layer("lstm1"), layer2=layer("lstm2"),

@@ -4,7 +4,10 @@ so gradients can be verified against central finite differences.
 
 Array layout is batch-first row vectors: activations are [B, features] or
 [B, T, features], weights are [in_features, out_features], so a step is
-`x @ W + h @ U + b`.
+`x @ W + b + h @ U`. LSTM weights are stored per gate (`LstmCellParams`)
+and fused per call into W [in, 4H], U [H, 4H], b [4H] in gate order i, f,
+g, o: one input matmul covers all T steps, each step is one [H, 4H]
+matmul, and backward forms dW, dU, db with one matmul each after the loop.
 """
 
 from __future__ import annotations
@@ -17,13 +20,8 @@ from .errors import ShapeError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in its tanh form, which is stable for any x."""
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +110,20 @@ class LstmCellParams:
                 raise ShapeError(f"lstm param {name}: shape {arr.shape} != {want}")
 
 
-def _gates(x_t: np.ndarray, h_prev: np.ndarray, p: LstmCellParams
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    i = sigmoid(x_t @ p.w_i + h_prev @ p.u_i + p.b_i)
-    f = sigmoid(x_t @ p.w_f + h_prev @ p.u_f + p.b_f)
-    g = np.tanh(x_t @ p.w_g + h_prev @ p.u_g + p.b_g)
-    o = sigmoid(x_t @ p.w_o + h_prev @ p.u_o + p.b_o)
-    return i, f, g, o
+def _fuse(p: LstmCellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-gate fields as one block in gate order i, f, g, o:
+    W [in, 4H], U [H, 4H], b [4H]."""
+    return tuple(np.concatenate([getattr(p, f"{kind}_{gate}") for gate in "ifgo"], axis=-1)
+                 for kind in "wub")
+
+
+def _step(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finish one step from fused pre-activations z [..., 4H]; z is
+    overwritten with the gate values. Returns (h_t, c_t)."""
+    i, f, g, o = np.split(z, 4, axis=-1)
+    i[...], f[...], g[...], o[...] = sigmoid(i), sigmoid(f), np.tanh(g), sigmoid(o)
+    c_t = f * c_prev + i * g
+    return o * np.tanh(c_t), c_t
 
 
 def lstm_cell_forward(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
@@ -135,10 +140,8 @@ def lstm_cell_forward(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
         raise ShapeError(f"lstm cell: input width {x_t.shape[-1]} != {params.input_size}")
     if h_prev.shape[-1] != params.hidden_size or c_prev.shape[-1] != params.hidden_size:
         raise ShapeError("lstm cell: state width does not match hidden size")
-    i, f, g, o = _gates(x_t, h_prev, params)
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
+    W, U, b = _fuse(params)
+    return _step(x_t @ W + b + h_prev @ U, c_prev)
 
 
 def lstm_layer_forward(xs: np.ndarray, params: LstmCellParams
@@ -153,23 +156,19 @@ def lstm_layer_forward(xs: np.ndarray, params: LstmCellParams
         raise ShapeError(f"lstm layer: input width {xs.shape[2]} != {params.input_size}")
     B, T, _ = xs.shape
     H = params.hidden_size
-    i_all = np.empty((B, T, H))
-    f_all = np.empty((B, T, H))
-    g_all = np.empty((B, T, H))
-    o_all = np.empty((B, T, H))
-    c_all = np.empty((B, T, H))
-    h_all = np.empty((B, T, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    W, U, b = _fuse(params)
+    # input projection of every step at once; += keeps one [B, T, 4H] array,
+    # which holds the gate values once the loop has run
+    gates = xs @ W
+    gates += b
+    c_all, h_all = np.empty((2, B, T, H))
+    h, c = np.zeros((2, B, H))
     for t in range(T):
-        i, f, g, o = _gates(xs[:, t], h, params)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        i_all[:, t], f_all[:, t], g_all[:, t], o_all[:, t] = i, f, g, o
+        z = gates[:, t]
+        z += h @ U
+        h, c = _step(z, c)
         c_all[:, t], h_all[:, t] = c, h
-    cache = {"xs": xs, "i": i_all, "f": f_all, "g": g_all, "o": o_all,
-             "c": c_all, "h": h_all}
-    return h_all, cache
+    return h_all, {"xs": xs, "gates": gates, "c": c_all, "h": h_all}
 
 
 def lstm_layer_backward(d_hs: np.ndarray, cache: dict, params: LstmCellParams
@@ -177,51 +176,33 @@ def lstm_layer_backward(d_hs: np.ndarray, cache: dict, params: LstmCellParams
     """BPTT through one layer. d_hs is the loss gradient w.r.t. every hidden
     output [B, T, hidden]. Returns (d_xs, grads keyed like the param fields).
     """
-    xs = cache["xs"]
-    B, T, _ = xs.shape
-    grads = {name: np.zeros_like(getattr(params, name)) for name in params.array_names()}
-    d_xs = np.zeros_like(xs)
-    dh_next = np.zeros((B, params.hidden_size))
-    dc_next = np.zeros((B, params.hidden_size))
+    xs, gates, c_all, h_all = cache["xs"], cache["gates"], cache["c"], cache["h"]
+    B, T, D = xs.shape
+    H = params.hidden_size
+    W, U, _ = _fuse(params)
+    # d_a starts as each gate's activation derivative and becomes the loss
+    # gradient w.r.t. the fused pre-activations, one step at a time
+    d_a = 1.0 - gates
+    d_a *= gates
+    d_a[..., 2 * H:3 * H] = 1.0 - gates[..., 2 * H:3 * H] ** 2
+    dh_next, dc_next = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
-        i, f, g, o = cache["i"][:, t], cache["f"][:, t], cache["g"][:, t], cache["o"][:, t]
-        c_t = cache["c"][:, t]
-        c_prev = cache["c"][:, t - 1] if t > 0 else np.zeros_like(c_t)
-        h_prev = cache["h"][:, t - 1] if t > 0 else np.zeros_like(dh_next)
-        x_t = xs[:, t]
-
+        i, f, g, o = np.split(gates[:, t], 4, axis=1)
+        c_prev = c_all[:, t - 1] if t > 0 else np.zeros((B, H))
+        tanh_c = np.tanh(c_all[:, t])
         dh = d_hs[:, t] + dh_next
-        tanh_c = np.tanh(c_t)
-        do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
+        d_a[:, t] *= np.concatenate([dc * g, dc * c_prev, dc * i, dh * tanh_c], axis=1)
         dc_next = dc * f
-
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_g = dg * (1.0 - g ** 2)
-        da_o = do * o * (1.0 - o)
-
-        grads["w_i"] += x_t.T @ da_i
-        grads["w_f"] += x_t.T @ da_f
-        grads["w_g"] += x_t.T @ da_g
-        grads["w_o"] += x_t.T @ da_o
-        grads["u_i"] += h_prev.T @ da_i
-        grads["u_f"] += h_prev.T @ da_f
-        grads["u_g"] += h_prev.T @ da_g
-        grads["u_o"] += h_prev.T @ da_o
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_g"] += da_g.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-
-        d_xs[:, t] = da_i @ params.w_i.T + da_f @ params.w_f.T \
-            + da_g @ params.w_g.T + da_o @ params.w_o.T
-        dh_next = da_i @ params.u_i.T + da_f @ params.u_f.T \
-            + da_g @ params.u_g.T + da_o @ params.u_o.T
-    return d_xs, grads
+        dh_next = d_a[:, t] @ U.T
+    h_prev = np.zeros_like(h_all)
+    h_prev[:, 1:] = h_all[:, :-1]
+    d_w = xs.reshape(B * T, D).T @ d_a.reshape(B * T, 4 * H)
+    d_u = h_prev.reshape(B * T, H).T @ d_a.reshape(B * T, 4 * H)
+    d_b = d_a.sum(axis=(0, 1))
+    grads = {f"{kind}_{gate}": part for kind, d in zip("wub", (d_w, d_u, d_b))
+             for gate, part in zip("ifgo", np.split(d, 4, axis=-1))}
+    return d_a @ W.T, grads
 
 
 # ---------------------------------------------------------------------------

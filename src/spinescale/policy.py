@@ -18,6 +18,7 @@ import numpy as np
 from .config import PolicyConfig
 from .errors import ConsistencyError, DecodeError, PersistenceError
 from .forecaster import Forecast
+from .telemetry import truncate_torn_line
 
 ADD_SPINE = "add_spine"
 REMOVE_SPINE = "remove_spine"
@@ -198,11 +199,10 @@ class PolicyJournal:
 
 
 def replay_journal(path: str | Path) -> list[JournalEntry]:
-    """Parse a journal file back into its entry sequence."""
+    """Parse a journal file back into its entry sequence. A torn last line
+    is truncated away first (see truncate_torn_line)."""
     path = Path(path)
-    entries: list[JournalEntry] = []
+    truncate_torn_line(path)
     with path.open("r", encoding="utf-8") as fh:
-        for offset, line in enumerate(fh):
-            if line.strip():
-                entries.append(decode_journal_line(line, offset))
-    return entries
+        return [decode_journal_line(line, offset) for offset, line in enumerate(fh)
+                if line.strip()]

@@ -16,6 +16,7 @@ precision at construction, so decode(encode(x)) == x for every field.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,6 +60,18 @@ def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
         raise DecodeError(f"malformed record{where}: {exc}") from exc
 
 
+def truncate_torn_line(path: Path) -> None:
+    """Cut an append-only file back to its last newline. A last line without
+    its newline is a write cut short: replay skips it, and the next append
+    starts a fresh line."""
+    with path.open("rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) in (b"", b"\n"):     # empty, or ends on a complete line
+            return
+    with path.open("r+b") as fh:
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 @dataclass
 class TopicLog:
     name: str
@@ -86,6 +99,7 @@ class TopicBus:
         log.path = path
         try:
             if path.exists():
+                truncate_torn_line(path)
                 with path.open("r", encoding="utf-8") as fh:
                     for offset, line in enumerate(fh):
                         if not line.strip():

@@ -51,6 +51,7 @@ def test_invalid_values_rejected(tmp_path):
     for section, payload in [
         ("topology", {"n_leaf": 0}),
         ("topology", {"min_spines": 9}),
+        ("topology", {"n_spine": 9}),
         ("topology", {"spine_slots": [1, 1]}),
         ("latency", {"noise_us": -1}),
         ("traffic", {"flows_per_pair": 0}),

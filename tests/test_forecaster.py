@@ -228,6 +228,39 @@ def test_forecast_constant_signal_within_5_percent():
     assert np.all(np.abs(fc.per_spine[0] - 5.0) <= 0.25)
 
 
+def per_spine_recursion(model, series, horizon):
+    """Reference: one spine at a time, one forward call per hour, speed
+    channels extended as the forecast goes."""
+    n = model.hyper.lookback_hours
+    norm = model.scaler.transform(series.channels())
+    lat, fab, edg = list(norm[:, 0]), list(norm[:, 1]), list(norm[:, 2])
+    for _ in range(horizon):
+        lat.append(forward(model, np.stack([lat[-n:], fab[-n:], edg[-n:]], axis=1)))
+        fab.append(fab[-24] if len(fab) >= 24 else fab[-1])
+        edg.append(edg[-24] if len(edg) >= 24 else edg[-1])
+    return np.maximum(model.scaler.invert_latency(np.array(lat[-horizon:])), 0.0)
+
+
+def test_forecast_batch_matches_per_spine_calls():
+    rng = np.random.default_rng(4)
+    # 12 h = lookback and 20 h (< 24 h) run the last-value fallback first
+    histories = [SwitchSeries(spine_id=sid, start_hour=0,
+                              latency_us=rng.uniform(3.0, 9.0, T),
+                              fabric_bps=rng.uniform(1e9, 5e9, T),
+                              edge_bps=rng.uniform(1e9, 5e9, T))
+                 for sid, T in ((3, 20), (0, 50), (7, 12), (1, 31))]
+    model = init_model(SMALL, seed=5, scaler=Scaler.fit(histories))
+    fc = forecast_horizon(model, histories, 30)
+    assert fc.spine_ids() == [0, 1, 3, 7]
+    for series in histories:
+        one = forecast_horizon(model, [series], 30).per_spine[series.spine_id]
+        assert np.allclose(fc.per_spine[series.spine_id], one, rtol=0, atol=1e-12)
+        assert np.allclose(one, per_spine_recursion(model, series, 30), rtol=0, atol=1e-12)
+
+    empty = forecast_horizon(model, [], 30)
+    assert empty.horizon == 30 and empty.per_spine == {}
+
+
 def test_forecast_insufficient_history():
     model, _ = trained_constant_model(lookback=24)
     short = constant_series(T=10)
@@ -264,10 +297,19 @@ def test_checkpoint_save_is_stable_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def shrink_param(lines, name, shape):
+    """Rewrite one param record to a smaller, self-consistent shape."""
+    k = lines.index(next(ln for ln in lines if ln.startswith(f"param {name} ")))
+    values = lines[k + 1].split()[:int(np.prod(shape))]
+    return (lines[:k] + [f"param {name} " + " ".join(map(str, shape)), " ".join(values)]
+            + lines[k + 2:])
+
+
 @pytest.mark.parametrize("mutate", [
     lambda lines: ["garbage"] + lines[1:],                  # bad magic
     lambda lines: lines[:-2],                               # missing end / param data
     lambda lines: [ln for ln in lines if not ln.startswith("param dense.b")],
+    lambda lines: shrink_param(lines, "lstm2.u_f", (4, 3)),    # loads, wrong shape
 ])
 def test_checkpoint_corruption_detected(tmp_path, mutate):
     model = init_model(SMALL, seed=3)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracle_policy import brute_force_actions, brute_force_candidates
-from spinescale.errors import ConsistencyError, InvalidConfigError, PersistenceError
+from spinescale.errors import (ConsistencyError, DecodeError, InvalidConfigError,
+                               PersistenceError)
 from spinescale.forecaster import Forecast
 from spinescale.policy import (PolicyConfig, PolicyJournal, decode_journal_line, evaluate,
                                replay_journal)
@@ -254,6 +255,26 @@ def test_journal_three_cycles_in_order(tmp_path):
     assert [e.kind for e in entries] == ["remove_spine", "remove_spine", "add_spine"]
     assert [e.cycle for e in entries] == [0, 0, 2]
     assert entries[2].spine_id is None
+
+
+def test_journal_torn_last_line_dropped_and_truncated(tmp_path):
+    path = tmp_path / "journal.log"
+    with PolicyJournal(path) as journal:
+        journal.append(one_action(), cfg(), "aaaa00000000")
+        journal.append(one_action(), cfg(), "bbbb00000000")
+    good = path.read_text()
+    path.write_text(good + good.splitlines()[0][:30])
+    with PolicyJournal(path) as journal:
+        assert len(journal.entries) == 2
+        assert path.read_text() == good
+        assert journal.append(one_action(), cfg(), "cccc00000000") == 2
+    assert [e.forecast_digest for e in replay_journal(path)] == \
+        ["aaaa00000000", "bbbb00000000", "cccc00000000"]
+
+    # a complete malformed line still fails, naming its offset
+    path.write_text(good + good.splitlines()[0][:30] + "\n")
+    with pytest.raises(DecodeError, match="offset 2"):
+        replay_journal(path)
 
 
 def test_journal_line_format():

@@ -99,6 +99,19 @@ def test_malformed_line_names_offset(tmp_path):
         bus.attach(TOPIC, path)
 
 
+def test_torn_last_line_dropped_and_truncated(tmp_path):
+    path = tmp_path / "telemetry.log"
+    good = encode_sample(sample(ts=0)) + "\n" + encode_sample(sample(ts=1)) + "\n"
+    path.write_text(good + encode_sample(sample(ts=2))[:30])
+    with TopicBus() as bus:
+        assert bus.attach(TOPIC, path) == 2
+        assert path.read_text() == good
+        bus.publish(TOPIC, sample(ts=3))
+    with TopicBus() as reopened:
+        assert reopened.attach(TOPIC, path) == 3
+        assert [s.ts for _, s in reopened.consume(TOPIC)] == [0, 1, 3]
+
+
 def test_parser_rejects_unknown_keys_and_reordering():
     line = encode_sample(sample())
     reordered = " ".join(sorted(line.split(" "), reverse=True))
