@@ -1,16 +1,18 @@
 """Discrete-time leaf-spine fabric simulator.
 
 The fabric is a complete bipartite graph between leaf switches and the
-currently active spine switches. Each simulated minute ("tick"):
+currently active spine switches. Each simulated hour (`hour_loads`):
 
-  1. the offered load for the current hour is split into a fixed number of
-     flows per leaf pair (integer bits/second each, so totals are exact),
+  1. the offered load for the hour is split into a fixed number of flows
+     per leaf pair (integer bits/second each, so totals are exact),
   2. every flow is hashed onto an active spine (ECMP over hash slots),
   3. per-link metrics are derived from the carried upstream load with a
      queueing-shaped latency curve:
 
          latency = base * (1 + k * rho / (1 - rho)) + noise,
          rho     = min(carried / capacity, 0.99)
+
+with the noise drawn anew each simulated minute ("tick", `simulate_tick`).
 
 Link load accounting is upstream only (leaf -> spine): a flow contributes
 its rate to the link leaving its source leaf, so summing fabric_speed over
@@ -67,7 +69,7 @@ class Link:
     base_latency_us: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkMetricSample:
     """One per-link observation for one simulated minute.
 
@@ -173,7 +175,7 @@ def build_topology(n_leaf: int, n_spine: int, capacity_bps: int, base_latency_us
 def apply_action(topology: Topology, action: "PolicyAction") -> Topology:
     """Apply an add/remove decision, returning a new topology.
 
-    Flow placement is stateless (re-hashed over the active set every tick),
+    Flow placement is stateless (re-hashed over the active set every hour),
     so changing the active set re-places every flow automatically.
     """
     active = topology.active_spine_ids
@@ -268,7 +270,7 @@ def ecmp_assign(flow_id: int, active_spines: list[int], seed: int) -> int:
 
 def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int, seed: int) -> list[Flow]:
     """Split each pair's demand into flows_per_pair integer-rate flows and
-    place each with ecmp_assign. Flow ids are stable across ticks so a
+    place each with ecmp_assign. Flow ids are stable across hours so a
     flow's spine only changes when the active set changes."""
     slots = topology.ecmp_slots()
     n_leaf = topology.n_leaf
@@ -297,43 +299,43 @@ def link_latency_us(base_latency_us: float, rho: float, queue_factor: float) -> 
     return base_latency_us * (1.0 + queue_factor * rho / (1.0 - rho))
 
 
-def simulate_tick(topology: Topology, demands: DemandMatrix, seed: int, t: int,
-                  flows_per_pair: int = 8, queue_factor: float = 1.0,
-                  noise_us: float = 0.0) -> list[LinkMetricSample]:
-    """Produce one LinkMetricSample per active link for minute t.
+@dataclass(frozen=True)
+class HourLoads:
+    """Hour-constant state of each active link, in `Topology.links` order."""
+    links: list[tuple[int, int, int, int]]   # link id, spine id, fabric_bps (capped), edge_bps
+    latency_us: np.ndarray                   # noise-free, not yet rounded
+
+
+def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
+               flows_per_pair: int = 8, queue_factor: float = 1.0) -> HourLoads:
+    """Place the hour's flows once and derive every active link's load.
 
     Overload never raises: utilization is clamped at RHO_MAX, which shows
     up as high latency, and fabric_bps is capped at the link capacity.
     """
-    flows = build_flows(demands, topology, flows_per_pair, seed)
-
     carried: dict[int, int] = {}      # link id -> upstream bits/second
     edge: dict[int, int] = {}         # leaf id -> host-facing bits/second
-    n_leaf = topology.n_leaf
-    for f in flows:
-        up_link = f.assigned_spine * n_leaf + f.src_leaf
+    for f in build_flows(demands, topology, flows_per_pair, seed):
+        up_link = f.assigned_spine * topology.n_leaf + f.src_leaf
         carried[up_link] = carried.get(up_link, 0) + f.rate_bps
         edge[f.src_leaf] = edge.get(f.src_leaf, 0) + f.rate_bps
         edge[f.dst_leaf] = edge.get(f.dst_leaf, 0) + f.rate_bps
 
-    noise = None
+    loads = [(link, carried.get(link.id, 0)) for link in topology.links]
+    return HourLoads(
+        links=[(link.id, link.spine_id, min(load, link.capacity_bps),
+                int(edge.get(link.leaf_id, 0))) for link, load in loads],
+        latency_us=np.array([link_latency_us(link.base_latency_us, load / link.capacity_bps,
+                                             queue_factor) for link, load in loads]))
+
+
+def simulate_tick(hour: HourLoads, seed: int, t: int,
+                  noise_us: float = 0.0) -> list[LinkMetricSample]:
+    """One LinkMetricSample per active link for minute t: the hour's
+    latency plus this minute's uniform noise, rounded to 6 places."""
+    latency = hour.latency_us
     if noise_us > 0:
         rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t}"))
-        noise = rng.uniform(-noise_us, noise_us, size=len(topology.links))
-
-    samples: list[LinkMetricSample] = []
-    for idx, link in enumerate(topology.links):
-        load = carried.get(link.id, 0)
-        rho = load / link.capacity_bps
-        latency = link_latency_us(link.base_latency_us, rho, queue_factor)
-        if noise is not None:
-            latency += float(noise[idx])
-        samples.append(LinkMetricSample(
-            ts=int(t),
-            link_id=link.id,
-            spine_id=link.spine_id,
-            latency_us=round(latency, 6),
-            fabric_bps=min(load, link.capacity_bps),
-            edge_bps=int(edge.get(link.leaf_id, 0)),
-        ))
-    return samples
+        latency = latency + rng.uniform(-noise_us, noise_us, size=len(latency))
+    return [LinkMetricSample(t, link_id, spine_id, round(lat, 6), fabric, edge)
+            for (link_id, spine_id, fabric, edge), lat in zip(hour.links, latency.tolist())]

@@ -526,8 +526,14 @@ def load_checkpoint(path: str | Path) -> LstmModel:
             raise DecodeError(f"checkpoint {path}: {prefix}: {exc}") from exc
         return params
 
-    return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"],
-                     layer1=layer("lstm1"), layer2=layer("lstm2"),
+    layer1, layer2 = layer("lstm1"), layer("lstm2")
+    fits = {"conv.w": arrays["conv.w"].shape[:1] + (N_CHANNELS, layer1.input_size),
+            "conv.b": (layer1.input_size,), "lstm2.w_i": (layer1.hidden_size, layer2.hidden_size),
+            "dense.w": (layer2.hidden_size, 1), "dense.b": (1,)}
+    for name, want in fits.items():
+        if arrays[name].shape != want:
+            raise DecodeError(f"checkpoint {path}: {name}: shape {arrays[name].shape} != {want}")
+    return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"], layer1=layer1, layer2=layer2,
                      dense_w=arrays["dense.w"], dense_b=arrays["dense.b"],
                      dropout=dropout, scaler=scaler, hyper=hyper)
 

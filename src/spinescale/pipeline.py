@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import SimConfig, derive_seed, policy_from_config
 from .errors import InsufficientDataError, InvalidConfigError
-from .fabric import Topology, apply_action, build_topology, generate_demands, simulate_tick
+from .fabric import (Topology, apply_action, build_topology, generate_demands, hour_loads,
+                     simulate_tick)
 from .forecaster import (LstmModel, TrainReport, digest_forecast, forecast_horizon,
                          init_model, save_checkpoint, save_forecast_csv, train)
 from .policy import PolicyJournal, evaluate
@@ -44,19 +45,17 @@ def topology_from_config(cfg: SimConfig) -> Topology:
 
 def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str,
                    start_hour: int, hours: int, seed: int) -> int:
-    """Run the fabric for `hours` simulated hours (1-minute ticks),
-    publishing every link sample. Returns the number of records published."""
+    """Run the fabric for `hours` simulated hours (1-minute ticks), publishing
+    each tick's link samples in one batch. Returns the number published."""
     published = 0
     for hour in range(start_hour, start_hour + hours):
         demands = generate_demands(cfg.traffic, topology.n_leaf, hour, seed)
+        loads = hour_loads(topology, demands, seed, flows_per_pair=cfg.traffic.flows_per_pair,
+                           queue_factor=cfg.latency.queue_factor)
         for minute in range(60):
-            samples = simulate_tick(topology, demands, seed, hour * 60 + minute,
-                                    flows_per_pair=cfg.traffic.flows_per_pair,
-                                    queue_factor=cfg.latency.queue_factor,
-                                    noise_us=cfg.latency.noise_us)
-            for sample in samples:
-                bus.publish(topic, sample)
-                published += 1
+            samples = simulate_tick(loads, seed, hour * 60 + minute, cfg.latency.noise_us)
+            bus.publish(topic, samples)
+            published += len(samples)
     return published
 
 

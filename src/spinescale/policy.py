@@ -18,7 +18,7 @@ import numpy as np
 from .config import PolicyConfig
 from .errors import ConsistencyError, DecodeError, PersistenceError
 from .forecaster import Forecast
-from .telemetry import truncate_torn_line
+from .telemetry import append_lines, truncate_torn_line
 
 ADD_SPINE = "add_spine"
 REMOVE_SPINE = "remove_spine"
@@ -168,18 +168,17 @@ class PolicyJournal:
             if self.path.exists():
                 self.entries = replay_journal(self.path)
             try:
-                self._handle = self.path.open("a", encoding="utf-8")
+                self._handle = self.path.open("ab", buffering=0)
             except OSError as exc:
                 raise PersistenceError(f"cannot open journal {self.path}: {exc}") from exc
 
     def append(self, action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> int:
         """Write one action; returns its offset. Atomic: a failed write
-        leaves no in-memory entry."""
+        leaves no in-memory entry and no partial line in the file."""
         line = encode_journal_line(action, config, forecast_digest)
         if self._handle is not None:
             try:
-                self._handle.write(line + "\n")
-                self._handle.flush()
+                append_lines(self._handle, line + "\n", self.path)
             except OSError as exc:
                 raise PersistenceError(f"journal write to {self.path} failed: {exc}") from exc
         offset = len(self.entries)

@@ -72,6 +72,22 @@ def truncate_torn_line(path: Path) -> None:
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
+def append_lines(handle, text: str, path: Path) -> None:
+    """Append whole lines through an unbuffered binary handle. If the write
+    fails or is cut short, cut the file back to its length before the call,
+    so no partial line is left for the next append to run on from, and
+    re-raise."""
+    data = text.encode("utf-8")
+    size = path.stat().st_size
+    try:
+        if handle.write(data) != len(data):
+            raise OSError(f"short write to {path}")
+        handle.flush()
+    except OSError:
+        os.truncate(path, size)
+        raise
+
+
 @dataclass
 class TopicLog:
     name: str
@@ -105,15 +121,15 @@ class TopicBus:
                         if not line.strip():
                             continue
                         log.records.append(decode_sample(line, offset=offset))
-            self._handles[topic] = path.open("a", encoding="utf-8")
+            self._handles[topic] = path.open("ab", buffering=0)
         except OSError as exc:
             raise PersistenceError(f"cannot open backing file {path}: {exc}") from exc
         return len(log.records)
 
-    def publish(self, topic: str, sample: LinkMetricSample) -> int:
-        """Append one sample; returns its offset (== previous length).
+    def publish(self, topic: str, samples: list[LinkMetricSample]) -> int:
+        """Append one tick's samples; returns the first one's offset.
 
-        If the topic has a backing file the line is written and flushed
+        If the topic has a backing file the lines are written in one write
         before the in-memory append, so a failed write leaves no record.
         """
         if not topic:
@@ -122,12 +138,11 @@ class TopicBus:
         handle = self._handles.get(topic)
         if handle is not None:
             try:
-                handle.write(encode_sample(sample) + "\n")
-                handle.flush()
+                append_lines(handle, "".join([encode_sample(s) + "\n" for s in samples]), log.path)
             except OSError as exc:
                 raise PersistenceError(f"write to {log.path} failed: {exc}") from exc
-        log.records.append(sample)
-        return len(log.records) - 1
+        log.records.extend(samples)
+        return len(log.records) - len(samples)
 
     def consume(self, topic: str, from_offset: int = 0,
                 max_records: int | None = None) -> list[tuple[int, LinkMetricSample]]:

@@ -60,39 +60,35 @@ def aggregate_hourly(samples: list[LinkMetricSample],
     """
     if not samples:
         raise InsufficientDataError("no samples to aggregate")
-    if topology is not None:
-        active = topology.active_spine_ids
-    else:
-        active = sorted({s.spine_id for s in samples})
+    n = len(samples)
+    spine, ts, link = (np.fromiter((getattr(s, name) for s in samples), np.int64, n)
+                       for name in ("spine_id", "ts", "link_id"))
     # canonical accumulation order so the result is bit-identical for any
-    # input permutation
-    samples = sorted(samples, key=lambda s: (s.spine_id, s.ts, s.link_id))
-    hours = sorted({s.ts // 60 for s in samples})
-    h_min, h_max = hours[0], hours[-1]
-
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for s in samples:
-        key = (s.spine_id, s.ts // 60)
-        acc = sums.get(key)
-        if acc is None:
-            sums[key] = np.array([s.latency_us, s.fabric_bps, s.edge_bps], dtype=np.float64)
-            counts[key] = 1
-        else:
-            acc += (s.latency_us, s.fabric_bps, s.edge_bps)
-            counts[key] += 1
+    # input permutation; bincount adds in that order, starting from 0.0
+    order = np.lexsort((link, ts, spine))
+    spine, hour = spine[order], ts[order] // 60
+    first = np.ones(n, dtype=bool)          # first sample of each (spine, hour) group
+    first[1:] = (spine[1:] != spine[:-1]) | (hour[1:] != hour[:-1])
+    group = np.cumsum(first) - 1
+    means = np.stack([np.bincount(group, np.fromiter((getattr(s, name) for s in samples),
+                                                     np.float64, n)[order])
+                      for name in ("latency_us", "fabric_bps", "edge_bps")], axis=1)
+    means /= np.bincount(group)[:, None]
+    group_spine, group_hour = spine[first], hour[first]
+    h_min = int(hour.min())
+    n_hours = int(hour.max()) - h_min + 1
+    active = topology.active_spine_ids if topology is not None else np.unique(spine).tolist()
 
     series: list[SwitchSeries] = []
     for spine_id in active:
-        rows = np.empty((h_max - h_min + 1, N_CHANNELS), dtype=np.float64)
-        for hour in range(h_min, h_max + 1):
-            key = (spine_id, hour)
-            if key not in sums:
-                raise GapError(f"spine {spine_id} has no samples for hour {hour}")
-            rows[hour - h_min] = sums[key] / counts[key]
-        if not np.isfinite(rows).all():
+        lo, hi = np.searchsorted(group_spine, (spine_id, spine_id + 1))
+        if hi - lo < n_hours:
+            wrong = np.flatnonzero(group_hour[lo:hi] - h_min != np.arange(hi - lo))
+            gap = h_min + int(wrong[0] if len(wrong) else hi - lo)
+            raise GapError(f"spine {spine_id} has no samples for hour {gap}")
+        if not np.isfinite(means[lo:hi]).all():
             raise DataError(f"non-finite aggregate for spine {spine_id}")
-        series.append(SwitchSeries.from_channels(spine_id, h_min, rows))
+        series.append(SwitchSeries.from_channels(spine_id, h_min, means[lo:hi]))
     return series
 
 

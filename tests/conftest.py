@@ -18,3 +18,24 @@ def add_action(cycle: int = 0) -> PolicyAction:
 def topo_3x5():
     return build_topology(3, 5, capacity_bps=10_000_000_000, base_latency_us=3.0,
                           min_spines=2, max_spines=8)
+
+
+class HalfWriteHandle:
+    """Stands in for an append handle whose write stops halfway: the first
+    half of the data reaches the file through `real`, then the write raises
+    OSError or, with raises=False, reports the short count."""
+
+    def __init__(self, real, raises: bool = True) -> None:
+        self.real, self.raises = real, raises
+
+    def write(self, data: bytes) -> int:
+        written = self.real.write(data[:len(data) // 2])
+        if self.raises:
+            raise OSError("disk full")
+        return written
+
+    def flush(self) -> None:
+        self.real.flush()
+
+    def close(self) -> None:
+        self.real.close()

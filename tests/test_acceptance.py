@@ -18,7 +18,8 @@ from test_nn import ORACLE_CASES, scalar_cell_oracle, scalar_params
 from spinescale.baselines import mse, persistence_predictions, seasonal_naive_predictions
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
-from spinescale.fabric import DemandMatrix, build_topology, ecmp_assign, simulate_tick
+from spinescale.fabric import (DemandMatrix, build_topology, ecmp_assign, hour_loads,
+                              simulate_tick)
 from spinescale.forecaster import (Forecast, backward_batch, forecast_horizon, forward_batch,
                                    gradient_check, init_model, load_checkpoint,
                                    load_forecast_csv, models_equal, mse_loss, save_checkpoint,
@@ -304,8 +305,9 @@ def test_criterion_6_simulator_conservation():
                 if src != dst and rng.random() > 0.2:
                     entries[(src, dst)] = int(rng.integers(0, max_pair))
         demands = DemandMatrix(t=tick, entries=entries)
-        samples = simulate_tick(topo, demands, seed=int(rng.integers(1 << 31)), t=tick,
-                                flows_per_pair=int(rng.integers(1, 16)))
+        seed = int(rng.integers(1 << 31))
+        loads = hour_loads(topo, demands, seed, flows_per_pair=int(rng.integers(1, 16)))
+        samples = simulate_tick(loads, seed, t=tick)
         total = sum(s.fabric_bps for s in samples)
         routed = demands.total_bps()
         assert total == routed                       # exact integer conservation

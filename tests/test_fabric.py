@@ -4,8 +4,11 @@ import pytest
 from conftest import add_action, remove_action
 from spinescale.config import TrafficConfig
 from spinescale.errors import InvalidConfigError, NoCapacityError, NotFoundError, PolicyViolationError
-from spinescale.fabric import (DemandMatrix, apply_action, build_topology, ecmp_assign,
-                               generate_demands, link_latency_us, simulate_tick)
+from spinescale.config import derive_seed
+from spinescale.fabric import (DemandMatrix, LinkMetricSample, apply_action, build_flows,
+                               build_topology, ecmp_assign, generate_demands, hour_loads,
+                               link_latency_us, simulate_tick)
+from spinescale.telemetry import encode_sample
 
 CAP = 10_000_000_000
 
@@ -131,12 +134,12 @@ def test_ecmp_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# simulate_tick
+# hour_loads + simulate_tick
 # ---------------------------------------------------------------------------
 
 def test_idle_fabric_latency_equals_base(topo_3x5):
     dm = DemandMatrix(t=0, entries={})
-    samples = simulate_tick(topo_3x5, dm, seed=0, t=0)
+    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=0), seed=0, t=0)
     assert len(samples) == 15
     for s in samples:
         assert s.latency_us == 3.0
@@ -148,7 +151,8 @@ def test_latency_model_half_utilization():
     # rho = 0.5, k = 1, base 3 us -> latency = 3 * (1 + 0.5/0.5) = 6 us
     topo = build_topology(2, 1, CAP, 3.0, min_spines=1)
     dm = DemandMatrix(t=0, entries={(0, 1): CAP // 2})
-    samples = simulate_tick(topo, dm, seed=0, t=0, flows_per_pair=4, queue_factor=1.0)
+    samples = simulate_tick(hour_loads(topo, dm, seed=0, flows_per_pair=4, queue_factor=1.0),
+                            seed=0, t=0)
     by_leaf = {s.link_id % 2: s for s in samples}
     assert by_leaf[0].latency_us == pytest.approx(6.0, abs=1e-9)
     assert by_leaf[1].latency_us == pytest.approx(3.0, abs=1e-9)
@@ -157,21 +161,22 @@ def test_latency_model_half_utilization():
 def test_load_conservation_single_pair(topo_3x5):
     demand = 123_456_789
     dm = DemandMatrix(t=0, entries={(0, 2): demand})
-    samples = simulate_tick(topo_3x5, dm, seed=1, t=0)
+    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=1), seed=1, t=0)
     assert sum(s.fabric_bps for s in samples) == demand
 
 
 def test_load_conservation_full_matrix(topo_3x5):
     cfg = quiet_traffic(base_bps=800_000_000)
     dm = generate_demands(cfg, 3, 0, seed=2)
-    samples = simulate_tick(topo_3x5, dm, seed=2, t=0, flows_per_pair=cfg.flows_per_pair)
+    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=2, flows_per_pair=cfg.flows_per_pair),
+                            seed=2, t=0)
     assert sum(s.fabric_bps for s in samples) == dm.total_bps()
 
 
 def test_edge_speed_counts_both_directions():
     topo = build_topology(2, 1, CAP, 3.0, min_spines=1)
     dm = DemandMatrix(t=0, entries={(0, 1): 1000})
-    samples = {s.link_id % 2: s for s in simulate_tick(topo, dm, seed=0, t=0)}
+    samples = {s.link_id % 2: s for s in simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)}
     assert samples[0].edge_bps == 1000   # leaf 0 sends
     assert samples[1].edge_bps == 1000   # leaf 1 receives
 
@@ -186,7 +191,7 @@ def test_latency_monotone_in_utilization():
 def test_overload_clamps_instead_of_crashing():
     topo = build_topology(2, 1, 1000, 3.0, min_spines=1)
     dm = DemandMatrix(t=0, entries={(0, 1): 50_000})
-    samples = simulate_tick(topo, dm, seed=0, t=0)
+    samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)
     for s in samples:
         assert np.isfinite(s.latency_us)
         assert s.fabric_bps <= 1000
@@ -197,18 +202,73 @@ def test_latency_floor_with_noise_off_random_ticks(topo_3x5):
                         burst_rate_per_hour=1.0, burst_size_bps=5e8)
     for t in range(50):
         dm = generate_demands(cfg, 3, t, seed=7)
-        for s in simulate_tick(topo_3x5, dm, seed=7, t=t * 60):
+        for s in simulate_tick(hour_loads(topo_3x5, dm, seed=7), seed=7, t=t * 60):
             assert s.latency_us >= 3.0
 
 
 def test_tick_deterministic_with_noise(topo_3x5):
     cfg = quiet_traffic()
-    dm = generate_demands(cfg, 3, 0, seed=4)
-    a = simulate_tick(topo_3x5, dm, seed=4, t=5, noise_us=0.05)
-    b = simulate_tick(topo_3x5, dm, seed=4, t=5, noise_us=0.05)
+    loads = hour_loads(topo_3x5, generate_demands(cfg, 3, 0, seed=4), seed=4)
+    a = simulate_tick(loads, seed=4, t=5, noise_us=0.05)
+    b = simulate_tick(loads, seed=4, t=5, noise_us=0.05)
     assert a == b
-    c = simulate_tick(topo_3x5, dm, seed=4, t=6, noise_us=0.05)
+    c = simulate_tick(loads, seed=4, t=6, noise_us=0.05)
     assert a != c
+
+
+def reference_tick(topology, demands, seed, t, flows_per_pair, queue_factor, noise_us):
+    """The simulator as it was when every minute re-placed every flow: the
+    oracle for hour_loads + simulate_tick."""
+    carried, edge = {}, {}
+    for f in build_flows(demands, topology, flows_per_pair, seed):
+        up_link = f.assigned_spine * topology.n_leaf + f.src_leaf
+        carried[up_link] = carried.get(up_link, 0) + f.rate_bps
+        edge[f.src_leaf] = edge.get(f.src_leaf, 0) + f.rate_bps
+        edge[f.dst_leaf] = edge.get(f.dst_leaf, 0) + f.rate_bps
+    noise = None
+    if noise_us > 0:
+        rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t}"))
+        noise = rng.uniform(-noise_us, noise_us, size=len(topology.links))
+    samples = []
+    for idx, link in enumerate(topology.links):
+        load = carried.get(link.id, 0)
+        latency = link_latency_us(link.base_latency_us, load / link.capacity_bps, queue_factor)
+        if noise is not None:
+            latency += float(noise[idx])
+        samples.append(LinkMetricSample(
+            ts=int(t), link_id=link.id, spine_id=link.spine_id, latency_us=round(latency, 6),
+            fabric_bps=min(load, link.capacity_bps), edge_bps=int(edge.get(link.leaf_id, 0))))
+    return samples
+
+
+def test_hour_loads_match_per_minute_reference():
+    rng = np.random.default_rng(404)
+    overloaded = 0
+    for trial in range(60):
+        n_leaf, n_spine = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        cap = int(rng.integers(1, 4)) * 1_000_000_000
+        topo = build_topology(n_leaf, n_spine, cap, float(rng.uniform(1.0, 5.0)), min_spines=1,
+                              max_spines=n_spine + 1,
+                              spine_slots=[int(k) for k in rng.integers(1, 4, size=n_spine)])
+        if trial % 3:                     # remove spines, then on every other trial add one
+            for sid in rng.choice(n_spine, size=min(trial % 3, n_spine - 1), replace=False):
+                topo = apply_action(topo, remove_action(int(sid)))
+            if trial % 2:
+                topo = apply_action(topo, add_action())
+        # up to 3x a leaf's capacity per pair: some links clamp at RHO_MAX
+        demands = DemandMatrix(t=trial, entries={
+            (src, dst): int(rng.integers(0, 3 * cap // (n_leaf - 1)))
+            for src in range(n_leaf) for dst in range(n_leaf) if src != dst})
+        seed, fpp = int(rng.integers(1 << 31)), int(rng.integers(1, 12))
+        queue_factor, noise_us = float(rng.uniform(0.5, 2.0)), 0.2 * (trial % 2)
+        hour = hour_loads(topo, demands, seed, flows_per_pair=fpp, queue_factor=queue_factor)
+        for t in (trial * 60, trial * 60 + 1, trial * 60 + 59):
+            got = simulate_tick(hour, seed, t, noise_us=noise_us)
+            want = reference_tick(topo, demands, seed, t, fpp, queue_factor, noise_us)
+            assert [encode_sample(s) for s in got] == [encode_sample(s) for s in want]
+            assert got == want
+            overloaded += any(s.fabric_bps == cap for s in got)
+    assert overloaded > 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +280,7 @@ def test_remove_spine_deactivates_links_and_flows(topo_3x5):
     assert topo.active_spine_ids == [0, 1, 2, 3]
     assert all(lk.spine_id != 4 for lk in topo.links)
     dm = DemandMatrix(t=0, entries={(0, 1): 9_999, (2, 0): 5_000})
-    samples = simulate_tick(topo, dm, seed=0, t=0)
+    samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)
     assert all(s.spine_id != 4 for s in samples)
     assert sum(s.fabric_bps for s in samples) == 14_999
 

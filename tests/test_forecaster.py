@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,9 @@ def shrink_param(lines, name, shape):
     lambda lines: lines[:-2],                               # missing end / param data
     lambda lines: [ln for ln in lines if not ln.startswith("param dense.b")],
     lambda lines: shrink_param(lines, "lstm2.u_f", (4, 3)),    # loads, wrong shape
+    lambda lines: shrink_param(lines, "dense.w", (5, 1)),      # does not fit lstm2's hidden 12
+    lambda lines: functools.reduce(                            # lstm2 input 11 != lstm1 hidden 12
+        lambda ls, gate: shrink_param(ls, f"lstm2.w_{gate}", (11, 12)), "ifgo", lines),
 ])
 def test_checkpoint_corruption_detected(tmp_path, mutate):
     model = init_model(SMALL, seed=3)

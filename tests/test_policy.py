@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import HalfWriteHandle
 from oracle_policy import brute_force_actions, brute_force_candidates
 from spinescale.errors import (ConsistencyError, DecodeError, InvalidConfigError,
                                PersistenceError)
 from spinescale.forecaster import Forecast
-from spinescale.policy import (PolicyConfig, PolicyJournal, decode_journal_line, evaluate,
+from spinescale.policy import (ActionReason, PolicyAction, PolicyConfig, PolicyJournal,
+                               decode_journal_line, encode_journal_line, evaluate,
                                replay_journal)
 
 H = 120
@@ -278,7 +282,6 @@ def test_journal_torn_last_line_dropped_and_truncated(tmp_path):
 
 
 def test_journal_line_format():
-    from spinescale.policy import encode_journal_line
     action = one_action()
     line = encode_journal_line(action, cfg(), "cafe00000000")
     entry = decode_journal_line(line, offset=0)
@@ -292,20 +295,60 @@ def test_journal_line_format():
 
 
 def test_journal_write_failure_keeps_no_entry(tmp_path):
-    journal = PolicyJournal(tmp_path / "journal.log")
-    journal.append(one_action(), cfg(), "aaaa00000000")
+    path = tmp_path / "journal.log"
+    with PolicyJournal(path) as journal:
+        journal.append(one_action(), cfg(), "aaaa00000000")
+        size = path.stat().st_size
+        real = journal._handle
+        journal._handle = HalfWriteHandle(real)
+        with pytest.raises(PersistenceError):
+            journal.append(one_action(), cfg(), "bbbb00000000")
+        assert path.stat().st_size == size
+        assert [e.forecast_digest for e in journal.entries] == ["aaaa00000000"]
+        journal._handle = real
+        assert journal.append(one_action(), cfg(), "cccc00000000") == 1
+    assert [e.forecast_digest for e in replay_journal(path)] == ["aaaa00000000", "cccc00000000"]
 
-    class Broken:
-        def write(self, _):
-            raise OSError("nope")
 
-        def flush(self):
-            pass
+# ---------------------------------------------------------------------------
+# decode_journal_line fuzzing
+# ---------------------------------------------------------------------------
 
-        def close(self):
-            pass
+FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
+token = st.text(st.characters(blacklist_categories=("Z", "C")), max_size=12)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
-    journal._handle = Broken()
-    with pytest.raises(PersistenceError):
-        journal.append(one_action(), cfg(), "bbbb00000000")
-    assert len(journal.entries) == 1
+
+@FUZZ
+@given(cycle=st.integers(-10**9, 10**9), spine=st.one_of(st.none(), st.integers(0, 10**9)),
+       detail=token, thresholds=st.tuples(finite, finite).filter(lambda t: t[0] < t[1]),
+       mean_pred=st.floats(allow_nan=False), digest=st.text("0123456789abcdef", min_size=1))
+def test_journal_line_roundtrips_any_valid_entry(cycle, spine, detail, thresholds, mean_pred,
+                                                 digest):
+    kind = "add_spine" if spine is None else "remove_spine"
+    action = PolicyAction(kind=kind, spine_id=spine, decision_cycle=cycle,
+                          reason=ActionReason(detail, thresholds[0], mean_pred, 1))
+    entry = decode_journal_line(
+        encode_journal_line(action, cfg(remove_threshold_us=thresholds[0],
+                                        add_threshold_us=thresholds[1]), digest), offset=3)
+    assert (entry.offset, entry.cycle, entry.kind, entry.spine_id, entry.reason,
+            entry.remove_threshold_us, entry.add_threshold_us, entry.mean_pred_us,
+            entry.forecast_digest) == (3, cycle, kind, spine, detail, *thresholds, mean_pred,
+                                       digest)
+
+
+# lines made of the journal keys (and a stray one) with arbitrary values
+near_lines = st.lists(st.tuples(st.sampled_from(("cycle", "kind", "spine", "reason",
+                                                 "remove_thr", "add_thr", "mean_pred",
+                                                 "digest", "x")),
+                                st.text(max_size=8)), max_size=10).map(
+    lambda parts: " ".join(f"{k}={v}" for k, v in parts))
+
+
+@FUZZ
+@given(st.one_of(st.text(), near_lines))
+def test_journal_decode_rejects_any_text_with_decode_error_only(line):
+    try:
+        decode_journal_line(line, offset=5)
+    except DecodeError as exc:
+        assert "offset 5" in str(exc)

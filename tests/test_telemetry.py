@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import HalfWriteHandle
 from spinescale.errors import DecodeError, NotFoundError, PersistenceError
 from spinescale.fabric import LinkMetricSample
 from spinescale.telemetry import TopicBus, decode_sample, encode_sample
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
 
 TOPIC = "fabric.metrics"
 
@@ -30,23 +35,23 @@ def test_roundtrip_identity(s):
 
 def test_publish_offsets_gapless():
     bus = TopicBus()
-    assert bus.publish(TOPIC, sample(ts=0)) == 0
-    assert bus.publish(TOPIC, sample(ts=1)) == 1
-    assert bus.publish(TOPIC, sample(ts=2)) == 2
-    assert bus.length(TOPIC) == 3
+    assert bus.publish(TOPIC, [sample(ts=0)]) == 0
+    assert bus.publish(TOPIC, [sample(ts=1), sample(ts=2)]) == 1
+    assert bus.publish(TOPIC, []) == 3
+    assert bus.publish(TOPIC, [sample(ts=3)]) == 3
+    assert bus.length(TOPIC) == 4
 
 
 def test_consume_empty_topic():
     bus = TopicBus()
-    bus.publish(TOPIC, sample())
+    bus.publish(TOPIC, [sample()])
     assert bus.consume(TOPIC, 5, 10) == []
     assert bus.consume("fabric.metrics", 1) == []
 
 
 def test_consume_slice():
     bus = TopicBus()
-    for ts in range(8):
-        bus.publish(TOPIC, sample(ts=ts))
+    bus.publish(TOPIC, [sample(ts=ts) for ts in range(8)])
     got = bus.consume(TOPIC, 5, 100)
     assert [off for off, _ in got] == [5, 6, 7]
     assert [s.ts for _, s in got] == [5, 6, 7]
@@ -54,8 +59,7 @@ def test_consume_slice():
 
 def test_consume_is_pure():
     bus = TopicBus()
-    for ts in range(4):
-        bus.publish(TOPIC, sample(ts=ts))
+    bus.publish(TOPIC, [sample(ts=ts) for ts in range(4)])
     assert bus.consume(TOPIC, 1, 2) == bus.consume(TOPIC, 1, 2)
 
 
@@ -70,8 +74,8 @@ def test_publish_then_reopen_roundtrip(tmp_path):
     originals = [sample(ts=i, latency=3.0 + i * 0.111111) for i in range(5)]
     with TopicBus() as bus:
         bus.attach(TOPIC, path)
-        for s in originals:
-            bus.publish(TOPIC, s)
+        bus.publish(TOPIC, originals[:2])
+        bus.publish(TOPIC, originals[2:])
 
     with TopicBus() as reopened:
         assert reopened.attach(TOPIC, path) == 5
@@ -85,7 +89,7 @@ def test_persisted_log_matches_memory_golden(tmp_path):
         bus.attach(TOPIC, path)
         records = [sample(ts=i, link=i % 3, fabric=i * 1000) for i in range(10)]
         for s in records:
-            bus.publish(TOPIC, s)
+            bus.publish(TOPIC, [s])
         expected_lines = [encode_sample(s) for s in records]
     assert path.read_text().splitlines() == expected_lines
 
@@ -106,7 +110,7 @@ def test_torn_last_line_dropped_and_truncated(tmp_path):
     with TopicBus() as bus:
         assert bus.attach(TOPIC, path) == 2
         assert path.read_text() == good
-        bus.publish(TOPIC, sample(ts=3))
+        bus.publish(TOPIC, [sample(ts=3)])
     with TopicBus() as reopened:
         assert reopened.attach(TOPIC, path) == 3
         assert [s.ts for _, s in reopened.consume(TOPIC)] == [0, 1, 3]
@@ -130,23 +134,52 @@ def test_attach_failure_is_persistence_error(tmp_path):
 
 
 def test_failed_write_leaves_no_partial_record(tmp_path):
-    path = tmp_path / "telemetry.log"
-    bus = TopicBus()
-    bus.attach(TOPIC, path)
-    bus.publish(TOPIC, sample(ts=0))
+    # the write lands 1.5 lines, then raises or reports the short count
+    for raises in (True, False):
+        path = tmp_path / f"telemetry-{raises}.log"
+        with TopicBus() as bus:
+            bus.attach(TOPIC, path)
+            bus.publish(TOPIC, [sample(ts=0)])
+            size = path.stat().st_size
+            real = bus._handles[TOPIC]
+            bus._handles[TOPIC] = HalfWriteHandle(real, raises=raises)
+            with pytest.raises(PersistenceError):
+                bus.publish(TOPIC, [sample(ts=1), sample(ts=2), sample(ts=3)])
+            assert path.stat().st_size == size        # partial lines cut away
+            assert [s.ts for _, s in bus.consume(TOPIC)] == [0]
+            bus._handles[TOPIC] = real
+            assert bus.publish(TOPIC, [sample(ts=4)]) == 1
+        with TopicBus() as reopened:
+            assert reopened.attach(TOPIC, path) == 2
+            assert [s.ts for _, s in reopened.consume(TOPIC)] == [0, 4]
 
-    class BrokenHandle:
-        def write(self, _):
-            raise OSError("disk full")
 
-        def flush(self):
-            pass
+# ---------------------------------------------------------------------------
+# decode_sample fuzzing
+# ---------------------------------------------------------------------------
 
-        def close(self):
-            pass
+wire_ints = st.integers(-10**18, 10**18)
 
-    bus._handles[TOPIC] = BrokenHandle()
-    with pytest.raises(PersistenceError):
-        bus.publish(TOPIC, sample(ts=1))
-    assert bus.length(TOPIC) == 1          # atomic: nothing appended
-    assert bus.consume(TOPIC, 0)[-1][1].ts == 0
+
+@FUZZ
+@given(ts=wire_ints, link=wire_ints, spine=wire_ints, fabric=wire_ints, edge=wire_ints,
+       latency=st.floats(-1e9, 1e9).map(lambda x: round(x, 6)))
+def test_decode_roundtrips_any_valid_record(ts, link, spine, fabric, edge, latency):
+    s = sample(ts=ts, link=link, spine=spine, latency=latency, fabric=fabric, edge=edge)
+    assert decode_sample(encode_sample(s)) == s
+
+
+# lines made of the wire keys (and a stray one) with arbitrary values
+near_records = st.lists(st.tuples(st.sampled_from(("ts", "link", "spine", "latency_us",
+                                                   "fabric_bps", "edge_bps", "x")),
+                                  st.text(max_size=8)), max_size=8).map(
+    lambda parts: " ".join(f"{k}={v}" for k, v in parts))
+
+
+@FUZZ
+@given(st.one_of(st.text(), near_records))
+def test_decode_rejects_any_text_with_decode_error_only(line):
+    try:
+        decode_sample(line, offset=7)
+    except DecodeError as exc:
+        assert "offset 7" in str(exc)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from spinescale.errors import DataError, GapError, InsufficientDataError
+from spinescale.config import LatencyConfig, SimConfig, TopologyConfig, TrafficConfig
 from spinescale.fabric import LinkMetricSample, build_topology
+from spinescale.pipeline import METRICS_TOPIC, simulate_hours, topology_from_config
+from spinescale.telemetry import TopicBus
 from spinescale.windows import (Scaler, SwitchSeries, aggregate_hourly, export_windows,
                                 make_windows, split_train_val)
 
@@ -86,6 +89,87 @@ def test_aggregate_without_topology_uses_sample_spines():
     samples = [mk_sample(ts=m, link=s, spine=s, lat=1.0) for m in range(60) for s in (0, 3)]
     out = aggregate_hourly(samples, None)
     assert [s.spine_id for s in out] == [0, 3]
+
+
+def reference_aggregate(samples, topology=None):
+    """aggregate_hourly as a per-sample dict loop over the canonical order:
+    the oracle for the columnar version."""
+    if topology is not None:
+        active = topology.active_spine_ids
+    else:
+        active = sorted({s.spine_id for s in samples})
+    samples = sorted(samples, key=lambda s: (s.spine_id, s.ts, s.link_id))
+    hours = sorted({s.ts // 60 for s in samples})
+    h_min, h_max = hours[0], hours[-1]
+    sums, counts = {}, {}
+    for s in samples:
+        key = (s.spine_id, s.ts // 60)
+        if key not in sums:
+            sums[key] = np.array([s.latency_us, s.fabric_bps, s.edge_bps], dtype=np.float64)
+            counts[key] = 1
+        else:
+            sums[key] += (s.latency_us, s.fabric_bps, s.edge_bps)
+            counts[key] += 1
+    out = []
+    for spine_id in active:
+        rows = np.empty((h_max - h_min + 1, 3))
+        for hour in range(h_min, h_max + 1):
+            if (spine_id, hour) not in sums:
+                raise GapError(f"spine {spine_id} has no samples for hour {hour}")
+            rows[hour - h_min] = sums[(spine_id, hour)] / counts[(spine_id, hour)]
+        out.append(SwitchSeries.from_channels(spine_id, h_min, rows))
+    return out
+
+
+def simulated_samples(seed):
+    cfg = SimConfig(seed=seed)
+    cfg.topology = TopologyConfig(n_leaf=3, n_spine=4, capacity_bps=10_000_000_000,
+                                  base_latency_us=3.0, spine_slots=[1, 2, 3, 1])
+    cfg.latency = LatencyConfig(queue_factor=1.0, noise_us=0.15)
+    cfg.traffic = TrafficConfig(base_bps=6_000_000_000, diurnal_amp_bps=2_000_000_000,
+                                noise_bps=300_000_000, flows_per_pair=4)
+    topo = topology_from_config(cfg)
+    bus = TopicBus()
+    simulate_hours(cfg, topo, bus, METRICS_TOPIC, start_hour=5, hours=3, seed=seed)
+    return [s for _, s in bus.consume(METRICS_TOPIC)], topo
+
+
+def assert_same_series(got, want):
+    assert [(s.spine_id, s.start_hour, len(s)) for s in got] == \
+        [(s.spine_id, s.start_hour, len(s)) for s in want]
+    for x, y in zip(got, want):
+        assert np.array_equal(x.channels(), y.channels())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_aggregate_matches_dict_loop_reference(seed):
+    samples, topo = simulated_samples(seed)
+    rng = np.random.default_rng(seed)
+    shuffled = [samples[i] for i in rng.permutation(len(samples))]
+    for data in (samples, shuffled):
+        assert_same_series(aggregate_hourly(data, topo), reference_aggregate(data, topo))
+        assert_same_series(aggregate_hourly(data, None), reference_aggregate(data, None))
+    # random values, duplicate keys and spines of unequal link counts, any order
+    random = [mk_sample(ts=int(rng.integers(-120, 180)), link=int(rng.integers(0, 4)),
+                        spine=int(rng.integers(0, 3)), lat=float(rng.uniform(0, 50)),
+                        fab=int(rng.integers(0, 10**10)), edg=int(rng.integers(0, 10**10)))
+              for _ in range(3000)]
+    assert_same_series(aggregate_hourly(random), reference_aggregate(random))
+
+
+@pytest.mark.parametrize("drop", [
+    lambda s: s.spine_id == 2 and s.ts // 60 == 6,     # one spine silent for a middle hour
+    lambda s: s.spine_id == 0,                        # an active spine never reported
+    lambda s: s.spine_id == 3 and s.ts // 60 != 5,    # only the first hour seen
+])
+def test_aggregate_gap_matches_reference(drop):
+    samples, topo = simulated_samples(4)
+    kept = [s for s in samples if not drop(s)]
+    with pytest.raises(GapError) as want:
+        reference_aggregate(kept, topo)
+    with pytest.raises(GapError) as got:
+        aggregate_hourly(kept, topo)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
