@@ -52,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +71,32 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") & _MASK64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field annotation -> (what its value must be, the check)
+_FIELD_CHECKS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number",
+              lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[int] | None": ("a list of integers or null",
+                         lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v)))),
+}
+
+
+def _check_fields(section, name: str) -> None:
+    """Reject a wrongly typed or non-finite value before any rule compares
+    it: NaN passes every `x < 0` check, and "3" < 1 raises TypeError."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        what, ok = _FIELD_CHECKS[f.type]
+        if not ok(value):
+            raise InvalidConfigError(f"{name}.{f.name} must be {what}, got {value!r}")
+
+
 @dataclass
 class TopologyConfig:
     n_leaf: int = 3
@@ -81,6 +108,7 @@ class TopologyConfig:
     spine_slots: list[int] | None = None
 
     def validate(self) -> None:
+        _check_fields(self, "topology")
         if self.n_leaf < 1 or self.n_spine < 1:
             raise InvalidConfigError(
                 f"node counts must be >= 1 (n_leaf={self.n_leaf}, n_spine={self.n_spine})")
@@ -105,6 +133,7 @@ class LatencyConfig:
     noise_us: float = 0.0
 
     def validate(self) -> None:
+        _check_fields(self, "latency")
         if self.queue_factor < 0:
             raise InvalidConfigError(f"queue_factor must be >= 0, got {self.queue_factor}")
         if self.noise_us < 0:
@@ -122,6 +151,7 @@ class TrafficConfig:
     flows_per_pair: int = 8
 
     def validate(self) -> None:
+        _check_fields(self, "traffic")
         if self.base_bps < 0 or self.diurnal_amp_bps < 0:
             raise InvalidConfigError("traffic base/amplitude must be >= 0")
         if self.burst_rate_per_hour < 0 or self.burst_size_bps < 0 or self.noise_bps < 0:
@@ -144,6 +174,7 @@ class TrainingConfig:
     val_fraction: float = 0.2
 
     def validate(self) -> None:
+        _check_fields(self, "training")
         if self.lookback_hours < 1 or self.horizon_steps < 1:
             raise InvalidConfigError("lookback_hours and horizon_steps must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
@@ -157,6 +188,15 @@ class TrainingConfig:
         if not 0.0 < self.val_fraction < 1.0:
             raise InvalidConfigError(f"val_fraction must be in (0,1), got {self.val_fraction}")
 
+    def validate_model(self) -> None:
+        """The one rule building a model adds to validate(): the convolution
+        fits in one lookback window. Not part of validate(), because a
+        config that only simulates and windows telemetry may use a shorter
+        lookback."""
+        if self.lookback_hours < self.conv_width:
+            raise InvalidConfigError(
+                f"lookback_hours={self.lookback_hours} < conv_width={self.conv_width}")
+
 
 @dataclass
 class PolicySection:
@@ -165,6 +205,10 @@ class PolicySection:
     cooldown_cycles: int = 24
     horizon_fraction: float = 1.0     # fraction of horizon hours a condition must hold
     add_aggregate: str = "mean"       # "mean" or "max" over spines when checking add
+
+    def validate(self) -> None:
+        """Types only: the rules are PolicyConfig's (see policy_from_config)."""
+        _check_fields(self, "policy")
 
 
 @dataclass(frozen=True)
@@ -206,6 +250,7 @@ class RunSection:
     retrain_each_cycle: bool = False
 
     def validate(self) -> None:
+        _check_fields(self, "run")
         if self.cycles < 1:
             raise InvalidConfigError(f"cycles must be >= 1, got {self.cycles}")
         if self.hours_per_cycle < 1:
@@ -227,11 +272,19 @@ class SimConfig:
     run: RunSection = field(default_factory=RunSection)
 
     def validate(self) -> "SimConfig":
+        if not _is_int(self.seed):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
         self.topology.validate()
         self.latency.validate()
         self.traffic.validate()
         self.training.validate()
+        self.policy.validate()
         self.run.validate()
+        tr = self.training
+        if self.run.hours_per_cycle < tr.lookback_hours + tr.horizon_steps:
+            raise InvalidConfigError(
+                f"hours_per_cycle={self.run.hours_per_cycle} must cover lookback "
+                f"{tr.lookback_hours} + horizon {tr.horizon_steps}")
         policy_from_config(self)
         return self
 
@@ -282,7 +335,7 @@ def load_config(path: str | Path) -> SimConfig:
     if unknown:
         raise InvalidConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
 
-    kwargs = {"seed": int(raw.get("seed", 7))}
+    kwargs = {"seed": raw.get("seed", 7)}
     for name, cls in _SECTIONS.items():
         section = raw.get(name, {})
         if not isinstance(section, dict):

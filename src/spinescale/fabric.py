@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import TrafficConfig, derive_seed
+from .config import _MASK64, TopologyConfig, TrafficConfig, derive_seed
 from .errors import InvalidConfigError, NoCapacityError, NotFoundError, PolicyViolationError
 
 if TYPE_CHECKING:
@@ -40,23 +40,10 @@ if TYPE_CHECKING:
 
 RHO_MAX = 0.99
 
-_MASK64 = (1 << 64) - 1
-
 
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpineNode:
-    id: int
-    active: bool = True
-
-
-@dataclass(frozen=True)
-class LeafNode:
-    id: int
-
 
 @dataclass(frozen=True)
 class Link:
@@ -65,8 +52,6 @@ class Link:
     id: int
     leaf_id: int
     spine_id: int
-    capacity_bps: int
-    base_latency_us: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,28 +90,28 @@ class DemandMatrix:
 
 @dataclass
 class Topology:
-    spines: list[SpineNode]
-    leaves: list[LeafNode]
-    links: list[Link]      # links of ACTIVE spines only, sorted by link id
+    """The fabric's configuration plus the one thing that changes while it
+    runs: which spines are active. Every link has the same capacity and
+    base latency."""
+    n_leaf: int
     capacity_bps: int
     base_latency_us: float
     min_spines: int
     max_spines: int
-    spine_slots: dict[int, int]   # ECMP hash slots per spine id (default 1)
+    spine_slots: dict[int, int]   # ECMP hash slots per spine id
+    active_spine_ids: list[int]   # ascending
 
     @property
-    def n_leaf(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def active_spine_ids(self) -> list[int]:
-        return sorted(s.id for s in self.spines if s.active)
+    def links(self) -> list[Link]:
+        """Complete bipartite links of the active spines, sorted by link id."""
+        return [Link(id=s * self.n_leaf + l, leaf_id=l, spine_id=s)
+                for s in self.active_spine_ids for l in range(self.n_leaf)]
 
     def ecmp_slots(self) -> list[int]:
         """Active spine ids repeated per their hash-slot weight, ascending."""
         out: list[int] = []
         for sid in self.active_spine_ids:
-            out.extend([sid] * self.spine_slots.get(sid, 1))
+            out.extend([sid] * self.spine_slots[sid])
         return out
 
 
@@ -134,81 +119,43 @@ class Topology:
 # Topology construction and reconfiguration
 # ---------------------------------------------------------------------------
 
-def _links_for_spines(spine_ids, n_leaf: int, capacity_bps: int, base_latency_us: float) -> list[Link]:
-    links = [
-        Link(id=s * n_leaf + l, leaf_id=l, spine_id=s,
-             capacity_bps=capacity_bps, base_latency_us=base_latency_us)
-        for s in spine_ids
-        for l in range(n_leaf)
-    ]
-    return sorted(links, key=lambda lk: lk.id)
-
-
-def build_topology(n_leaf: int, n_spine: int, capacity_bps: int, base_latency_us: float,
-                   min_spines: int = 2, max_spines: int | None = None,
-                   spine_slots: list[int] | None = None) -> Topology:
+def build_topology(cfg: TopologyConfig) -> Topology:
     """Build a complete bipartite leaf-spine fabric with all spines active."""
-    if n_leaf < 1 or n_spine < 1:
-        raise InvalidConfigError(f"node counts must be >= 1 (n_leaf={n_leaf}, n_spine={n_spine})")
-    if capacity_bps <= 0:
-        raise InvalidConfigError(f"capacity_bps must be > 0, got {capacity_bps}")
-    if base_latency_us <= 0:
-        raise InvalidConfigError(f"base_latency_us must be > 0, got {base_latency_us}")
-    min_spines = min(min_spines, n_spine)
-    if max_spines is None:
-        max_spines = max(n_spine, 8)
-    if max_spines < n_spine:
-        raise InvalidConfigError(f"max_spines={max_spines} below initial spine count {n_spine}")
-    if spine_slots is not None and len(spine_slots) != n_spine:
-        raise InvalidConfigError(
-            f"spine_slots has {len(spine_slots)} entries for {n_spine} spines")
-
-    spines = [SpineNode(id=s, active=True) for s in range(n_spine)]
-    leaves = [LeafNode(id=l) for l in range(n_leaf)]
-    links = _links_for_spines(range(n_spine), n_leaf, int(capacity_bps), float(base_latency_us))
-    slots = {s: (spine_slots[s] if spine_slots else 1) for s in range(n_spine)}
-    return Topology(spines=spines, leaves=leaves, links=links,
-                    capacity_bps=int(capacity_bps), base_latency_us=float(base_latency_us),
-                    min_spines=min_spines, max_spines=max_spines, spine_slots=slots)
+    cfg.validate()
+    return Topology(n_leaf=cfg.n_leaf, capacity_bps=cfg.capacity_bps,
+                    base_latency_us=float(cfg.base_latency_us),
+                    min_spines=cfg.min_spines, max_spines=cfg.max_spines,
+                    spine_slots=dict(enumerate(cfg.spine_slots or [1] * cfg.n_spine)),
+                    active_spine_ids=list(range(cfg.n_spine)))
 
 
 def apply_action(topology: Topology, action: "PolicyAction") -> Topology:
     """Apply an add/remove decision, returning a new topology.
 
     Flow placement is stateless (re-hashed over the active set every hour),
-    so changing the active set re-places every flow automatically.
+    so changing the active set re-places every flow automatically. An added
+    spine takes the lowest id not active: a removed spine comes back with
+    its hash slots, and a new id gets one slot.
     """
     active = topology.active_spine_ids
     if action.kind == "remove_spine":
         sid = action.spine_id
-        existing = {s.id: s for s in topology.spines}
-        if sid not in existing or not existing[sid].active:
+        if sid not in active:
             raise NotFoundError(f"spine {sid} is not an active spine")
         if len(active) - 1 < topology.min_spines:
             raise PolicyViolationError(
                 f"removing spine {sid} would leave {len(active) - 1} active "
                 f"(< min_spines={topology.min_spines})")
-        spines = [replace(s, active=False) if s.id == sid else s for s in topology.spines]
-        links = [lk for lk in topology.links if lk.spine_id != sid]
-        return replace(topology, spines=spines, links=links)
+        return replace(topology, active_spine_ids=[s for s in active if s != sid])
 
     if action.kind == "add_spine":
         if len(active) + 1 > topology.max_spines:
             raise PolicyViolationError(
                 f"adding a spine would exceed max_spines={topology.max_spines}")
-        inactive = sorted(s.id for s in topology.spines if not s.active)
-        if inactive:
-            sid = inactive[0]
-            spines = [replace(s, active=True) if s.id == sid else s for s in topology.spines]
-        else:
-            sid = len(topology.spines)
-            spines = topology.spines + [SpineNode(id=sid, active=True)]
-        new_links = _links_for_spines([sid], topology.n_leaf,
-                                      topology.capacity_bps, topology.base_latency_us)
-        links = sorted(topology.links + new_links, key=lambda lk: lk.id)
-        slots = dict(topology.spine_slots)
-        slots.setdefault(sid, 1)
-        return replace(topology, spines=spines, links=links, spine_slots=slots)
+        sid = next(s for s in range(len(active) + 1) if s not in active)
+        return replace(topology, active_spine_ids=sorted(active + [sid]),
+                       spine_slots={**topology.spine_slots,
+                                    sid: topology.spine_slots.get(sid, 1)})
 
     raise InvalidConfigError(f"unknown action kind: {action.kind!r}")
 
@@ -321,12 +268,13 @@ def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
         edge[f.src_leaf] = edge.get(f.src_leaf, 0) + f.rate_bps
         edge[f.dst_leaf] = edge.get(f.dst_leaf, 0) + f.rate_bps
 
+    cap = topology.capacity_bps
     loads = [(link, carried.get(link.id, 0)) for link in topology.links]
     return HourLoads(
-        links=[(link.id, link.spine_id, min(load, link.capacity_bps),
-                int(edge.get(link.leaf_id, 0))) for link, load in loads],
-        latency_us=np.array([link_latency_us(link.base_latency_us, load / link.capacity_bps,
-                                             queue_factor) for link, load in loads]))
+        links=[(link.id, link.spine_id, min(load, cap), int(edge.get(link.leaf_id, 0)))
+               for link, load in loads],
+        latency_us=np.array([link_latency_us(topology.base_latency_us, load / cap, queue_factor)
+                             for _, load in loads]))
 
 
 def simulate_tick(hour: HourLoads, seed: int, t: int,

@@ -110,9 +110,7 @@ def _init_lstm(rng: np.random.Generator, input_size: int, hidden: int) -> LstmCe
 def init_model(hyper: TrainingConfig, seed: int, scaler: Scaler | None = None) -> LstmModel:
     """Fresh model with Xavier-uniform weights, deterministic per seed."""
     hyper.validate()
-    if hyper.lookback_hours < hyper.conv_width:
-        raise InvalidConfigError(
-            f"lookback_hours={hyper.lookback_hours} < conv_width={hyper.conv_width}")
+    hyper.validate_model()
     rng = np.random.default_rng(derive_seed(seed, "model-init"))
     width, c_out, hidden = hyper.conv_width, hyper.conv_channels, hyper.hidden_size
     return LstmModel(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SimConfig, derive_seed, policy_from_config
-from .errors import InsufficientDataError, InvalidConfigError
+from .errors import InsufficientDataError
 from .fabric import (Topology, apply_action, build_topology, generate_demands, hour_loads,
                      simulate_tick)
 from .forecaster import (LstmModel, TrainReport, digest_forecast, forecast_horizon,
@@ -37,10 +37,7 @@ MANIFEST_FILE = "manifest"
 
 
 def topology_from_config(cfg: SimConfig) -> Topology:
-    t = cfg.topology
-    return build_topology(t.n_leaf, t.n_spine, t.capacity_bps, t.base_latency_us,
-                          min_spines=t.min_spines, max_spines=t.max_spines,
-                          spine_slots=t.spine_slots)
+    return build_topology(cfg.topology)
 
 
 def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str,
@@ -141,11 +138,9 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
     train (first cycle, or every cycle if configured), forecast the
     horizon, evaluate the policy, apply its actions to the live topology,
     and journal every decision. The manifest is written last."""
+    cfg.validate()
+    cfg.training.validate_model()
     run_cfg = cfg.run
-    if run_cfg.hours_per_cycle < cfg.training.lookback_hours + cfg.training.horizon_steps:
-        raise InvalidConfigError(
-            f"hours_per_cycle={run_cfg.hours_per_cycle} must cover lookback "
-            f"{cfg.training.lookback_hours} + horizon {cfg.training.horizon_steps}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in (TELEMETRY_FILE, CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, MANIFEST_FILE):

@@ -10,6 +10,7 @@ keep the loop auditable and non-flapping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from .config import PolicyConfig
 from .errors import ConsistencyError, DecodeError, PersistenceError
 from .forecaster import Forecast
-from .telemetry import append_lines, truncate_torn_line
+from .telemetry import INT_PATTERN, append_lines, truncate_torn_line
 
 ADD_SPINE = "add_spine"
 REMOVE_SPINE = "remove_spine"
@@ -126,32 +127,44 @@ def encode_journal_line(action: PolicyAction, config: PolicyConfig, forecast_dig
     spine = "-" if action.spine_id is None else str(action.spine_id)
     return (f"cycle={action.decision_cycle} kind={action.kind} spine={spine} "
             f"reason={action.reason.detail} "
-            f"remove_thr={config.remove_threshold_us!r} add_thr={config.add_threshold_us!r} "
-            f"mean_pred={action.reason.statistic_us!r} digest={forecast_digest}")
+            f"remove_thr={float(config.remove_threshold_us)!r} "
+            f"add_thr={float(config.add_threshold_us)!r} "
+            f"mean_pred={float(action.reason.statistic_us)!r} digest={forecast_digest}")
+
+
+_JOURNAL_LINE = re.compile(
+    rf"cycle=({INT_PATTERN}) kind=({ADD_SPINE}|{REMOVE_SPINE}) spine=(-|{INT_PATTERN}) "
+    r"reason=([^ \n]*) remove_thr=(\S+) add_thr=(\S+) mean_pred=(\S+) digest=([0-9a-f]+)\n?")
+
+
+def _exact_float(text: str) -> float:
+    """A float field as the encoder writes it: the value's repr, not nan."""
+    value = float(text)
+    if value != value or repr(value) != text:
+        raise ValueError(f"{text!r} is not the repr of a number")
+    return value
 
 
 def decode_journal_line(line: str, offset: int) -> JournalEntry:
-    fields = {}
-    for part in line.strip().split(" "):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise DecodeError(f"journal offset {offset}: malformed field {part!r}")
-        fields[key] = value
-    expected = {"cycle", "kind", "spine", "reason", "remove_thr", "add_thr",
-                "mean_pred", "digest"}
-    if set(fields) != expected:
-        raise DecodeError(f"journal offset {offset}: keys {sorted(fields)} != {sorted(expected)}")
+    """Parse one journal line. Accepts only what encode_journal_line
+    writes, so any line that decodes re-encodes to itself."""
+    match = _JOURNAL_LINE.fullmatch(line)
+    if match is None:
+        raise DecodeError(f"journal offset {offset}: malformed line {line!r}")
+    cycle, kind, spine, reason, remove_thr, add_thr, mean_pred, digest = match.groups()
+    if spine == "-" and kind != ADD_SPINE:
+        raise DecodeError(f"journal offset {offset}: {kind} without a spine id")
     try:
         return JournalEntry(
             offset=offset,
-            cycle=int(fields["cycle"]),
-            kind=fields["kind"],
-            spine_id=None if fields["spine"] == "-" else int(fields["spine"]),
-            reason=fields["reason"],
-            remove_threshold_us=float(fields["remove_thr"]),
-            add_threshold_us=float(fields["add_thr"]),
-            mean_pred_us=float(fields["mean_pred"]),
-            forecast_digest=fields["digest"],
+            cycle=int(cycle),
+            kind=kind,
+            spine_id=None if spine == "-" else int(spine),
+            reason=reason,
+            remove_threshold_us=_exact_float(remove_thr),
+            add_threshold_us=_exact_float(add_thr),
+            mean_pred_us=_exact_float(mean_pred),
+            forecast_digest=digest,
         )
     except ValueError as exc:
         raise DecodeError(f"journal offset {offset}: {exc}") from exc
@@ -174,16 +187,18 @@ class PolicyJournal:
 
     def append(self, action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> int:
         """Write one action; returns its offset. Atomic: a failed write
-        leaves no in-memory entry and no partial line in the file."""
+        leaves no in-memory entry and no partial line in the file. The line
+        is decoded before it is written, so one that replay would reject
+        (e.g. a digest that is not lowercase hex) never reaches the file."""
         line = encode_journal_line(action, config, forecast_digest)
+        entry = decode_journal_line(line, len(self.entries))
         if self._handle is not None:
             try:
                 append_lines(self._handle, line + "\n", self.path)
             except OSError as exc:
                 raise PersistenceError(f"journal write to {self.path} failed: {exc}") from exc
-        offset = len(self.entries)
-        self.entries.append(decode_journal_line(line, offset))
-        return offset
+        self.entries.append(entry)
+        return entry.offset
 
     def close(self) -> None:
         if self._handle is not None:

@@ -12,18 +12,26 @@ rejected):
 
 latency_us uses fixed 6-decimal formatting; samples are quantized to that
 precision at construction, so decode(encode(x)) == x for every field.
+Decoding accepts only what the encoder writes (ASCII digits, no sign on
+zero, no leading zeros, no `_`, no `nan`), so any line that decodes
+re-encodes to itself.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DecodeError, NotFoundError, PersistenceError
 from .fabric import LinkMetricSample
 
-_FIELD_KEYS = ("ts", "link", "spine", "latency_us", "fabric_bps", "edge_bps")
+INT_PATTERN = r"0|-?[1-9][0-9]*"     # an int as str() writes it
+_SAMPLE_LINE = re.compile(
+    rf"ts=({INT_PATTERN}) link=({INT_PATTERN}) spine=({INT_PATTERN}) "
+    rf"latency_us=(-?(?:0|[1-9][0-9]*)\.[0-9]{{6}}) "
+    rf"fabric_bps=({INT_PATTERN}) edge_bps=({INT_PATTERN})\n?")
 
 
 def encode_sample(sample: LinkMetricSample) -> str:
@@ -35,29 +43,18 @@ def encode_sample(sample: LinkMetricSample) -> str:
 
 def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
     """Parse one wire-format line; raises DecodeError naming the offset."""
+    match = _SAMPLE_LINE.fullmatch(line)
+    if match is not None:
+        ts, link, spine, latency, fabric, edge = match.groups()
+        value = float(latency)
+        if f"{value:.6f}" == latency:      # past 15 digits a decimal may not survive
+            try:
+                return LinkMetricSample(int(ts), int(link), int(spine), value,
+                                        int(fabric), int(edge))
+            except ValueError:             # past int()'s digit limit
+                pass
     where = f" at offset {offset}" if offset is not None else ""
-    parts = line.strip().split(" ")
-    if len(parts) != len(_FIELD_KEYS):
-        raise DecodeError(f"malformed record{where}: expected {len(_FIELD_KEYS)} fields, "
-                          f"got {len(parts)}: {line!r}")
-    values = {}
-    for part, expected_key in zip(parts, _FIELD_KEYS):
-        key, sep, value = part.partition("=")
-        if not sep or key != expected_key:
-            raise DecodeError(f"malformed record{where}: expected key '{expected_key}', "
-                              f"got {part!r}")
-        values[key] = value
-    try:
-        return LinkMetricSample(
-            ts=int(values["ts"]),
-            link_id=int(values["link"]),
-            spine_id=int(values["spine"]),
-            latency_us=float(values["latency_us"]),
-            fabric_bps=int(values["fabric_bps"]),
-            edge_bps=int(values["edge_bps"]),
-        )
-    except ValueError as exc:
-        raise DecodeError(f"malformed record{where}: {exc}") from exc
+    raise DecodeError(f"malformed record{where}: {line!r}")
 
 
 def truncate_torn_line(path: Path) -> None:

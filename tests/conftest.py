@@ -1,5 +1,6 @@
 import pytest
 
+from spinescale.config import TopologyConfig
 from spinescale.fabric import build_topology
 from spinescale.policy import ActionReason, PolicyAction
 
@@ -16,8 +17,8 @@ def add_action(cycle: int = 0) -> PolicyAction:
 
 @pytest.fixture
 def topo_3x5():
-    return build_topology(3, 5, capacity_bps=10_000_000_000, base_latency_us=3.0,
-                          min_spines=2, max_spines=8)
+    return build_topology(TopologyConfig(3, 5, capacity_bps=10_000_000_000,
+                                         base_latency_us=3.0, min_spines=2, max_spines=8))
 
 
 class HalfWriteHandle:

@@ -295,7 +295,7 @@ def test_criterion_6_simulator_conservation():
         n_leaf = int(rng.integers(2, 5))
         n_spine = int(rng.integers(2, 7))
         cap = 1_000_000_000
-        topo = build_topology(n_leaf, n_spine, cap, 3.0, min_spines=1)
+        topo = build_topology(TopologyConfig(n_leaf, n_spine, cap, 3.0, min_spines=1))
         # cap/(2*(n_leaf-1)) per pair: even a degenerate all-to-one-spine
         # hash cannot overload a link, so no clamping can occur
         max_pair = cap // (2 * (n_leaf - 1))

@@ -199,6 +199,17 @@ def test_os_error_nonzero_exit(config_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error [simulate]: ")
 
 
+def test_bad_config_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    for bad in ({"seed": "abc"}, {"topology": {"n_leaf": "3"}},
+                {"policy": {"remove_threshold_us": float("nan")}}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run_cli("run", "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error [run]: ")
+        assert not out.exists()
+
+
 def test_missing_artifacts_nonzero_exit(empty_config, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

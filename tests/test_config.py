@@ -62,10 +62,38 @@ def test_invalid_values_rejected(tmp_path):
         ("policy", {"add_aggregate": "median"}),
         ("policy", {"horizon_fraction": 0}),
         ("policy", {"cooldown_cycles": -1}),
+        # non-finite numbers (JSON NaN / Infinity) and wrong types
+        ("policy", {"remove_threshold_us": float("nan")}),
+        ("topology", {"base_latency_us": float("nan")}),
+        ("traffic", {"base_bps": float("inf")}),
+        ("latency", {"noise_us": float("-inf")}),
+        ("topology", {"n_leaf": "3"}),
+        ("topology", {"n_leaf": 3.0}),
+        ("topology", {"spine_slots": [1, 1, "1", 1, 1]}),
+        ("training", {"epochs": True}),
+        ("run", {"retrain_each_cycle": 1}),
+        ("policy", {"add_aggregate": None}),
+        # a decision cycle must hold one training window
+        ("training", {"lookback_hours": 200}),
+        ("run", {"hours_per_cycle": 48}),
     ]:
         path.write_text(json.dumps({section: payload}))
         with pytest.raises(InvalidConfigError):
             load_config(path)
+    for seed in ("abc", 7.5, None):
+        path.write_text(json.dumps({"seed": seed}))
+        with pytest.raises(InvalidConfigError, match="seed"):
+            load_config(path)
+
+
+def test_model_rules_apply_only_to_a_model():
+    # a config that only simulates and windows may look back less than the
+    # convolution is wide; building a model from it may not
+    cfg = SimConfig()
+    cfg.training.lookback_hours = 2
+    cfg.validate()
+    with pytest.raises(InvalidConfigError, match="conv_width"):
+        cfg.training.validate_model()
 
 
 def test_missing_or_malformed_file(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import add_action, remove_action
-from spinescale.config import TrafficConfig
+from spinescale.config import TopologyConfig, TrafficConfig
 from spinescale.errors import InvalidConfigError, NoCapacityError, NotFoundError, PolicyViolationError
 from spinescale.config import derive_seed
 from spinescale.fabric import (DemandMatrix, LinkMetricSample, apply_action, build_flows,
@@ -34,13 +34,13 @@ def test_build_topology_3x5(topo_3x5):
 
 
 def test_build_topology_minimal():
-    topo = build_topology(1, 1, CAP, 3.0, min_spines=1)
+    topo = build_topology(TopologyConfig(1, 1, CAP, 3.0, min_spines=1))
     assert len(topo.links) == 1
     assert topo.links[0].leaf_id == 0 and topo.links[0].spine_id == 0
 
 
 def test_build_topology_two_leaves():
-    topo = build_topology(2, 5, CAP, 3.0)
+    topo = build_topology(TopologyConfig(2, 5, CAP, 3.0))
     assert len(topo.links) == 10
     assert topo.active_spine_ids == [0, 1, 2, 3, 4]
 
@@ -54,7 +54,7 @@ def test_build_topology_two_leaves():
 ])
 def test_build_topology_rejects_bad_config(args):
     with pytest.raises(InvalidConfigError):
-        build_topology(*args)
+        build_topology(TopologyConfig(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_idle_fabric_latency_equals_base(topo_3x5):
 
 def test_latency_model_half_utilization():
     # rho = 0.5, k = 1, base 3 us -> latency = 3 * (1 + 0.5/0.5) = 6 us
-    topo = build_topology(2, 1, CAP, 3.0, min_spines=1)
+    topo = build_topology(TopologyConfig(2, 1, CAP, 3.0, min_spines=1))
     dm = DemandMatrix(t=0, entries={(0, 1): CAP // 2})
     samples = simulate_tick(hour_loads(topo, dm, seed=0, flows_per_pair=4, queue_factor=1.0),
                             seed=0, t=0)
@@ -174,7 +174,7 @@ def test_load_conservation_full_matrix(topo_3x5):
 
 
 def test_edge_speed_counts_both_directions():
-    topo = build_topology(2, 1, CAP, 3.0, min_spines=1)
+    topo = build_topology(TopologyConfig(2, 1, CAP, 3.0, min_spines=1))
     dm = DemandMatrix(t=0, entries={(0, 1): 1000})
     samples = {s.link_id % 2: s for s in simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)}
     assert samples[0].edge_bps == 1000   # leaf 0 sends
@@ -189,7 +189,7 @@ def test_latency_monotone_in_utilization():
 
 
 def test_overload_clamps_instead_of_crashing():
-    topo = build_topology(2, 1, 1000, 3.0, min_spines=1)
+    topo = build_topology(TopologyConfig(2, 1, 1000, 3.0, min_spines=1))
     dm = DemandMatrix(t=0, entries={(0, 1): 50_000})
     samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)
     for s in samples:
@@ -232,12 +232,13 @@ def reference_tick(topology, demands, seed, t, flows_per_pair, queue_factor, noi
     samples = []
     for idx, link in enumerate(topology.links):
         load = carried.get(link.id, 0)
-        latency = link_latency_us(link.base_latency_us, load / link.capacity_bps, queue_factor)
+        latency = link_latency_us(topology.base_latency_us, load / topology.capacity_bps,
+                                  queue_factor)
         if noise is not None:
             latency += float(noise[idx])
         samples.append(LinkMetricSample(
             ts=int(t), link_id=link.id, spine_id=link.spine_id, latency_us=round(latency, 6),
-            fabric_bps=min(load, link.capacity_bps), edge_bps=int(edge.get(link.leaf_id, 0))))
+            fabric_bps=min(load, topology.capacity_bps), edge_bps=int(edge.get(link.leaf_id, 0))))
     return samples
 
 
@@ -247,9 +248,9 @@ def test_hour_loads_match_per_minute_reference():
     for trial in range(60):
         n_leaf, n_spine = int(rng.integers(2, 6)), int(rng.integers(2, 7))
         cap = int(rng.integers(1, 4)) * 1_000_000_000
-        topo = build_topology(n_leaf, n_spine, cap, float(rng.uniform(1.0, 5.0)), min_spines=1,
-                              max_spines=n_spine + 1,
-                              spine_slots=[int(k) for k in rng.integers(1, 4, size=n_spine)])
+        topo = build_topology(TopologyConfig(
+            n_leaf, n_spine, cap, float(rng.uniform(1.0, 5.0)), min_spines=1,
+            max_spines=n_spine + 1, spine_slots=[int(k) for k in rng.integers(1, 4, size=n_spine)]))
         if trial % 3:                     # remove spines, then on every other trial add one
             for sid in rng.choice(n_spine, size=min(trial % 3, n_spine - 1), replace=False):
                 topo = apply_action(topo, remove_action(int(sid)))
@@ -286,7 +287,7 @@ def test_remove_spine_deactivates_links_and_flows(topo_3x5):
 
 
 def test_remove_below_floor_rejected():
-    topo = build_topology(2, 2, CAP, 3.0, min_spines=2)
+    topo = build_topology(TopologyConfig(2, 2, CAP, 3.0, min_spines=2))
     with pytest.raises(PolicyViolationError):
         apply_action(topo, remove_action(1))
 
@@ -313,7 +314,7 @@ def test_add_mints_new_spine_when_none_inactive(topo_3x5):
 
 
 def test_add_beyond_max_rejected():
-    topo = build_topology(2, 3, CAP, 3.0, min_spines=1, max_spines=3)
+    topo = build_topology(TopologyConfig(2, 3, CAP, 3.0, min_spines=1, max_spines=3))
     with pytest.raises(PolicyViolationError):
         apply_action(topo, add_action())
 

@@ -1,11 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from spinescale.config import SimConfig, TopologyConfig, TrafficConfig, TrainingConfig
+from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
+                               TopologyConfig, TrafficConfig, TrainingConfig)
 from spinescale.errors import InsufficientDataError, InvalidConfigError
 from spinescale.pipeline import (METRICS_TOPIC, _append_history, build_datasets, recent_history,
                                  run_closed_loop, series_from_bus, simulate_hours,
                                  topology_from_config)
+from spinescale.policy import replay_journal
 from spinescale.telemetry import TopicBus
 from spinescale.windows import SwitchSeries
 
@@ -85,6 +90,14 @@ def test_run_rejects_cycle_shorter_than_lookback(tmp_path):
         run_closed_loop(cfg, tmp_path)
 
 
+def test_run_rejects_lookback_shorter_than_conv_before_simulating(tmp_path):
+    cfg = small_cfg(cycles=1, hours_per_cycle=16, horizon_hours=6)
+    cfg.training.lookback_hours = 2          # conv_width is 3
+    with pytest.raises(InvalidConfigError, match="conv_width"):
+        run_closed_loop(cfg, tmp_path)
+    assert not (tmp_path / "telemetry.log").exists()
+
+
 def test_closed_loop_idle_policy_keeps_topology(tmp_path):
     cfg = small_cfg(cycles=2, hours_per_cycle=16, horizon_hours=12)
     # thresholds far from the operating point: nothing ever triggers
@@ -119,3 +132,53 @@ def test_closed_loop_insufficient_data_raises(tmp_path):
     cfg.run.hours_per_cycle = 12
     with pytest.raises((InvalidConfigError, InsufficientDataError)):
         run_closed_loop(cfg, tmp_path)
+
+
+def acting_cfg() -> SimConfig:
+    """A loop that acts: the light one-slot spines 0 and 4 are removed in
+    cycle 0, and once the cooldown has passed the loaded three-spine
+    fabric gets spine 0 back in cycle 2. Every decision clears its
+    threshold by a wide margin, so BLAS rounding cannot flip one."""
+    cfg = SimConfig(seed=4)
+    cfg.topology = TopologyConfig(n_leaf=3, n_spine=5, capacity_bps=10_000_000_000,
+                                  base_latency_us=3.0, min_spines=3, max_spines=5,
+                                  spine_slots=[1, 3, 3, 3, 1])
+    cfg.latency = LatencyConfig(queue_factor=1.0, noise_us=0.15)
+    cfg.traffic = TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=1_250_000_000,
+                                noise_bps=150_000_000, flows_per_pair=8)
+    cfg.training = TrainingConfig(lookback_hours=12, epochs=25, dropout=0.2)
+    cfg.policy = PolicySection(remove_threshold_us=7.0, add_threshold_us=9.0,
+                               cooldown_cycles=1, horizon_fraction=0.5)
+    cfg.run = RunSection(cycles=4, hours_per_cycle=36, horizon_hours=24)
+    return cfg
+
+
+ACTING_ACTIONS = [(0, "remove_spine", 0), (0, "remove_spine", 4), (2, "add_spine", None)]
+# the telemetry depends on the actions only through the active spine set,
+# and its arithmetic is pure Python plus PCG64, so it holds on every platform
+ACTING_TELEMETRY_SHA256 = "0a59828abbf986144a31154bcb0b1c714536a7828fc392f29cb4316ec0b926fd"
+
+
+def test_acting_closed_loop_golden(tmp_path):
+    manifest = run_closed_loop(acting_cfg(), tmp_path)
+    entries = replay_journal(tmp_path / "journal.log")
+    assert [(e.cycle, e.kind, e.spine_id) for e in entries] == ACTING_ACTIONS
+    assert [c["active_spines"] for c in manifest.cycles] == \
+        [[1, 2, 3], [1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
+    digest = hashlib.sha256((tmp_path / "telemetry.log").read_bytes()).hexdigest()
+    assert digest == ACTING_TELEMETRY_SHA256
+
+
+def test_closed_loop_retrain_each_cycle(tmp_path):
+    cfg = acting_cfg()
+    cfg.run.retrain_each_cycle = True
+    manifest = run_closed_loop(cfg, tmp_path)
+    timings = json.loads((tmp_path / "manifest").read_text())["stage_timings_s"]
+    assert sorted(k for k in timings if k.endswith(".train")) == \
+        [f"cycle{n}.train" for n in range(cfg.run.cycles)]
+    entries = replay_journal(tmp_path / "journal.log")
+    assert entries
+    assert [f"{e.kind}:{e.spine_id}" for e in entries] == \
+        [a for c in manifest.cycles for a in c["actions"]]
+    assert [e.cycle for e in entries] == \
+        [c["cycle"] for c in manifest.cycles for _ in c["actions"]]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import HalfWriteHandle
 from oracle_policy import brute_force_actions, brute_force_candidates
+from spinescale.config import load_config, policy_from_config
 from spinescale.errors import (ConsistencyError, DecodeError, InvalidConfigError,
                                PersistenceError)
 from spinescale.forecaster import Forecast
@@ -176,14 +179,15 @@ def test_order_invariance_under_spine_relabeling():
 
 def test_actions_apply_cleanly_and_respect_topology_bounds():
     # the policy's output must always be applicable to a live fabric
+    from spinescale.config import TopologyConfig
     from spinescale.fabric import apply_action, build_topology
 
     rng = np.random.default_rng(3)
     for _ in range(100):
         n_spine = int(rng.integers(2, 7))
         min_spines = int(rng.integers(1, n_spine + 1))
-        topo = build_topology(2, n_spine, 10 ** 9, 3.0,
-                              min_spines=min_spines, max_spines=n_spine + 2)
+        topo = build_topology(TopologyConfig(2, n_spine, 10 ** 9, 3.0,
+                                             min_spines=min_spines, max_spines=n_spine + 2))
         fc = Forecast(horizon=12, per_spine={
             sid: rng.uniform(1.0, 15.0, size=12) for sid in topo.active_spine_ids})
         config = cfg(min_spines=min_spines, max_spines=n_spine + 2)
@@ -253,7 +257,7 @@ def test_journal_three_cycles_in_order(tmp_path):
     adds = evaluate(fc_high, cfg(), [2, 3, 4], 99, decision_cycle=2)
     with PolicyJournal(path) as journal:
         for a in removals + adds:
-            journal.append(a, cfg(), "d1gest000000")
+            journal.append(a, cfg(), "d19e57000000")
     entries = replay_journal(path)
     assert len(entries) == 3
     assert [e.kind for e in entries] == ["remove_spine", "remove_spine", "add_spine"]
@@ -292,6 +296,52 @@ def test_journal_line_format():
     keys = [part.split("=")[0] for part in line.split(" ")]
     assert keys == ["cycle", "kind", "spine", "reason", "remove_thr", "add_thr",
                     "mean_pred", "digest"]
+
+
+def test_journal_writes_integer_thresholds_from_config_as_floats(tmp_path):
+    # JSON 6 and 12 load as ints; the line must still be one replay accepts
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"policy": {"remove_threshold_us": 6, "add_threshold_us": 12}}')
+    config = policy_from_config(load_config(config_path))
+    assert type(config.remove_threshold_us) is int
+    path = tmp_path / "journal.log"
+    with PolicyJournal(path) as journal:
+        journal.append(one_action(), config, "abc123")
+    assert " remove_thr=6.0 add_thr=12.0 " in path.read_text()
+    [entry] = replay_journal(path)
+    assert (entry.remove_threshold_us, entry.add_threshold_us) == (6.0, 12.0)
+
+
+def test_journal_parser_rejects_what_the_encoder_never_writes():
+    line = encode_journal_line(one_action(), cfg(), "cafe00000000")
+    decode_journal_line(line, offset=0)
+    for old, new in [("kind=remove_spine", "kind=bogus"),
+                     ("spine=0", "spine=-"),                  # only an addition has none
+                     ("spine=0", "spine=00"),
+                     ("cycle=0", "cycle=1_0"),
+                     ("digest=cafe00000000", "digest="),
+                     ("digest=cafe00000000", "digest=CAFE00000000"),
+                     ("remove_thr=6.0 add_thr=12.0", "remove_thr=nan add_thr=-inf"),
+                     ("add_thr=12.0", "add_thr=12"),
+                     ("add_thr=12.0", "add_thr=1_2.0"),
+                     ("mean_pred=", "mean_pred=+"),
+                     (" reason=", "  reason=")]:
+        bad = line.replace(old, new)
+        assert bad != line
+        with pytest.raises(DecodeError, match="offset 4"):
+            decode_journal_line(bad, offset=4)
+    keys = line.split(" ")
+    with pytest.raises(DecodeError):     # the old parser took any key order
+        decode_journal_line(" ".join(keys[1:] + keys[:1]), offset=4)
+
+
+def test_journal_append_rejects_unreplayable_line_before_writing(tmp_path):
+    path = tmp_path / "journal.log"
+    with PolicyJournal(path) as journal:
+        with pytest.raises(DecodeError):
+            journal.append(one_action(), cfg(), "not-hex")
+        assert journal.entries == []
+    assert path.read_text() == ""
 
 
 def test_journal_write_failure_keeps_no_entry(tmp_path):
@@ -345,10 +395,30 @@ near_lines = st.lists(st.tuples(st.sampled_from(("cycle", "kind", "spine", "reas
     lambda parts: " ".join(f"{k}={v}" for k, v in parts))
 
 
+# a valid line with one field's value replaced, often by a number or a near miss
+GOOD_JOURNAL_LINE = ("cycle=3 kind=remove_spine spine=4 reason=below-remove-threshold-24/24h "
+                     "remove_thr=6.0 add_thr=12.0 mean_pred=2.5 digest=0123abcd")
+number_like = st.text("0123456789-+._einaf", max_size=10)
+one_value_changed = st.tuples(st.integers(0, 7),
+                              st.one_of(st.text(max_size=8), number_like)).map(
+    lambda change: " ".join(part.split("=")[0] + "=" + change[1] if i == change[0] else part
+                            for i, part in enumerate(GOOD_JOURNAL_LINE.split(" "))))
+
+
+def reencode(entry) -> str:
+    action = PolicyAction(kind=entry.kind, spine_id=entry.spine_id, decision_cycle=entry.cycle,
+                          reason=ActionReason(entry.reason, 0.0, entry.mean_pred_us, 1))
+    thresholds = SimpleNamespace(remove_threshold_us=entry.remove_threshold_us,
+                                 add_threshold_us=entry.add_threshold_us)
+    return encode_journal_line(action, thresholds, entry.forecast_digest)
+
+
 @FUZZ
-@given(st.one_of(st.text(), near_lines))
+@given(st.one_of(st.text(), near_lines, one_value_changed))
 def test_journal_decode_rejects_any_text_with_decode_error_only(line):
     try:
-        decode_journal_line(line, offset=5)
+        entry = decode_journal_line(line, offset=5)
     except DecodeError as exc:
         assert "offset 5" in str(exc)
+    else:
+        assert reencode(entry) == line.removesuffix("\n")

@@ -125,6 +125,20 @@ def test_parser_rejects_unknown_keys_and_reordering():
         decode_sample(line + " extra=1")
     with pytest.raises(DecodeError):
         decode_sample(line.replace("spine=", "switch="))
+    # values the encoder never writes
+    for old, new in [("ts=0", "ts=1_0"), ("ts=0", "ts=\u0663"), ("ts=0", "ts=-0"),
+                     ("ts=0", "ts=00"), ("link=3", "link= 3"),
+                     ("latency_us=6.250000", "latency_us=nan"),
+                     ("latency_us=6.250000", "latency_us=3"),
+                     ("latency_us=6.250000", "latency_us=6.25"),
+                     ("latency_us=6.250000", "latency_us=06.250000"),
+                     ("latency_us=6.250000", "latency_us=12345678901234567.000001"),
+                     ("fabric_bps=5000000000", "fabric_bps=+5"),
+                     ("ts=0", "ts=" + "1" * 5000)]:    # past int()'s digit limit
+        with pytest.raises(DecodeError):
+            decode_sample(line.replace(old, new))
+    with pytest.raises(DecodeError):
+        decode_sample(" " + line)
 
 
 def test_attach_failure_is_persistence_error(tmp_path):
@@ -176,10 +190,21 @@ near_records = st.lists(st.tuples(st.sampled_from(("ts", "link", "spine", "laten
     lambda parts: " ".join(f"{k}={v}" for k, v in parts))
 
 
+# a valid line with one field's value replaced, often by a number or a near miss
+GOOD_LINE = encode_sample(sample())
+number_like = st.text("0123456789-+._einaf", max_size=10)
+one_value_changed = st.tuples(st.integers(0, 5),
+                              st.one_of(st.text(max_size=8), number_like)).map(
+    lambda change: " ".join(part.split("=")[0] + "=" + change[1] if i == change[0] else part
+                            for i, part in enumerate(GOOD_LINE.split(" "))))
+
+
 @FUZZ
-@given(st.one_of(st.text(), near_records))
+@given(st.one_of(st.text(), near_records, one_value_changed))
 def test_decode_rejects_any_text_with_decode_error_only(line):
     try:
-        decode_sample(line, offset=7)
+        decoded = decode_sample(line, offset=7)
     except DecodeError as exc:
         assert "offset 7" in str(exc)
+    else:
+        assert encode_sample(decoded) == line.removesuffix("\n")

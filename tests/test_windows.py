@@ -28,7 +28,7 @@ def series(spine_id=0, lat=None, fab=None, edg=None, start_hour=0):
 # ---------------------------------------------------------------------------
 
 def test_constant_hour_mean():
-    topo = build_topology(1, 1, 1000, 3.0, min_spines=1)
+    topo = build_topology(TopologyConfig(1, 1, 1000, 3.0, min_spines=1))
     samples = [mk_sample(ts=m, link=0, spine=0, lat=6.0) for m in range(60)]
     out = aggregate_hourly(samples, topo)
     assert len(out) == 1
@@ -37,7 +37,7 @@ def test_constant_hour_mean():
 
 
 def test_arithmetic_mean_of_two_values():
-    topo = build_topology(1, 1, 1000, 1.0, min_spines=1)
+    topo = build_topology(TopologyConfig(1, 1, 1000, 1.0, min_spines=1))
     samples = [mk_sample(ts=m, link=0, spine=0, lat=2.0 if m % 2 == 0 else 4.0)
                for m in range(60)]
     out = aggregate_hourly(samples, topo)
@@ -46,7 +46,7 @@ def test_arithmetic_mean_of_two_values():
 
 def test_grouping_two_spines_two_hours():
     # 2 spines x 2 links x 120 minutes -> 2 series, each T = 2
-    topo = build_topology(2, 2, 1000, 1.0, min_spines=1)
+    topo = build_topology(TopologyConfig(2, 2, 1000, 1.0, min_spines=1))
     samples = []
     for m in range(120):
         for link in topo.links:
@@ -60,7 +60,7 @@ def test_grouping_two_spines_two_hours():
 
 
 def test_gap_error_names_spine_and_hour():
-    topo = build_topology(1, 2, 1000, 1.0, min_spines=1)
+    topo = build_topology(TopologyConfig(1, 2, 1000, 1.0, min_spines=1))
     samples = [mk_sample(ts=m, link=s, spine=s, lat=1.0)
                for m in range(180) for s in (0, 1)
                if not (s == 1 and 60 <= m < 120)]   # spine 1 silent in hour 1
@@ -69,7 +69,7 @@ def test_gap_error_names_spine_and_hour():
 
 
 def test_aggregate_permutation_invariant():
-    topo = build_topology(2, 2, 1000, 1.0, min_spines=1)
+    topo = build_topology(TopologyConfig(2, 2, 1000, 1.0, min_spines=1))
     samples = []
     rng = np.random.default_rng(0)
     for m in range(120):
