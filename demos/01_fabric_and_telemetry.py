@@ -42,14 +42,16 @@ with TopicBus() as reader:
     print(f"reopened log, {restored} records restored")
     first_offset, first = reader.consume(METRICS_TOPIC, 0, 1)[0]
     print(f"first record (offset {first_offset}): {first}")
-    samples = [s for _, s in reader.consume(METRICS_TOPIC, 0)]
+    # the whole stream as columns: no per-record objects
+    samples = reader.consume(METRICS_TOPIC, 0, columns=True)
 
 # Hourly per-spine aggregation is the forecaster's input format.
-for series in aggregate_hourly(samples, topology):
+hourly = aggregate_hourly(samples, topology)
+for series in hourly:
     lat = series.latency_us
     print(f"spine {series.spine_id}: hourly latency "
           f"min {lat.min():.2f}  mean {lat.mean():.2f}  max {lat.max():.2f} us, "
           f"peak fabric load {series.fabric_bps.max() / 1e9:.2f} Gb/s per link")
 
-peak_hour = int(np.argmax(aggregate_hourly(samples, topology)[0].latency_us))
+peak_hour = int(np.argmax(hourly[0].latency_us))
 print(f"latency peaks around simulated hour {peak_hour} (diurnal load curve)")

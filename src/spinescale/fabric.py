@@ -21,19 +21,23 @@ shows up in the destination leaf's edge_speed instead.
 
 Samples quantize latency to 6 decimal places and speeds to whole bits per
 second at construction time, matching the telemetry wire format exactly so
-serialization round-trips are bit-identical.
+serialization round-trips are bit-identical. A tick is carried as columns
+(`SampleColumns`), not as one object per link: the hour's link columns are
+built once and shared by its 60 ticks, which add only `ts` and latency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import _MASK64, TopologyConfig, TrafficConfig, derive_seed
-from .errors import InvalidConfigError, NoCapacityError, NotFoundError, PolicyViolationError
+from .errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundError,
+                     PolicyViolationError)
 
 if TYPE_CHECKING:
     from .policy import PolicyAction
@@ -67,6 +71,63 @@ class LinkMetricSample:
     latency_us: float      # quantized to 6 decimal places
     fabric_bps: int
     edge_bps: int
+
+
+def _int64_column(values) -> np.ndarray:
+    """An int64 array of `values`; a value outside int64 is a DataError,
+    since neither the columns nor the wire format can carry it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"value outside the int64 range: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class SampleColumns:
+    """A batch of samples as parallel columns, one entry per sample.
+
+    This is how telemetry travels from `simulate_tick` through the bus to
+    `aggregate_hourly`; `rows()` builds LinkMetricSample objects only for
+    callers that want them. Integer columns are int64 and latency is
+    float64, already quantized to 6 decimal places. Columns may be shared
+    between batches (an hour's link columns serve all of its ticks), so
+    they are never written to.
+    """
+    ts: np.ndarray
+    link_id: np.ndarray
+    spine_id: np.ndarray
+    latency_us: np.ndarray
+    fabric_bps: np.ndarray
+    edge_bps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def columns(self) -> list[np.ndarray]:
+        """The six columns in LinkMetricSample field order."""
+        return [self.ts, self.link_id, self.spine_id, self.latency_us, self.fabric_bps,
+                self.edge_bps]
+
+    def rows(self) -> list[LinkMetricSample]:
+        return list(map(LinkMetricSample, *(c.tolist() for c in self.columns())))
+
+    def slice(self, start: int, stop: int) -> "SampleColumns":
+        return SampleColumns(*(c[start:stop] for c in self.columns()))
+
+    @classmethod
+    def from_rows(cls, samples: list[LinkMetricSample]) -> "SampleColumns":
+        def column(name: str) -> list:
+            return list(map(attrgetter(name), samples))
+        return cls(_int64_column(column("ts")), _int64_column(column("link_id")),
+                   _int64_column(column("spine_id")),
+                   np.array(column("latency_us"), dtype=np.float64),
+                   _int64_column(column("fabric_bps")), _int64_column(column("edge_bps")))
+
+    @classmethod
+    def concat(cls, parts: list["SampleColumns"]) -> "SampleColumns":
+        if not parts:
+            return cls.from_rows([])
+        return cls(*(np.concatenate(c) for c in zip(*(p.columns() for p in parts))))
 
 
 @dataclass(frozen=True)
@@ -248,9 +309,13 @@ def link_latency_us(base_latency_us: float, rho: float, queue_factor: float) -> 
 
 @dataclass(frozen=True)
 class HourLoads:
-    """Hour-constant state of each active link, in `Topology.links` order."""
-    links: list[tuple[int, int, int, int]]   # link id, spine id, fabric_bps (capped), edge_bps
-    latency_us: np.ndarray                   # noise-free, not yet rounded
+    """Hour-constant columns of the active links, in `Topology.links` order,
+    read-only because every tick of the hour shares them."""
+    link_id: np.ndarray
+    spine_id: np.ndarray
+    fabric_bps: np.ndarray     # capped at the link capacity
+    edge_bps: np.ndarray
+    latency_us: np.ndarray     # noise-free, not yet rounded
 
 
 def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
@@ -269,21 +334,27 @@ def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
         edge[f.dst_leaf] = edge.get(f.dst_leaf, 0) + f.rate_bps
 
     cap = topology.capacity_bps
-    loads = [(link, carried.get(link.id, 0)) for link in topology.links]
-    return HourLoads(
-        links=[(link.id, link.spine_id, min(load, cap), int(edge.get(link.leaf_id, 0)))
-               for link, load in loads],
-        latency_us=np.array([link_latency_us(topology.base_latency_us, load / cap, queue_factor)
-                             for _, load in loads]))
+    links = topology.links
+    loads = [carried.get(link.id, 0) for link in links]
+    columns = [_int64_column([link.id for link in links]),
+               _int64_column([link.spine_id for link in links]),
+               _int64_column([min(load, cap) for load in loads]),
+               _int64_column([edge.get(link.leaf_id, 0) for link in links]),
+               np.array([link_latency_us(topology.base_latency_us, load / cap, queue_factor)
+                         for load in loads])]
+    for column in columns:
+        column.flags.writeable = False
+    return HourLoads(*columns)
 
 
-def simulate_tick(hour: HourLoads, seed: int, t: int,
-                  noise_us: float = 0.0) -> list[LinkMetricSample]:
-    """One LinkMetricSample per active link for minute t: the hour's
-    latency plus this minute's uniform noise, rounded to 6 places."""
+def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0) -> SampleColumns:
+    """One sample per active link for minute t: the hour's latency plus
+    this minute's uniform noise, rounded to 6 places by Python's round
+    (np.round rounds differently). The link columns are the hour's own."""
     latency = hour.latency_us
     if noise_us > 0:
         rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t}"))
         latency = latency + rng.uniform(-noise_us, noise_us, size=len(latency))
-    return [LinkMetricSample(t, link_id, spine_id, round(lat, 6), fabric, edge)
-            for (link_id, spine_id, fabric, edge), lat in zip(hour.links, latency.tolist())]
+    return SampleColumns(np.full(len(latency), t, dtype=np.int64), hour.link_id, hour.spine_id,
+                         np.array([round(x, 6) for x in latency.tolist()]),
+                         hour.fabric_bps, hour.edge_bps)

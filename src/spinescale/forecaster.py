@@ -37,7 +37,7 @@ SEASONAL_LAG_HOURS = 24
 __all__ = [
     "LstmModel", "TrainReport", "Forecast", "init_model", "forward", "train",
     "gradient_check", "forecast_horizon", "save_checkpoint", "load_checkpoint",
-    "models_equal", "save_forecast_csv", "load_forecast_csv", "digest_forecast",
+    "save_forecast_csv", "load_forecast_csv", "digest_forecast",
 ]
 
 
@@ -534,19 +534,3 @@ def load_checkpoint(path: str | Path) -> LstmModel:
     return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"], layer1=layer1, layer2=layer2,
                      dense_w=arrays["dense.w"], dense_b=arrays["dense.b"],
                      dropout=dropout, scaler=scaler, hyper=hyper)
-
-
-def models_equal(a: LstmModel, b: LstmModel) -> bool:
-    """Exact equality of parameters, scaler, dropout, and hyperparameters."""
-    pa, pb = a.parameters(), b.parameters()
-    if set(pa) != set(pb):
-        return False
-    if any(not np.array_equal(pa[k], pb[k]) for k in pa):
-        return False
-    if (a.scaler is None) != (b.scaler is None):
-        return False
-    if a.scaler is not None and b.scaler is not None:
-        if not (np.array_equal(a.scaler.mins, b.scaler.mins)
-                and np.array_equal(a.scaler.maxs, b.scaler.maxs)):
-            return False
-    return a.dropout == b.dropout and a.hyper == b.hyper

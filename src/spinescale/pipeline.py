@@ -58,8 +58,7 @@ def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str
 
 def series_from_bus(bus: TopicBus, topic: str, topology: Topology | None = None,
                     from_offset: int = 0) -> list[SwitchSeries]:
-    samples = [s for _, s in bus.consume(topic, from_offset)]
-    return aggregate_hourly(samples, topology)
+    return aggregate_hourly(bus.consume(topic, from_offset, columns=True), topology)
 
 
 def build_datasets(series_list: list[SwitchSeries], val_fraction: float,

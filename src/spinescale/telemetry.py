@@ -5,6 +5,10 @@ to named topics, downstream consumers read them back by offset. One
 publisher, many readers; records are immutable once appended, so consume
 is safe from concurrent contexts and never blocks the publisher.
 
+Records are kept as the `SampleColumns` chunks they were published or
+replayed in; `consume` hands them over as columns, or builds
+LinkMetricSample rows when a caller asks for rows.
+
 Wire format (UTF-8, one record per line, exact key order, unknown keys
 rejected):
 
@@ -12,26 +16,39 @@ rejected):
 
 latency_us uses fixed 6-decimal formatting; samples are quantized to that
 precision at construction, so decode(encode(x)) == x for every field.
-Decoding accepts only what the encoder writes (ASCII digits, no sign on
-zero, no leading zeros, no `_`, no `nan`), so any line that decodes
-re-encodes to itself.
+Every int is an int64. Decoding accepts only what the encoder writes
+(ASCII digits, no sign on zero, no leading zeros, no `_`, no `nan`), so
+any line that decodes re-encodes to itself.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DecodeError, NotFoundError, PersistenceError
-from .fabric import LinkMetricSample
+import numpy as np
+
+from .errors import ConsistencyError, DataError, DecodeError, NotFoundError, PersistenceError
+from .fabric import LinkMetricSample, SampleColumns
 
 INT_PATTERN = r"0|-?[1-9][0-9]*"     # an int as str() writes it
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+_INT = r"(?:0|-?[1-9][0-9]{0,18})"  # at most int64's 19 digits; the range is checked after
+_FIXED6 = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
 _SAMPLE_LINE = re.compile(
-    rf"ts=({INT_PATTERN}) link=({INT_PATTERN}) spine=({INT_PATTERN}) "
-    rf"latency_us=(-?(?:0|[1-9][0-9]*)\.[0-9]{{6}}) "
-    rf"fabric_bps=({INT_PATTERN}) edge_bps=({INT_PATTERN})\n?")
+    rf"ts=({_INT}) link=({_INT}) spine=({_INT}) latency_us=({_FIXED6}) "
+    rf"fabric_bps=({_INT}) edge_bps=({_INT})\n?")
+# the same line in bytes, without groups: one findall match per valid line
+_SAMPLE_LINES = re.compile(
+    rf"^ts={_INT} link={_INT} spine={_INT} latency_us={_FIXED6} "
+    rf"fabric_bps={_INT} edge_bps={_INT}\n".encode(), re.MULTILINE)
+_KEY_BYTES = b"abcdefghijklmnopqrstuvwxyz_=."   # what a valid line holds besides numbers
+_FIXED_LIMIT = 10**15    # fixed-point latencies below this have <= 15 digits: exact as floats
+_CHUNK_BYTES = 1 << 19   # ~6,000 lines: bounds the decoder's temporary objects
+_ROW = "ts=%d link=%d spine=%d latency_us=%.6f fabric_bps=%d edge_bps=%d\n"
 
 
 def encode_sample(sample: LinkMetricSample) -> str:
@@ -41,20 +58,74 @@ def encode_sample(sample: LinkMetricSample) -> str:
             f"fabric_bps={sample.fabric_bps} edge_bps={sample.edge_bps}")
 
 
+def encode_columns(batch: SampleColumns) -> str:
+    """The batch as wire-format lines, each ending in a newline, in one
+    %-format: equal to joining encode_sample(row) + "\\n" over its rows."""
+    cells = np.empty((len(batch), 6), dtype=object)
+    for i, column in enumerate(batch.columns()):
+        cells[:, i] = column
+    return (_ROW * len(batch)) % tuple(cells.ravel().tolist())
+
+
 def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
     """Parse one wire-format line; raises DecodeError naming the offset."""
     match = _SAMPLE_LINE.fullmatch(line)
     if match is not None:
         ts, link, spine, latency, fabric, edge = match.groups()
         value = float(latency)
-        if f"{value:.6f}" == latency:      # past 15 digits a decimal may not survive
-            try:
-                return LinkMetricSample(int(ts), int(link), int(spine), value,
-                                        int(fabric), int(edge))
-            except ValueError:             # past int()'s digit limit
-                pass
+        ints = [int(ts), int(link), int(spine), int(fabric), int(edge)]
+        # past 15 digits a decimal may not survive the float
+        if f"{value:.6f}" == latency and all(INT64_MIN <= v <= INT64_MAX for v in ints):
+            return LinkMetricSample(*ints[:3], value, *ints[3:])
     where = f" at offset {offset}" if offset is not None else ""
     raise DecodeError(f"malformed record{where}: {line!r}")
+
+
+def _decode_chunk_fast(chunk: bytes, n_lines: int) -> SampleColumns | None:
+    """Columns of a chunk of whole lines if every line is a record whose
+    latency has at most 15 digits and is not "-0.000000" (which only the
+    per-line decoder keeps as -0.0); else None. The "." is dropped, so the
+    latency parses as its fixed-point integer."""
+    if len(_SAMPLE_LINES.findall(chunk)) != n_lines or b"latency_us=-0.000000" in chunk:
+        return None
+    try:
+        cells = np.array(list(map(int, chunk.translate(None, _KEY_BYTES).split())),
+                         dtype=np.int64).reshape(n_lines, 6)
+    except OverflowError:
+        return None
+    fixed = cells[:, 3]
+    if ((fixed >= _FIXED_LIMIT) | (fixed <= -_FIXED_LIMIT)).any():
+        return None
+    # exact: below 2**53 `fixed` and 1e6 are exact doubles, and the division
+    # rounds once, as float() of the text does
+    return SampleColumns(cells[:, 0], cells[:, 1], cells[:, 2], fixed / 1e6,
+                         cells[:, 4], cells[:, 5])
+
+
+def decode_log(data: bytes) -> list[SampleColumns]:
+    """Decode a log's complete lines in chunks of about _CHUNK_BYTES; a
+    torn last line is not a record.
+
+    A chunk the batched decoder cannot take whole (a blank or malformed
+    line, an int outside int64, a latency past 15 digits) is decoded line
+    by line with decode_sample, so both accept the same lines and a
+    DecodeError names the same offset: the line's index in the file,
+    blank lines included. Only a newline byte ends a line.
+    """
+    chunks, pos, offset = [], 0, 0
+    stop = data.rfind(b"\n") + 1
+    while pos < stop:
+        end = data.find(b"\n", min(pos + _CHUNK_BYTES, stop) - 1) + 1
+        chunk = data[pos:end]
+        n_lines = chunk.count(b"\n")
+        columns = _decode_chunk_fast(chunk, n_lines)
+        if columns is None:
+            lines = chunk.decode("utf-8", "replace").split("\n")[:n_lines]
+            columns = SampleColumns.from_rows([decode_sample(line, offset + i)
+                                               for i, line in enumerate(lines) if line.strip()])
+        chunks.append(columns)
+        pos, offset = end, offset + n_lines
+    return chunks
 
 
 def truncate_torn_line(path: Path) -> None:
@@ -88,8 +159,29 @@ def append_lines(handle, text: str, path: Path) -> None:
 @dataclass
 class TopicLog:
     name: str
-    records: list[LinkMetricSample] = field(default_factory=list)
+    chunks: list[SampleColumns] = field(default_factory=list)
+    ends: list[int] = field(default_factory=list)   # offset just past each chunk
     path: Path | None = None
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def append(self, batch: SampleColumns) -> None:
+        if len(batch):
+            self.chunks.append(batch)
+            self.ends.append(len(self) + len(batch))
+
+    def read(self, start: int, stop: int) -> list[SampleColumns]:
+        """The pieces of the chunks that hold records [start, stop)."""
+        pieces = []
+        for i in range(bisect_right(self.ends, start), len(self.chunks)):
+            chunk, end = self.chunks[i], self.ends[i]
+            first = end - len(chunk)
+            if first >= stop:
+                break
+            whole = start <= first and end <= stop
+            pieces.append(chunk if whole else chunk.slice(max(start - first, 0), stop - first))
+        return pieces
 
 
 class TopicBus:
@@ -104,61 +196,78 @@ class TopicBus:
 
         Returns the number of records loaded. Further publishes append to
         the file; the replayed history is identical to what was published.
+        The topic must not have records or a backing file yet, so memory
+        and file never disagree.
         """
         if not topic:
             raise NotFoundError("topic name must be non-empty")
+        known = self._topics.get(topic)
+        if known is not None and (len(known) or known.path is not None):
+            raise ConsistencyError(
+                f"topic {topic!r} already has records or a backing file; "
+                "attach a topic once, before publishing to it")
         path = Path(path)
-        log = self._topics.setdefault(topic, TopicLog(name=topic))
-        log.path = path
+        log = TopicLog(name=topic, path=path)
         try:
             if path.exists():
                 truncate_torn_line(path)
-                with path.open("r", encoding="utf-8") as fh:
-                    for offset, line in enumerate(fh):
-                        if not line.strip():
-                            continue
-                        log.records.append(decode_sample(line, offset=offset))
+                for chunk in decode_log(path.read_bytes()):
+                    log.append(chunk)
             self._handles[topic] = path.open("ab", buffering=0)
         except OSError as exc:
             raise PersistenceError(f"cannot open backing file {path}: {exc}") from exc
-        return len(log.records)
+        self._topics[topic] = log
+        return len(log)
 
-    def publish(self, topic: str, samples: list[LinkMetricSample]) -> int:
+    def publish(self, topic: str, samples: SampleColumns | list[LinkMetricSample]) -> int:
         """Append one tick's samples; returns the first one's offset.
 
         If the topic has a backing file the lines are written in one write
         before the in-memory append, so a failed write leaves no record.
+        Ints outside int64 and non-finite latencies, which no log can
+        replay, are a DataError.
         """
         if not topic:
             raise NotFoundError("topic name must be non-empty")
-        log = self._topics.setdefault(topic, TopicLog(name=topic))
+        batch = samples if isinstance(samples, SampleColumns) else SampleColumns.from_rows(samples)
+        if not np.isfinite(batch.latency_us).all():
+            raise DataError(f"non-finite latency published to {topic!r}")
+        log = self._topics.get(topic)
+        if log is None:
+            log = self._topics[topic] = TopicLog(name=topic)
         handle = self._handles.get(topic)
-        if handle is not None:
+        if handle is not None and len(batch):
             try:
-                append_lines(handle, "".join([encode_sample(s) + "\n" for s in samples]), log.path)
+                append_lines(handle, encode_columns(batch), log.path)
             except OSError as exc:
                 raise PersistenceError(f"write to {log.path} failed: {exc}") from exc
-        log.records.extend(samples)
-        return len(log.records) - len(samples)
+        log.append(batch)
+        return len(log) - len(batch)
 
-    def consume(self, topic: str, from_offset: int = 0,
-                max_records: int | None = None) -> list[tuple[int, LinkMetricSample]]:
-        """Records [from_offset, from_offset + max_records) that exist.
+    def consume(self, topic: str, from_offset: int = 0, max_records: int | None = None, *,
+                columns: bool = False) -> list[tuple[int, LinkMetricSample]] | SampleColumns:
+        """Records [from_offset, from_offset + max_records) that exist, as
+        (offset, LinkMetricSample) rows, or with columns=True as one
+        SampleColumns batch, for which no row objects are built.
 
-        Read-only: repeated identical calls return identical results.
+        Read-only: repeated identical calls return equal results.
         """
         if from_offset < 0:
             raise ValueError(f"from_offset must be >= 0, got {from_offset}")
         if topic not in self._topics:
             raise NotFoundError(f"unknown topic: {topic!r}")
-        records = self._topics[topic].records
-        end = len(records) if max_records is None else min(len(records), from_offset + max_records)
-        return [(i, records[i]) for i in range(min(from_offset, len(records)), end)]
+        log = self._topics[topic]
+        stop = len(log) if max_records is None else min(len(log), from_offset + max_records)
+        pieces = log.read(from_offset, stop)
+        if columns:
+            return SampleColumns.concat(pieces)
+        rows = [row for piece in pieces for row in piece.rows()]
+        return list(enumerate(rows, start=from_offset))
 
     def length(self, topic: str) -> int:
         if topic not in self._topics:
             raise NotFoundError(f"unknown topic: {topic!r}")
-        return len(self._topics[topic].records)
+        return len(self._topics[topic])
 
     def close(self) -> None:
         for handle in self._handles.values():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GapError, InsufficientDataError, InvalidConfigError
-from .fabric import LinkMetricSample, Topology
+from .fabric import LinkMetricSample, SampleColumns, Topology
 
 N_CHANNELS = 3  # latency, fabric speed, edge speed
 
@@ -46,7 +46,7 @@ class SwitchSeries:
                    edge_bps=data[:, 2].copy())
 
 
-def aggregate_hourly(samples: list[LinkMetricSample],
+def aggregate_hourly(samples: SampleColumns | list[LinkMetricSample],
                      topology: Topology | None = None) -> list[SwitchSeries]:
     """Per-spine hourly means of the three channels, sorted by spine id.
 
@@ -58,21 +58,21 @@ def aggregate_hourly(samples: list[LinkMetricSample],
     With topology=None (replaying a log with no live topology) the spine
     set is taken from the samples themselves.
     """
-    if not samples:
-        raise InsufficientDataError("no samples to aggregate")
+    if not isinstance(samples, SampleColumns):
+        samples = SampleColumns.from_rows(samples)
     n = len(samples)
-    spine, ts, link = (np.fromiter((getattr(s, name) for s in samples), np.int64, n)
-                       for name in ("spine_id", "ts", "link_id"))
+    if not n:
+        raise InsufficientDataError("no samples to aggregate")
     # canonical accumulation order so the result is bit-identical for any
     # input permutation; bincount adds in that order, starting from 0.0
-    order = np.lexsort((link, ts, spine))
-    spine, hour = spine[order], ts[order] // 60
+    order = np.lexsort((samples.link_id, samples.ts, samples.spine_id))
+    spine, hour = samples.spine_id[order], samples.ts[order] // 60
     first = np.ones(n, dtype=bool)          # first sample of each (spine, hour) group
     first[1:] = (spine[1:] != spine[:-1]) | (hour[1:] != hour[:-1])
     group = np.cumsum(first) - 1
-    means = np.stack([np.bincount(group, np.fromiter((getattr(s, name) for s in samples),
-                                                     np.float64, n)[order])
-                      for name in ("latency_us", "fabric_bps", "edge_bps")], axis=1)
+    means = np.stack([np.bincount(group, column.astype(np.float64)[order])
+                      for column in (samples.latency_us, samples.fabric_bps, samples.edge_bps)],
+                     axis=1)
     means /= np.bincount(group)[:, None]
     group_spine, group_hour = spine[first], hour[first]
     h_min = int(hour.min())
@@ -213,23 +213,3 @@ def make_windows(series_list: list[SwitchSeries], lookback: int, horizon: int = 
         lookback=lookback,
         horizon=horizon,
     )
-
-
-def export_windows(dataset: WindowedDataset, path) -> int:
-    """Write the dataset as columnar text for offline inspection.
-
-    Header then one row per (sample, step):
-        sample,spine_id,step,latency,fabric,edge,target
-    target is repeated on each of the sample's rows. Returns rows written.
-    """
-    rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample,spine_id,step,latency,fabric,edge,target\n")
-        for i in range(len(dataset)):
-            sid = int(dataset.spine_ids[i])
-            tgt = repr(float(dataset.targets[i]))
-            for step in range(dataset.lookback):
-                lat, fab, edg = (repr(float(v)) for v in dataset.inputs[i, step])
-                fh.write(f"{i},{sid},{step},{lat},{fab},{edg},{tgt}\n")
-                rows += 1
-    return rows

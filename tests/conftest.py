@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spinescale.config import TopologyConfig
@@ -40,3 +41,20 @@ class HalfWriteHandle:
 
     def close(self) -> None:
         self.real.close()
+
+
+def models_equal(a, b) -> bool:
+    """Exact equality of two LstmModels' parameters, scaler, dropout and
+    hyperparameters."""
+    pa, pb = a.parameters(), b.parameters()
+    if set(pa) != set(pb):
+        return False
+    if any(not np.array_equal(pa[k], pb[k]) for k in pa):
+        return False
+    if (a.scaler is None) != (b.scaler is None):
+        return False
+    if a.scaler is not None and b.scaler is not None:
+        if not (np.array_equal(a.scaler.mins, b.scaler.mins)
+                and np.array_equal(a.scaler.maxs, b.scaler.maxs)):
+            return False
+    return a.dropout == b.dropout and a.hyper == b.hyper

@@ -7,11 +7,13 @@ minutes combined; every budgeted criterion asserts its own wall-clock cap.
 
 import functools
 import hashlib
+import platform
 import time
 
 import numpy as np
 import pytest
 
+from conftest import models_equal
 from oracle_policy import brute_force_actions, brute_force_candidates
 from test_nn import ORACLE_CASES, scalar_cell_oracle, scalar_params
 
@@ -22,8 +24,7 @@ from spinescale.fabric import (DemandMatrix, build_topology, ecmp_assign, hour_l
                               simulate_tick)
 from spinescale.forecaster import (Forecast, backward_batch, forecast_horizon, forward_batch,
                                    gradient_check, init_model, load_checkpoint,
-                                   load_forecast_csv, models_equal, mse_loss, save_checkpoint,
-                                   train)
+                                   load_forecast_csv, mse_loss, save_checkpoint, train)
 from spinescale.nn import lstm_cell_forward
 from spinescale.pipeline import (METRICS_TOPIC, build_datasets, run_closed_loop,
                                  series_from_bus, simulate_hours, topology_from_config)
@@ -307,7 +308,7 @@ def test_criterion_6_simulator_conservation():
         demands = DemandMatrix(t=tick, entries=entries)
         seed = int(rng.integers(1 << 31))
         loads = hour_loads(topo, demands, seed, flows_per_pair=int(rng.integers(1, 16)))
-        samples = simulate_tick(loads, seed, t=tick)
+        samples = simulate_tick(loads, seed, t=tick).rows()
         total = sum(s.fabric_bps for s in samples)
         routed = demands.total_bps()
         assert total == routed                       # exact integer conservation
@@ -332,12 +333,27 @@ def test_criterion_6_simulator_conservation():
 
 # sha256 of the small_cfg run's artifacts that come from pure-Python
 # arithmetic plus PCG64, so they hold on every platform. model.ckpt and
-# forecast.csv depend on BLAS and are only compared between reruns. The
-# journal is empty: the thresholds put every spine in the dead zone.
+# forecast.csv depend on BLAS: see BLAS_GOLDEN_SHA256. The journal is
+# empty: the thresholds put every spine in the dead zone.
 GOLDEN_SHA256 = {
     "telemetry.log": "43c7fd15060f30cb27f2ee548ad9f4254dfe8f4b88511b451aa3b16532b8d15e",
     "journal.log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
+
+# The same run's trained artifacts, whose last bits depend on the BLAS
+# kernels; recorded with numpy 2.4.6, the same with 1 and 2 BLAS threads.
+# Compared only where np.show_config reports this BLAS on this machine type.
+GOLDEN_BLAS = "scipy-openblas 0.3.31.188.0 on x86_64"
+BLAS_GOLDEN_SHA256 = {
+    "model.ckpt": "3d1d08faabf397dfdfe141716fb4a2df80c302e752b1812d512d7ceac498ac35",
+    "forecast.csv": "c870a4d20bb8a73e0c89a824dbaf95a94ec36ca34a3f892f80baa7c42063dcc8",
+}
+
+
+def blas_name() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')} on {platform.machine()}"
+
 
 @criterion(7, "bit-identical reruns and exact round-trips")
 def test_criterion_7_determinism(small_run_pair):
@@ -359,6 +375,14 @@ def test_criterion_7_determinism(small_run_pair):
     assert lines
     for offset, line in enumerate(lines):
         assert encode_sample(decode_sample(line, offset)) == line
+
+
+def test_trained_artifact_goldens_on_the_recording_blas(small_run_pair):
+    if blas_name() != GOLDEN_BLAS:
+        pytest.skip(f"BLAS is {blas_name()}; the digests were recorded with {GOLDEN_BLAS}")
+    out1, _ = small_run_pair
+    for name, digest in BLAS_GOLDEN_SHA256.items():
+        assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------

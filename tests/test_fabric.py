@@ -3,7 +3,8 @@ import pytest
 
 from conftest import add_action, remove_action
 from spinescale.config import TopologyConfig, TrafficConfig
-from spinescale.errors import InvalidConfigError, NoCapacityError, NotFoundError, PolicyViolationError
+from spinescale.errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundError,
+                               PolicyViolationError)
 from spinescale.config import derive_seed
 from spinescale.fabric import (DemandMatrix, LinkMetricSample, apply_action, build_flows,
                                build_topology, ecmp_assign, generate_demands, hour_loads,
@@ -139,7 +140,7 @@ def test_ecmp_deterministic():
 
 def test_idle_fabric_latency_equals_base(topo_3x5):
     dm = DemandMatrix(t=0, entries={})
-    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=0), seed=0, t=0)
+    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=0), seed=0, t=0).rows()
     assert len(samples) == 15
     for s in samples:
         assert s.latency_us == 3.0
@@ -152,7 +153,7 @@ def test_latency_model_half_utilization():
     topo = build_topology(TopologyConfig(2, 1, CAP, 3.0, min_spines=1))
     dm = DemandMatrix(t=0, entries={(0, 1): CAP // 2})
     samples = simulate_tick(hour_loads(topo, dm, seed=0, flows_per_pair=4, queue_factor=1.0),
-                            seed=0, t=0)
+                            seed=0, t=0).rows()
     by_leaf = {s.link_id % 2: s for s in samples}
     assert by_leaf[0].latency_us == pytest.approx(6.0, abs=1e-9)
     assert by_leaf[1].latency_us == pytest.approx(3.0, abs=1e-9)
@@ -161,7 +162,7 @@ def test_latency_model_half_utilization():
 def test_load_conservation_single_pair(topo_3x5):
     demand = 123_456_789
     dm = DemandMatrix(t=0, entries={(0, 2): demand})
-    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=1), seed=1, t=0)
+    samples = simulate_tick(hour_loads(topo_3x5, dm, seed=1), seed=1, t=0).rows()
     assert sum(s.fabric_bps for s in samples) == demand
 
 
@@ -169,14 +170,15 @@ def test_load_conservation_full_matrix(topo_3x5):
     cfg = quiet_traffic(base_bps=800_000_000)
     dm = generate_demands(cfg, 3, 0, seed=2)
     samples = simulate_tick(hour_loads(topo_3x5, dm, seed=2, flows_per_pair=cfg.flows_per_pair),
-                            seed=2, t=0)
+                            seed=2, t=0).rows()
     assert sum(s.fabric_bps for s in samples) == dm.total_bps()
 
 
 def test_edge_speed_counts_both_directions():
     topo = build_topology(TopologyConfig(2, 1, CAP, 3.0, min_spines=1))
     dm = DemandMatrix(t=0, entries={(0, 1): 1000})
-    samples = {s.link_id % 2: s for s in simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)}
+    samples = {s.link_id % 2: s
+               for s in simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0).rows()}
     assert samples[0].edge_bps == 1000   # leaf 0 sends
     assert samples[1].edge_bps == 1000   # leaf 1 receives
 
@@ -191,10 +193,18 @@ def test_latency_monotone_in_utilization():
 def test_overload_clamps_instead_of_crashing():
     topo = build_topology(TopologyConfig(2, 1, 1000, 3.0, min_spines=1))
     dm = DemandMatrix(t=0, entries={(0, 1): 50_000})
-    samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)
+    samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0).rows()
     for s in samples:
         assert np.isfinite(s.latency_us)
         assert s.fabric_bps <= 1000
+
+
+def test_speeds_past_int64_are_a_data_error():
+    # telemetry columns and the wire format carry int64 speeds only
+    topo = build_topology(TopologyConfig(2, 1, 1 << 64, 3.0, min_spines=1))
+    with pytest.raises(DataError):
+        hour_loads(topo, DemandMatrix(t=0, entries={(0, 1): 1 << 63}), seed=0)
+    hour_loads(topo, DemandMatrix(t=0, entries={(0, 1): (1 << 62) - 1}), seed=0)
 
 
 def test_latency_floor_with_noise_off_random_ticks(topo_3x5):
@@ -202,18 +212,28 @@ def test_latency_floor_with_noise_off_random_ticks(topo_3x5):
                         burst_rate_per_hour=1.0, burst_size_bps=5e8)
     for t in range(50):
         dm = generate_demands(cfg, 3, t, seed=7)
-        for s in simulate_tick(hour_loads(topo_3x5, dm, seed=7), seed=7, t=t * 60):
+        for s in simulate_tick(hour_loads(topo_3x5, dm, seed=7), seed=7, t=t * 60).rows():
             assert s.latency_us >= 3.0
 
 
 def test_tick_deterministic_with_noise(topo_3x5):
     cfg = quiet_traffic()
     loads = hour_loads(topo_3x5, generate_demands(cfg, 3, 0, seed=4), seed=4)
-    a = simulate_tick(loads, seed=4, t=5, noise_us=0.05)
-    b = simulate_tick(loads, seed=4, t=5, noise_us=0.05)
+    a = simulate_tick(loads, seed=4, t=5, noise_us=0.05).rows()
+    b = simulate_tick(loads, seed=4, t=5, noise_us=0.05).rows()
     assert a == b
-    c = simulate_tick(loads, seed=4, t=6, noise_us=0.05)
+    c = simulate_tick(loads, seed=4, t=6, noise_us=0.05).rows()
     assert a != c
+
+
+def test_ticks_share_the_hour_columns_read_only(topo_3x5):
+    loads = hour_loads(topo_3x5, generate_demands(quiet_traffic(), 3, 0, seed=4), seed=4)
+    a, b = (simulate_tick(loads, seed=4, t=t, noise_us=0.05) for t in (0, 1))
+    assert a.link_id is b.link_id is loads.link_id
+    assert a.edge_bps is b.edge_bps is loads.edge_bps
+    assert a.ts.tolist() == [0] * 15 and b.ts.tolist() == [1] * 15
+    with pytest.raises(ValueError):
+        a.fabric_bps[0] = 1
 
 
 def reference_tick(topology, demands, seed, t, flows_per_pair, queue_factor, noise_us):
@@ -264,7 +284,7 @@ def test_hour_loads_match_per_minute_reference():
         queue_factor, noise_us = float(rng.uniform(0.5, 2.0)), 0.2 * (trial % 2)
         hour = hour_loads(topo, demands, seed, flows_per_pair=fpp, queue_factor=queue_factor)
         for t in (trial * 60, trial * 60 + 1, trial * 60 + 59):
-            got = simulate_tick(hour, seed, t, noise_us=noise_us)
+            got = simulate_tick(hour, seed, t, noise_us=noise_us).rows()
             want = reference_tick(topo, demands, seed, t, fpp, queue_factor, noise_us)
             assert [encode_sample(s) for s in got] == [encode_sample(s) for s in want]
             assert got == want
@@ -281,7 +301,7 @@ def test_remove_spine_deactivates_links_and_flows(topo_3x5):
     assert topo.active_spine_ids == [0, 1, 2, 3]
     assert all(lk.spine_id != 4 for lk in topo.links)
     dm = DemandMatrix(t=0, entries={(0, 1): 9_999, (2, 0): 5_000})
-    samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0)
+    samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0).rows()
     assert all(s.spine_id != 4 for s in samples)
     assert sum(s.fabric_bps for s in samples) == 14_999
 

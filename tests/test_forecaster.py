@@ -3,14 +3,15 @@ import functools
 import numpy as np
 import pytest
 
+from conftest import models_equal
 from spinescale.baselines import mse, persistence_predictions, seasonal_naive_predictions
 from spinescale.config import TrainingConfig
 from spinescale.errors import (DecodeError, InsufficientHistoryError, NumericError, ShapeError,
                                TrainingDivergedError)
 from spinescale.forecaster import (Forecast, backward_batch, digest_forecast, forecast_horizon,
                                    forward, forward_batch, gradient_check, init_model,
-                                   load_checkpoint, load_forecast_csv, models_equal, mse_loss,
-                                   save_checkpoint, save_forecast_csv, train)
+                                   load_checkpoint, load_forecast_csv, mse_loss, save_checkpoint,
+                                   save_forecast_csv, train)
 from spinescale.windows import Scaler, SwitchSeries, WindowedDataset
 
 SMALL = TrainingConfig(lookback_hours=12, conv_width=3, conv_channels=4,

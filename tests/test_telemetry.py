@@ -1,11 +1,18 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HalfWriteHandle
-from spinescale.errors import DecodeError, NotFoundError, PersistenceError
-from spinescale.fabric import LinkMetricSample
-from spinescale.telemetry import TopicBus, decode_sample, encode_sample
+from spinescale import telemetry
+from spinescale.errors import (ConsistencyError, DataError, DecodeError, NotFoundError,
+                               PersistenceError)
+from spinescale.fabric import LinkMetricSample, SampleColumns
+from spinescale.telemetry import TopicBus, decode_sample, encode_columns, encode_sample
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -208,3 +215,217 @@ def test_decode_rejects_any_text_with_decode_error_only(line):
         assert "offset 7" in str(exc)
     else:
         assert encode_sample(decoded) == line.removesuffix("\n")
+
+
+# ---------------------------------------------------------------------------
+# attach: what it refuses
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("first, second, bad_offset", [("\r\n", "\r", 0), ("\n", "\r\n", 1),
+                                                       ("\n", "\r", 1)])
+def test_attach_rejects_carriage_returns_between_records(first, second, bad_offset, tmp_path):
+    lines = [encode_sample(sample(ts=ts)) for ts in range(3)]
+    path = tmp_path / "telemetry.log"
+    path.write_bytes((lines[0] + first + lines[1] + second + lines[2] + "\n").encode())
+    with pytest.raises(DecodeError, match=f"offset {bad_offset}"):
+        TopicBus().attach(TOPIC, path)
+
+
+def test_attach_skips_blank_lines_and_counts_them_in_offsets(tmp_path):
+    good = encode_sample(sample())
+    path = tmp_path / "telemetry.log"
+    path.write_text(f"\n{good}\n  \n\t\n{good}\n")
+    with TopicBus() as bus:
+        assert bus.attach(TOPIC, path) == 2
+    path.write_text(f"\n{good}\n  \n{good}\nts=1 garbage\n")
+    with pytest.raises(DecodeError, match="offset 4"):
+        TopicBus().attach(TOPIC, path)
+
+
+def test_attach_refuses_a_topic_with_records_or_a_backing_file(tmp_path):
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        bus.publish(TOPIC, [sample(ts=0), sample(ts=1)])
+        handle = bus._handles[TOPIC]
+        with pytest.raises(ConsistencyError):
+            bus.attach(TOPIC, path)
+        assert bus.length(TOPIC) == 2
+        assert bus._handles[TOPIC] is handle and not handle.closed
+    assert handle.closed
+
+    other = tmp_path / "other.log"
+    other.write_text(encode_sample(sample(ts=9)) + "\n")
+    with TopicBus() as bus:
+        bus.publish(TOPIC, [sample(ts=0), sample(ts=1)])
+        with pytest.raises(ConsistencyError):
+            bus.attach(TOPIC, other)
+        assert [s.ts for _, s in bus.consume(TOPIC)] == [0, 1]
+        assert TOPIC not in bus._handles
+
+
+# ---------------------------------------------------------------------------
+# int64 wire contract
+# ---------------------------------------------------------------------------
+
+INT64_MAX = (1 << 63) - 1
+WIRE_INTS = {"ts": "ts", "link": "link_id", "spine": "spine_id",
+             "fabric_bps": "fabric_bps", "edge_bps": "edge_bps"}   # wire key -> field
+
+
+def with_value(line: str, key: str, value) -> str:
+    return " ".join(f"{key}={value}" if part.startswith(f"{key}=") else part
+                    for part in line.split(" "))
+
+
+@pytest.mark.parametrize("key, field", WIRE_INTS.items())
+def test_ints_are_int64_on_the_wire(key, field, tmp_path):
+    line = encode_sample(sample())
+    for edge in (INT64_MAX, -INT64_MAX - 1):
+        edge_line = with_value(line, key, edge)
+        assert encode_sample(decode_sample(edge_line)) == edge_line
+    for past in (INT64_MAX + 1, -INT64_MAX - 2, 10**19 - 1):
+        with pytest.raises(DecodeError):
+            decode_sample(with_value(line, key, past))
+
+    path = tmp_path / "telemetry.log"
+    kept = replace(sample(), **{field: INT64_MAX})
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        bus.publish(TOPIC, [kept])
+        for past in (INT64_MAX + 1, -INT64_MAX - 2):
+            with pytest.raises(DataError):
+                bus.publish(TOPIC, [sample(ts=1), replace(sample(), **{field: past})])
+        assert [s for _, s in bus.consume(TOPIC)] == [kept]
+    assert path.read_text() == encode_sample(kept) + "\n"
+
+
+def test_publish_rejects_non_finite_latency(tmp_path):
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DataError):
+                bus.publish(TOPIC, [sample(ts=0), sample(ts=1, latency=bad)])
+        assert bus.length(TOPIC) == 0
+    assert path.read_bytes() == b""
+
+
+# ---------------------------------------------------------------------------
+# batched decoder against decode_sample, line by line
+# ---------------------------------------------------------------------------
+
+FIXED_LIMIT_TEXTS = ["999999999.999999", "-999999999.999999", "1000000000.000000",
+                     "-1000000000.000000", "123456789012.000001",
+                     "9223372036854.775807", "-9223372036854.775808", "9223372036854.775808",
+                     "100000000000000000000.000000", "-0.000001", "-0.000000", "0.000000",
+                     "-3.250000", "6.250000"]
+edge_ints = st.sampled_from([0, 1, -1, INT64_MAX, -INT64_MAX - 1, INT64_MAX + 1,
+                             -INT64_MAX - 2, 10**19 - 1])
+line_ints = st.one_of(edge_ints, st.integers(-10**6, 10**12))
+latency_texts = st.one_of(st.sampled_from(FIXED_LIMIT_TEXTS),
+                          st.floats(-1e4, 1e4).map(lambda x: f"{round(x, 6):.6f}"))
+record_texts = st.builds(
+    lambda ts, link, spine, lat, fab, edge:
+        f"ts={ts} link={link} spine={spine} latency_us={lat} fabric_bps={fab} edge_bps={edge}",
+    line_ints, line_ints, line_ints, latency_texts, line_ints, line_ints)
+odd_lines = st.one_of(st.sampled_from(["", " ", "\t", "\x0c", "\r", "　"]),
+                      one_value_changed, st.text(max_size=12))
+log_texts = st.tuples(
+    st.lists(st.one_of(record_texts, record_texts, record_texts, odd_lines), max_size=12),
+    st.one_of(st.just(""), record_texts.map(lambda r: r[:20])),   # a torn last line
+    st.sampled_from([64, 200, 1 << 19]))                          # decoder chunk size
+
+
+def replay_line_by_line(data: bytes) -> list[LinkMetricSample]:
+    """decode_sample on each complete line, blank lines skipped: the oracle
+    for TopicBus.attach."""
+    lines = data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]
+    return [decode_sample(text, offset)
+            for offset, text in enumerate(line.decode("utf-8", "replace") for line in lines)
+            if text.strip()]
+
+
+def assert_replay_equals_line_by_line(data: bytes, chunk_bytes: int) -> None:
+    try:
+        want, want_error = replay_line_by_line(data), None
+    except DecodeError as exc:
+        want, want_error = None, str(exc)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(telemetry, "_CHUNK_BYTES", chunk_bytes):
+        path = Path(tmp) / "telemetry.log"
+        path.write_bytes(data)
+        bus = TopicBus()
+        try:
+            count = bus.attach(TOPIC, path)
+        except DecodeError as exc:
+            assert str(exc) == want_error
+            return
+        finally:
+            bus.close()
+        assert want_error is None
+        got = [s for _, s in bus.consume(TOPIC)]
+    assert count == len(got) == len(want)
+    assert got == want
+    assert [encode_sample(s) for s in got] == [encode_sample(s) for s in want]
+
+
+@FUZZ
+@given(log_texts)
+def test_batched_replay_equals_line_by_line_decode(log):
+    lines, torn, chunk_bytes = log
+    assert_replay_equals_line_by_line(
+        "".join(line + "\n" for line in lines).encode() + torn.encode(), chunk_bytes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 1 << 19])
+@pytest.mark.parametrize("latency", FIXED_LIMIT_TEXTS)
+def test_batched_replay_at_the_fixed_point_limits(latency, chunk_bytes):
+    good = encode_sample(sample())
+    line = with_value(good, "latency_us", latency)
+    assert_replay_equals_line_by_line(f"{good}\n{line}\n{good}\n".encode(), chunk_bytes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 1 << 19])
+@pytest.mark.parametrize("value", [INT64_MAX, -INT64_MAX - 1, INT64_MAX + 1, -INT64_MAX - 2])
+@pytest.mark.parametrize("key", ["ts", "link", "edge_bps"])
+def test_batched_replay_at_the_int64_limits(key, value, chunk_bytes):
+    good = encode_sample(sample())
+    line = with_value(good, key, value)
+    assert_replay_equals_line_by_line(f"{good}\n{line}\n{good}\n".encode(), chunk_bytes)
+
+
+# ---------------------------------------------------------------------------
+# columns against rows
+# ---------------------------------------------------------------------------
+
+wide_ints = st.one_of(st.integers(-INT64_MAX - 1, INT64_MAX), st.integers(-10**4, 10**4))
+rows = st.lists(st.builds(
+    LinkMetricSample, wide_ints, wide_ints, wide_ints,
+    st.one_of(st.floats(-1e12, 1e12).map(lambda x: round(x, 6)),
+              st.sampled_from([0.0, -0.0, -1e-6, 1e20])),
+    wide_ints, wide_ints), max_size=40)
+
+
+@FUZZ
+@given(rows)
+def test_batch_encoding_equals_row_encoding(samples):
+    batch = SampleColumns.from_rows(samples)
+    assert batch.rows() == samples
+    assert encode_columns(batch) == "".join(encode_sample(s) + "\n" for s in samples)
+
+
+@FUZZ
+@given(st.lists(st.tuples(rows, st.booleans()), max_size=6),
+       st.integers(0, 200), st.one_of(st.none(), st.integers(0, 200)))
+def test_consume_returns_the_published_rows(batches, start, count):
+    bus = TopicBus()
+    bus.publish(TOPIC, [])
+    published = []
+    for samples, as_columns in batches:
+        bus.publish(TOPIC, SampleColumns.from_rows(samples) if as_columns else samples)
+        published.extend(samples)
+    got = bus.consume(TOPIC, start, count)
+    stop = len(published) if count is None else start + count
+    assert got == list(enumerate(published))[start:stop]
+    assert bus.consume(TOPIC, start, columns=True).rows() == published[start:]

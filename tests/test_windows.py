@@ -3,11 +3,11 @@ import pytest
 
 from spinescale.errors import DataError, GapError, InsufficientDataError
 from spinescale.config import LatencyConfig, SimConfig, TopologyConfig, TrafficConfig
-from spinescale.fabric import LinkMetricSample, build_topology
+from spinescale.fabric import LinkMetricSample, SampleColumns, build_topology
 from spinescale.pipeline import METRICS_TOPIC, simulate_hours, topology_from_config
 from spinescale.telemetry import TopicBus
-from spinescale.windows import (Scaler, SwitchSeries, aggregate_hourly, export_windows,
-                                make_windows, split_train_val)
+from spinescale.windows import (Scaler, SwitchSeries, aggregate_hourly, make_windows,
+                                split_train_val)
 
 
 def mk_sample(ts, link, spine, lat, fab=100, edg=200):
@@ -131,7 +131,7 @@ def simulated_samples(seed):
     topo = topology_from_config(cfg)
     bus = TopicBus()
     simulate_hours(cfg, topo, bus, METRICS_TOPIC, start_hour=5, hours=3, seed=seed)
-    return [s for _, s in bus.consume(METRICS_TOPIC)], topo
+    return [s for _, s in bus.consume(METRICS_TOPIC)], topo, bus.consume(METRICS_TOPIC, columns=True)
 
 
 def assert_same_series(got, want):
@@ -143,18 +143,23 @@ def assert_same_series(got, want):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_aggregate_matches_dict_loop_reference(seed):
-    samples, topo = simulated_samples(seed)
+    samples, topo, bus_columns = simulated_samples(seed)
     rng = np.random.default_rng(seed)
     shuffled = [samples[i] for i in rng.permutation(len(samples))]
     for data in (samples, shuffled):
-        assert_same_series(aggregate_hourly(data, topo), reference_aggregate(data, topo))
-        assert_same_series(aggregate_hourly(data, None), reference_aggregate(data, None))
+        for topology in (topo, None):
+            want = reference_aggregate(data, topology)
+            assert_same_series(aggregate_hourly(data, topology), want)
+            assert_same_series(aggregate_hourly(SampleColumns.from_rows(data), topology), want)
+    assert_same_series(aggregate_hourly(bus_columns, topo), reference_aggregate(samples, topo))
     # random values, duplicate keys and spines of unequal link counts, any order
     random = [mk_sample(ts=int(rng.integers(-120, 180)), link=int(rng.integers(0, 4)),
                         spine=int(rng.integers(0, 3)), lat=float(rng.uniform(0, 50)),
                         fab=int(rng.integers(0, 10**10)), edg=int(rng.integers(0, 10**10)))
               for _ in range(3000)]
     assert_same_series(aggregate_hourly(random), reference_aggregate(random))
+    assert_same_series(aggregate_hourly(SampleColumns.from_rows(random)),
+                       reference_aggregate(random))
 
 
 @pytest.mark.parametrize("drop", [
@@ -163,7 +168,7 @@ def test_aggregate_matches_dict_loop_reference(seed):
     lambda s: s.spine_id == 3 and s.ts // 60 != 5,    # only the first hour seen
 ])
 def test_aggregate_gap_matches_reference(drop):
-    samples, topo = simulated_samples(4)
+    samples, topo, _ = simulated_samples(4)
     kept = [s for s in samples if not drop(s)]
     with pytest.raises(GapError) as want:
         reference_aggregate(kept, topo)
@@ -290,6 +295,26 @@ def test_split_train_val_no_straddle():
     assert val[0].start_hour == 8
     assert train[0].latency_us.tolist() == list(range(8))
     assert val[0].latency_us.tolist() == [8.0, 9.0]
+
+
+def export_windows(dataset, path) -> int:
+    """Write the dataset as columnar text for offline inspection.
+
+    Header then one row per (sample, step):
+        sample,spine_id,step,latency,fabric,edge,target
+    target is repeated on each of the sample's rows. Returns rows written.
+    """
+    rows = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("sample,spine_id,step,latency,fabric,edge,target\n")
+        for i in range(len(dataset)):
+            sid = int(dataset.spine_ids[i])
+            tgt = repr(float(dataset.targets[i]))
+            for step in range(dataset.lookback):
+                lat, fab, edg = (repr(float(v)) for v in dataset.inputs[i, step])
+                fh.write(f"{i},{sid},{step},{lat},{fab},{edg},{tgt}\n")
+                rows += 1
+    return rows
 
 
 def test_export_windows_row_count(tmp_path):
