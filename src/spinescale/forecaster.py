@@ -171,8 +171,7 @@ def backward_batch(model: LstmModel, cache: dict, d_preds: np.ndarray) -> dict[s
     }
     d_h_last = d_col @ model.dense_w.T
 
-    hs2_shape = cache["cache2"]["h"].shape
-    d_hs2 = np.zeros(hs2_shape)
+    d_hs2 = np.zeros((*cache["conv_out"].shape[:2], model.layer2.hidden_size))
     d_hs2[:, -1] = d_h_last
     d_dropped, grads2 = lstm_layer_backward(d_hs2, cache["cache2"], model.layer2)
     for name, g in grads2.items():

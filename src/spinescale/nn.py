@@ -8,6 +8,20 @@ Array layout is batch-first row vectors: activations are [B, features] or
 and fused per call into W [in, 4H], U [H, 4H], b [4H] in gate order i, f,
 g, o: one input matmul covers all T steps, each step is one [H, 4H]
 matmul, and backward forms dW, dU, db with one matmul each after the loop.
+
+Inside the LSTM layer the gates, c and h are time-major [T, B, .], so
+each step reads and writes contiguous slices; the layer's interface
+stays [B, T, .] (its output is a transposed view). A step
+finishes all four gates with one tanh, using sigmoid(x) =
+0.5 * (tanh(x/2) + 1): the sigmoid gates' columns of W, U and b are
+pre-halved, and after the tanh the step adds an offset and multiplies by
+a scale (1 and 0.5 for sigmoid gates, -0.0 and 1 for g, and x + -0.0 is x
+even for x = -0.0). Scaling by a power of two commutes with IEEE
+rounding, inside BLAS fused multiply-adds too, so short of subnormal
+intermediates this is bit-identical to applying three sigmoids and a
+tanh. Backward transposes the pre-activation gradients back to
+[B, T, 4H] once, before the dW, dU and d_xs matmuls, so those sum over
+the B*T rows in the batch-major order and every gradient keeps its bits.
 """
 
 from __future__ import annotations
@@ -17,11 +31,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ShapeError
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in its tanh form, which is stable for any x."""
-    return 0.5 * (1.0 + np.tanh(x / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +126,29 @@ def _fuse(p: LstmCellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                  for kind in "wub")
 
 
-def _step(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Finish one step from fused pre-activations z [..., 4H]; z is
-    overwritten with the gate values. Returns (h_t, c_t)."""
-    i, f, g, o = np.split(z, 4, axis=-1)
-    i[...], f[...], g[...], o[...] = sigmoid(i), sigmoid(f), np.tanh(g), sigmoid(o)
-    c_t = f * c_prev + i * g
-    return o * np.tanh(c_t), c_t
+def _fuse_for_forward(p: LstmCellParams) -> tuple[np.ndarray, ...]:
+    """W, U, b with the sigmoid gates' columns halved, plus the offset and
+    scale that `_finish_step` applies after its one tanh."""
+    H = p.hidden_size
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+    offset = np.repeat([1.0, 1.0, -0.0, 1.0], H)
+    W, U, b = (a * scale for a in _fuse(p))
+    return W, U, b, offset, scale
+
+
+def _finish_step(z: np.ndarray, c_prev: np.ndarray, offset: np.ndarray, scale: np.ndarray,
+                 c_t: np.ndarray, h_t: np.ndarray) -> None:
+    """Finish one step from the pre-activations z [..., 4H] of
+    `_fuse_for_forward`'s weights; z is overwritten with the gate values,
+    and c_t and h_t are written into the given arrays."""
+    H = c_prev.shape[-1]
+    np.tanh(z, out=z)
+    z += offset
+    z *= scale
+    i, f, g, o = z[..., :H], z[..., H:2 * H], z[..., 2 * H:3 * H], z[..., 3 * H:]
+    np.multiply(f, c_prev, out=c_t)
+    c_t += np.multiply(i, g, out=h_t)       # h_t holds i * g, then tanh(c_t), then h
+    np.multiply(o, np.tanh(c_t, out=h_t), out=h_t)
 
 
 def lstm_cell_forward(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
@@ -140,15 +165,19 @@ def lstm_cell_forward(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
         raise ShapeError(f"lstm cell: input width {x_t.shape[-1]} != {params.input_size}")
     if h_prev.shape[-1] != params.hidden_size or c_prev.shape[-1] != params.hidden_size:
         raise ShapeError("lstm cell: state width does not match hidden size")
-    W, U, b = _fuse(params)
-    return _step(x_t @ W + b + h_prev @ U, c_prev)
+    W, U, b, offset, scale = _fuse_for_forward(params)
+    z = x_t @ W + b + h_prev @ U
+    c_t, h_t = np.empty((2, *z.shape[:-1], params.hidden_size))
+    _finish_step(z, c_prev, offset, scale, c_t, h_t)
+    return h_t, c_t
 
 
 def lstm_layer_forward(xs: np.ndarray, params: LstmCellParams
                        ) -> tuple[np.ndarray, dict]:
     """Run the cell over a [B, T, in] sequence from zero initial state.
 
-    Returns the hidden sequence [B, T, hidden] and a cache for backward.
+    Returns the hidden sequence [B, T, hidden], a view of the time-major
+    array the loop writes, and a cache for backward.
     """
     if xs.ndim != 3:
         raise ShapeError(f"lstm layer: expected [B, T, in], got {xs.shape}")
@@ -156,19 +185,24 @@ def lstm_layer_forward(xs: np.ndarray, params: LstmCellParams
         raise ShapeError(f"lstm layer: input width {xs.shape[2]} != {params.input_size}")
     B, T, _ = xs.shape
     H = params.hidden_size
-    W, U, b = _fuse(params)
-    # input projection of every step at once; += keeps one [B, T, 4H] array,
-    # which holds the gate values once the loop has run
-    gates = xs @ W
+    W, U, b, offset, scale = _fuse_for_forward(params)
+    # the input projection of every step, written through a batch-major view
+    # into time-major memory, which holds the gate values once the loop has
+    # run. Each batch row stays one [T, in] @ W product, as in a batch-major
+    # layer: a [T, B, in] input would send B = 1 down BLAS's matrix-vector
+    # path, whose sums round differently.
+    gates = np.empty((T, B, 4 * H))
+    np.matmul(xs, W, out=gates.transpose(1, 0, 2))
     gates += b
-    c_all, h_all = np.empty((2, B, T, H))
-    h, c = np.zeros((2, B, H))
+    c, h = np.empty((2, T, B, H))
+    h_prev = c_prev = np.zeros((B, H))
     for t in range(T):
-        z = gates[:, t]
-        z += h @ U
-        h, c = _step(z, c)
-        c_all[:, t], h_all[:, t] = c, h
-    return h_all, {"xs": xs, "gates": gates, "c": c_all, "h": h_all}
+        z = gates[t]
+        z += h_prev @ U
+        _finish_step(z, c_prev, offset, scale, c[t], h[t])
+        h_prev, c_prev = h[t], c[t]
+    hs = h.transpose(1, 0, 2)
+    return hs, {"xs": xs, "gates": gates, "c": c, "hs": hs}
 
 
 def lstm_layer_backward(d_hs: np.ndarray, cache: dict, params: LstmCellParams
@@ -176,27 +210,39 @@ def lstm_layer_backward(d_hs: np.ndarray, cache: dict, params: LstmCellParams
     """BPTT through one layer. d_hs is the loss gradient w.r.t. every hidden
     output [B, T, hidden]. Returns (d_xs, grads keyed like the param fields).
     """
-    xs, gates, c_all, h_all = cache["xs"], cache["gates"], cache["c"], cache["h"]
+    xs, gates, c, hs = (cache[k] for k in ("xs", "gates", "c", "hs"))
     B, T, D = xs.shape
     H = params.hidden_size
     W, U, _ = _fuse(params)
-    # d_a starts as each gate's activation derivative and becomes the loss
-    # gradient w.r.t. the fused pre-activations, one step at a time
+    # d_a [T, B, 4H] starts as each gate's activation derivative and becomes
+    # the loss gradient w.r.t. the fused pre-activations, one step at a time
     d_a = 1.0 - gates
     d_a *= gates
     d_a[..., 2 * H:3 * H] = 1.0 - gates[..., 2 * H:3 * H] ** 2
-    dh_next, dc_next = np.zeros((2, B, H))
+    # tanh(c) is recomputed here, for all steps at once, rather than cached:
+    # forward runs far more often than backward, with evaluation batches
+    # larger than training ones, so its cache sets the peak memory
+    tanh_c = np.tanh(c)
+    d_tanh_c = 1.0 - tanh_c ** 2
+    products = np.empty((B, 4 * H))
+    dc_i, dc_f, dc_g, dh_o = (products[:, k * H:(k + 1) * H] for k in range(4))
+    dh_next, dc_next, zeros = np.zeros((3, B, H))
     for t in range(T - 1, -1, -1):
-        i, f, g, o = np.split(gates[:, t], 4, axis=1)
-        c_prev = c_all[:, t - 1] if t > 0 else np.zeros((B, H))
-        tanh_c = np.tanh(c_all[:, t])
+        i, f, g, o = (gates[t, :, k * H:(k + 1) * H] for k in range(4))
         dh = d_hs[:, t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
-        d_a[:, t] *= np.concatenate([dc * g, dc * c_prev, dc * i, dh * tanh_c], axis=1)
+        dc = dc_next + dh * o * d_tanh_c[t]
+        np.multiply(dc, g, out=dc_i)
+        np.multiply(dc, c[t - 1] if t > 0 else zeros, out=dc_f)
+        np.multiply(dc, i, out=dc_g)
+        np.multiply(dh, tanh_c[t], out=dh_o)
+        d_a[t] *= products
         dc_next = dc * f
-        dh_next = d_a[:, t] @ U.T
-    h_prev = np.zeros_like(h_all)
-    h_prev[:, 1:] = h_all[:, :-1]
+        dh_next = d_a[t] @ U.T
+    # back to batch-major, so each weight gradient sums over B*T in the same
+    # order as a batch-major layer would
+    d_a = np.ascontiguousarray(d_a.transpose(1, 0, 2))
+    h_prev = np.zeros((B, T, H))
+    h_prev[:, 1:] = hs[:, :-1]
     d_w = xs.reshape(B * T, D).T @ d_a.reshape(B * T, 4 * H)
     d_u = h_prev.reshape(B * T, H).T @ d_a.reshape(B * T, 4 * H)
     d_b = d_a.sum(axis=(0, 1))

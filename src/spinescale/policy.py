@@ -177,11 +177,13 @@ class PolicyJournal:
         self.path = Path(path) if path is not None else None
         self.entries: list[JournalEntry] = []
         self._handle = None
+        self._size = 0          # bytes in the journal file, tracked by append
         if self.path is not None:
             if self.path.exists():
                 self.entries = replay_journal(self.path)
             try:
                 self._handle = self.path.open("ab", buffering=0)
+                self._size = self._handle.tell()
             except OSError as exc:
                 raise PersistenceError(f"cannot open journal {self.path}: {exc}") from exc
 
@@ -194,7 +196,7 @@ class PolicyJournal:
         entry = decode_journal_line(line, len(self.entries))
         if self._handle is not None:
             try:
-                append_lines(self._handle, line + "\n", self.path)
+                self._size = append_lines(self._handle, line + "\n", self.path, self._size)
             except OSError as exc:
                 raise PersistenceError(f"journal write to {self.path} failed: {exc}") from exc
         self.entries.append(entry)

@@ -140,13 +140,13 @@ def truncate_torn_line(path: Path) -> None:
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
-def append_lines(handle, text: str, path: Path) -> None:
-    """Append whole lines through an unbuffered binary handle. If the write
-    fails or is cut short, cut the file back to its length before the call,
-    so no partial line is left for the next append to run on from, and
-    re-raise."""
+def append_lines(handle, text: str, path: Path, size: int) -> int:
+    """Append whole lines through an unbuffered binary handle to a file of
+    `size` bytes, which the caller tracks as the file's only writer, and
+    return its new size. If the write fails or is cut short, cut the file
+    back to `size`, so no partial line is left for the next append to run
+    on from, and re-raise."""
     data = text.encode("utf-8")
-    size = path.stat().st_size
     try:
         if handle.write(data) != len(data):
             raise OSError(f"short write to {path}")
@@ -154,6 +154,7 @@ def append_lines(handle, text: str, path: Path) -> None:
     except OSError:
         os.truncate(path, size)
         raise
+    return size + len(data)
 
 
 @dataclass
@@ -162,6 +163,7 @@ class TopicLog:
     chunks: list[SampleColumns] = field(default_factory=list)
     ends: list[int] = field(default_factory=list)   # offset just past each chunk
     path: Path | None = None
+    file_size: int = 0      # bytes in the backing file, tracked by publish
 
     def __len__(self) -> int:
         return self.ends[-1] if self.ends else 0
@@ -213,7 +215,9 @@ class TopicBus:
                 truncate_torn_line(path)
                 for chunk in decode_log(path.read_bytes()):
                     log.append(chunk)
-            self._handles[topic] = path.open("ab", buffering=0)
+            handle = path.open("ab", buffering=0)
+            log.file_size = handle.tell()
+            self._handles[topic] = handle
         except OSError as exc:
             raise PersistenceError(f"cannot open backing file {path}: {exc}") from exc
         self._topics[topic] = log
@@ -238,7 +242,8 @@ class TopicBus:
         handle = self._handles.get(topic)
         if handle is not None and len(batch):
             try:
-                append_lines(handle, encode_columns(batch), log.path)
+                log.file_size = append_lines(handle, encode_columns(batch), log.path,
+                                             log.file_size)
             except OSError as exc:
                 raise PersistenceError(f"write to {log.path} failed: {exc}") from exc
         log.append(batch)

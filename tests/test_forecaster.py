@@ -3,7 +3,9 @@ import functools
 import numpy as np
 import pytest
 
+import oracle_lstm
 from conftest import models_equal
+from spinescale import forecaster
 from spinescale.baselines import mse, persistence_predictions, seasonal_naive_predictions
 from spinescale.config import TrainingConfig
 from spinescale.errors import (DecodeError, InsufficientHistoryError, NumericError, ShapeError,
@@ -12,7 +14,8 @@ from spinescale.forecaster import (Forecast, backward_batch, digest_forecast, fo
                                    forward, forward_batch, gradient_check, init_model,
                                    load_checkpoint, load_forecast_csv, mse_loss, save_checkpoint,
                                    save_forecast_csv, train)
-from spinescale.windows import Scaler, SwitchSeries, WindowedDataset
+from spinescale.windows import (Scaler, SwitchSeries, WindowedDataset, make_windows,
+                                split_train_val)
 
 SMALL = TrainingConfig(lookback_hours=12, conv_width=3, conv_channels=4,
                        hidden_size=12, dropout=0.2, epochs=20, batch_size=8,
@@ -197,7 +200,6 @@ def trained_constant_model(lookback=24, lat=5.0):
     series = constant_series(T=3 * lookback, lat=lat)
     scaler = Scaler.fit([series])
     normed = scaler.transform_series(series)
-    from spinescale.windows import make_windows
     ds = make_windows([normed], lookback, 1)
     model = init_model(hyper, seed=1, scaler=scaler)
     model, _ = train(model, ds, seed=2)
@@ -399,7 +401,51 @@ def test_seasonal_naive_perfect_on_periodic_signal():
     wave = np.sin(2 * np.pi * t / 24.0)
     series = SwitchSeries(spine_id=0, start_hour=0, latency_us=wave,
                           fabric_bps=np.zeros(200), edge_bps=np.zeros(200))
-    from spinescale.windows import make_windows
     ds = make_windows([series], lookback=48, horizon=1)
     preds = seasonal_naive_predictions(ds)
     assert mse(preds, ds.targets) < 1e-25
+
+
+# ---------------------------------------------------------------------------
+# time-major LSTM layer against the batch-major oracle, through the model
+# ---------------------------------------------------------------------------
+
+def test_train_and_forecast_bit_identical_to_batch_major_layer(monkeypatch):
+    # 2 epochs with dropout and a validation set, then forecasts of several
+    # spines and of one (batch 1): every parameter, loss and forecast value
+    # must be the same bits whichever layer implementation runs
+    rng = np.random.default_rng(11)
+    histories = [SwitchSeries(spine_id=sid, start_hour=0,
+                              latency_us=rng.uniform(3.0, 9.0, T),
+                              fabric_bps=rng.uniform(1e9, 5e9, T),
+                              edge_bps=rng.uniform(1e9, 5e9, T))
+                 for sid, T in ((0, 64), (2, 56), (5, 52))]
+    train_series, val_series = split_train_val(histories, 0.25)
+    scaler = Scaler.fit(train_series)
+    train_ds, val_ds = (make_windows([scaler.transform_series(s) for s in part], 12, 1)
+                        for part in (train_series, val_series))
+    assert len(val_ds) > 0
+    hyper = TrainingConfig(**{**SMALL.__dict__, "epochs": 2, "dropout": 0.2})
+
+    def run():
+        model = init_model(hyper, seed=3, scaler=scaler)
+        model, report = train(model, train_ds, seed=4, val_ds=val_ds)
+        return (model, report, forecast_horizon(model, histories, 30),
+                forecast_horizon(model, histories[:1], 30))
+
+    model, report, fc_all, fc_one = run()
+    monkeypatch.setattr(forecaster, "lstm_layer_forward", oracle_lstm.lstm_layer_forward)
+    monkeypatch.setattr(forecaster, "lstm_layer_backward", oracle_lstm.lstm_layer_backward)
+    ref_model, ref_report, ref_all, ref_one = run()
+
+    params, ref_params = model.parameters(), ref_model.parameters()
+    assert params.keys() == ref_params.keys()
+    for name in params:
+        assert np.array_equal(params[name], ref_params[name]), name
+    assert np.array_equal(report.train_losses, ref_report.train_losses)
+    assert np.array_equal(report.val_losses, ref_report.val_losses)
+    assert len(report.val_losses) == 2 and report.best_epoch == ref_report.best_epoch
+    for got, want in ((fc_all, ref_all), (fc_one, ref_one)):
+        assert got.spine_ids() == want.spine_ids()
+        for sid in got.spine_ids():
+            assert np.array_equal(got.per_spine[sid], want.per_spine[sid])

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_lstm
 from spinescale.errors import ShapeError
-from spinescale.nn import (Adam, LstmCellParams, conv1d_backward, conv1d_forward, dropout_mask,
-                           lstm_cell_forward, lstm_layer_backward, lstm_layer_forward)
+from spinescale.nn import (Adam, LstmCellParams, _finish_step, _fuse_for_forward,
+                           conv1d_backward, conv1d_forward, dropout_mask, lstm_cell_forward,
+                           lstm_layer_backward, lstm_layer_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,94 @@ def test_lstm_layer_backward_matches_finite_differences():
         numeric = (j_plus - j_minus) / (2 * eps)
         analytic = d_xs.reshape(-1)[idx]
         assert abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Time-major layer against the batch-major oracle (tests/oracle_lstm.py):
+# the same bits, signs of zeros included
+# ---------------------------------------------------------------------------
+
+GATE_FIELDS = LstmCellParams(*([np.zeros((1, 1))] * 12)).array_names()
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_step_finish_equals_three_sigmoids_and_a_tanh():
+    # every column of z takes every value, so each gate sees +-0.0, tiny,
+    # subnormal, saturating and infinite pre-activations
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.3, -2.5,
+                       40.0, -40.0, 710.0, -710.0, np.inf, -np.inf])
+    H = len(values)
+    z = np.stack([np.roll(np.tile(values, 4), k) for k in range(H)])
+    c_prev = np.resize([0.0, -0.0, 1.5, -0.7], (H, H))
+    p = LstmCellParams(*([np.zeros((1, H)), np.zeros((H, H)), np.zeros(H)] * 4))
+    _, _, _, offset, scale = _fuse_for_forward(p)
+    want_z = z.copy()
+    want_h, want_c = oracle_lstm._step(want_z, c_prev)
+    got_z = z * scale                   # the pre-halved sigmoid columns
+    c_t, h_t = np.empty((2, H, H))
+    _finish_step(got_z, c_prev, offset, scale, c_t, h_t)
+    assert same_bits(got_z, want_z)
+    assert same_bits(c_t, want_c) and same_bits(h_t, want_h)
+    # the g gate's -0.0 offset keeps tanh(-0.0) = -0.0
+    g_in, g_out = z[:, 2 * H:3 * H], got_z[:, 2 * H:3 * H]
+    assert np.signbit(g_out[g_in == 0.0]).tolist() == np.signbit(g_in[g_in == 0.0]).tolist()
+    assert np.signbit(g_out[g_in == 0.0]).any()
+
+
+def random_params(rng: np.random.Generator, D: int, H: int, saturate: bool,
+                  g_zero: float | None) -> LstmCellParams:
+    arrays = {}
+    for name in GATE_FIELDS:
+        shape = (D, H) if name[0] == "w" else (H, H) if name[0] == "u" else (H,)
+        arrays[name] = rng.normal(scale=0.5, size=shape)
+        if saturate and name[0] == "b":      # pre-activations around +-40
+            arrays[name] += 40.0 * rng.choice([-1.0, 1.0], size=shape)
+    if g_zero is not None:                   # g pre-activations of exactly +-0.0
+        arrays["w_g"][...] = arrays["u_g"][...] = 0.0
+        arrays["b_g"][...] = g_zero
+    return LstmCellParams(**arrays)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(B=st.sampled_from([1, 5, 32]), T=st.sampled_from([1, 2, 46]),
+       H=st.sampled_from([1, 8, 32]), D=st.sampled_from([1, 3, 8]),
+       seed=st.integers(0, 2 ** 32 - 1), saturate=st.booleans(),
+       g_zero=st.sampled_from([None, 0.0, -0.0]),
+       layout=st.sampled_from(["contiguous", "time-major", "dropout"]),
+       last_step_only=st.booleans())
+def test_layer_bit_identical_to_batch_major_oracle(B, T, H, D, seed, saturate, g_zero,
+                                                   layout, last_step_only):
+    rng = np.random.default_rng(seed)
+    p = random_params(rng, D, H, saturate, g_zero)
+    xs = rng.normal(size=(B, T, D))
+    if layout != "contiguous":               # same values, time-major memory
+        xs = np.ascontiguousarray(xs.transpose(1, 0, 2)).transpose(1, 0, 2)
+    if layout == "dropout":                  # as layer 2 sees layer 1's output
+        xs = xs * dropout_mask(xs.shape, 0.2, rng)
+    d_hs = rng.normal(size=(B, T, H))
+    if last_step_only:                       # as the forecaster's loss gives it
+        d_hs[:, :-1] = 0.0
+
+    hs, cache = lstm_layer_forward(xs, p)
+    want_hs, want_cache = oracle_lstm.lstm_layer_forward(xs, p)
+    assert same_bits(hs, want_hs)
+    d_xs, grads = lstm_layer_backward(d_hs, cache, p)
+    want_d_xs, want_grads = oracle_lstm.lstm_layer_backward(d_hs, want_cache, p)
+    assert same_bits(d_xs, want_d_xs)
+    assert grads.keys() == want_grads.keys() == set(GATE_FIELDS)
+    for name in GATE_FIELDS:
+        assert same_bits(grads[name], want_grads[name]), name
+
+
+def test_layer_output_is_a_view_of_time_major_memory():
+    p = random_params(np.random.default_rng(0), 3, 4, False, None)
+    hs, _ = lstm_layer_forward(np.ones((5, 7, 3)), p)
+    assert hs.shape == (5, 7, 4)
+    assert hs.transpose(1, 0, 2).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

@@ -345,19 +345,28 @@ def test_journal_append_rejects_unreplayable_line_before_writing(tmp_path):
 
 
 def test_journal_write_failure_keeps_no_entry(tmp_path):
-    path = tmp_path / "journal.log"
-    with PolicyJournal(path) as journal:
-        journal.append(one_action(), cfg(), "aaaa00000000")
-        size = path.stat().st_size
-        real = journal._handle
-        journal._handle = HalfWriteHandle(real)
-        with pytest.raises(PersistenceError):
-            journal.append(one_action(), cfg(), "bbbb00000000")
-        assert path.stat().st_size == size
-        assert [e.forecast_digest for e in journal.entries] == ["aaaa00000000"]
-        journal._handle = real
-        assert journal.append(one_action(), cfg(), "cccc00000000") == 1
-    assert [e.forecast_digest for e in replay_journal(path)] == ["aaaa00000000", "cccc00000000"]
+    # N good appends, the first before the journal is reopened; a write that
+    # lands half a line and raises or reports the short count must leave
+    # exactly the N appends' bytes, also after a good append between failures
+    for raises in (True, False):
+        path = tmp_path / f"journal-{raises}.log"
+        with PolicyJournal(path) as journal:
+            journal.append(one_action(), cfg(), "aaaa00000000")
+        with PolicyJournal(path) as journal:
+            real = journal._handle
+            for digest in ("bbbb00000000", "cccc00000000"):
+                journal.append(one_action(), cfg(), digest)
+                good = path.read_bytes()
+                journal._handle = HalfWriteHandle(real, raises=raises)
+                with pytest.raises(PersistenceError):
+                    journal.append(one_action(), cfg(), "ffff00000000")
+                assert path.read_bytes() == good
+                journal._handle = real
+            assert [e.forecast_digest for e in journal.entries] == [
+                "aaaa00000000", "bbbb00000000", "cccc00000000"]
+            assert journal.append(one_action(), cfg(), "dddd00000000") == 3
+        assert [e.forecast_digest for e in replay_journal(path)] == [
+            "aaaa00000000", "bbbb00000000", "cccc00000000", "dddd00000000"]
 
 
 # ---------------------------------------------------------------------------

@@ -155,24 +155,32 @@ def test_attach_failure_is_persistence_error(tmp_path):
 
 
 def test_failed_write_leaves_no_partial_record(tmp_path):
-    # the write lands 1.5 lines, then raises or reports the short count
+    # N good appends, the first three before the file is reopened; then a
+    # write that lands 1.5 lines and raises or reports the short count must
+    # leave exactly the N appends' bytes, also after a good append between
+    # two failures
     for raises in (True, False):
         path = tmp_path / f"telemetry-{raises}.log"
         with TopicBus() as bus:
             bus.attach(TOPIC, path)
-            bus.publish(TOPIC, [sample(ts=0)])
-            size = path.stat().st_size
+            for ts in range(3):
+                bus.publish(TOPIC, [sample(ts=ts)] * (ts + 1))
+        with TopicBus() as bus:
+            assert bus.attach(TOPIC, path) == 6
             real = bus._handles[TOPIC]
-            bus._handles[TOPIC] = HalfWriteHandle(real, raises=raises)
-            with pytest.raises(PersistenceError):
-                bus.publish(TOPIC, [sample(ts=1), sample(ts=2), sample(ts=3)])
-            assert path.stat().st_size == size        # partial lines cut away
-            assert [s.ts for _, s in bus.consume(TOPIC)] == [0]
-            bus._handles[TOPIC] = real
-            assert bus.publish(TOPIC, [sample(ts=4)]) == 1
+            for ts in (3, 4):
+                bus.publish(TOPIC, [sample(ts=ts)])
+                good = path.read_bytes()
+                bus._handles[TOPIC] = HalfWriteHandle(real, raises=raises)
+                with pytest.raises(PersistenceError):
+                    bus.publish(TOPIC, [sample(ts=9), sample(ts=9), sample(ts=9)])
+                assert path.read_bytes() == good      # partial lines cut away
+                bus._handles[TOPIC] = real
+            assert [s.ts for _, s in bus.consume(TOPIC)] == [0, 1, 1, 2, 2, 2, 3, 4]
+            assert bus.publish(TOPIC, [sample(ts=5)]) == 8
         with TopicBus() as reopened:
-            assert reopened.attach(TOPIC, path) == 2
-            assert [s.ts for _, s in reopened.consume(TOPIC)] == [0, 4]
+            assert reopened.attach(TOPIC, path) == 9
+            assert [s.ts for _, s in reopened.consume(TOPIC)] == [0, 1, 1, 2, 2, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------
