@@ -12,7 +12,9 @@ currently active spine switches. Each simulated hour (`hour_loads`):
          latency = base * (1 + k * rho / (1 - rho)) + noise,
          rho     = min(carried / capacity, 0.99)
 
-with the noise drawn anew each simulated minute ("tick", `simulate_tick`).
+with the noise drawn anew each simulated minute ("tick"). `simulate_tick`
+turns an hour's loads into the samples of a run of minutes, a whole hour
+in one call.
 
 Link load accounting is upstream only (leaf -> spine): a flow contributes
 its rate to the link leaving its source leaf, so summing fabric_speed over
@@ -21,9 +23,10 @@ shows up in the destination leaf's edge_speed instead.
 
 Samples quantize latency to 6 decimal places and speeds to whole bits per
 second at construction time, matching the telemetry wire format exactly so
-serialization round-trips are bit-identical. A tick is carried as columns
-(`SampleColumns`), not as one object per link: the hour's link columns are
-built once and shared by its 60 ticks, which add only `ts` and latency.
+serialization round-trips are bit-identical. Samples are carried as
+columns (`SampleColumns`), not as one object per link: an hour's link
+columns are computed once and tiled over its minutes, minute-major, and
+each minute adds only its `ts` and noisy latency.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ class SampleColumns:
     This is how telemetry travels from `simulate_tick` through the bus to
     `aggregate_hourly`; `rows()` builds LinkMetricSample objects only for
     callers that want them. Integer columns are int64 and latency is
-    float64, already quantized to 6 decimal places. Columns may be shared
-    between batches (an hour's link columns serve all of its ticks), so
-    they are never written to.
+    float64, already quantized to 6 decimal places. A batch from
+    `simulate_tick` is minute-major: all links of one minute, then the
+    next minute's. The bus keeps the batches it is given, so columns are
+    never written to once published.
     """
     ts: np.ndarray
     link_id: np.ndarray
@@ -309,8 +313,7 @@ def link_latency_us(base_latency_us: float, rho: float, queue_factor: float) -> 
 
 @dataclass(frozen=True)
 class HourLoads:
-    """Hour-constant columns of the active links, in `Topology.links` order,
-    read-only because every tick of the hour shares them."""
+    """Hour-constant columns of the active links, in `Topology.links` order."""
     link_id: np.ndarray
     spine_id: np.ndarray
     fabric_bps: np.ndarray     # capped at the link capacity
@@ -336,25 +339,52 @@ def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
     cap = topology.capacity_bps
     links = topology.links
     loads = [carried.get(link.id, 0) for link in links]
-    columns = [_int64_column([link.id for link in links]),
-               _int64_column([link.spine_id for link in links]),
-               _int64_column([min(load, cap) for load in loads]),
-               _int64_column([edge.get(link.leaf_id, 0) for link in links]),
-               np.array([link_latency_us(topology.base_latency_us, load / cap, queue_factor)
-                         for load in loads])]
-    for column in columns:
-        column.flags.writeable = False
-    return HourLoads(*columns)
+    return HourLoads(_int64_column([link.id for link in links]),
+                     _int64_column([link.spine_id for link in links]),
+                     _int64_column([min(load, cap) for load in loads]),
+                     _int64_column([edge.get(link.leaf_id, 0) for link in links]),
+                     np.array([link_latency_us(topology.base_latency_us, load / cap, queue_factor)
+                               for load in loads]))
 
 
-def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0) -> SampleColumns:
-    """One sample per active link for minute t: the hour's latency plus
-    this minute's uniform noise, rounded to 6 places by Python's round
-    (np.round rounds differently). The link columns are the hour's own."""
-    latency = hour.latency_us
+def round6(x: np.ndarray) -> np.ndarray:
+    """Python's round(v, 6) of every element of a float64 array, as a new
+    array, bit for bit (np.round rounds differently).
+
+    rint(x * 1e6) / 1e6 is that value wherever the exact x * 10**6 lies
+    clearly off a half-integer: the product is off by at most half an ulp,
+    so rint picks the correctly rounded integer, and one correctly rounded
+    division turns it into the double nearest the decimal, as round does.
+    Elements near a half-integer, past 2**52 (where the product has no
+    fraction left) or not finite go through round itself.
+    """
+    with np.errstate(over="ignore"):       # past 1.8e302 the product is inf: slow path
+        scaled = x * 1e6
+    out = np.rint(scaled) / 1e6
+    size = np.abs(scaled)
+    clear = (np.abs(np.modf(size)[0] - 0.5) > 2 * np.spacing(size)) & (size < 2.0**52)
+    slow = np.flatnonzero(~clear)
+    if len(slow):
+        out[slow] = [round(v, 6) for v in x[slow].tolist()]
+    return out
+
+
+def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0,
+                  minutes: int = 1) -> SampleColumns:
+    """One sample per active link for each minute t ... t + minutes - 1, minute
+    by minute in `Topology.links` order: the hour's latency plus that
+    minute's uniform noise, rounded to 6 places as round does. Each minute
+    draws from its own generator, so a run of minutes equals the single
+    minutes concatenated."""
+    n = len(hour.latency_us)
+    latency = np.broadcast_to(hour.latency_us, (minutes, n))
     if noise_us > 0:
-        rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t}"))
-        latency = latency + rng.uniform(-noise_us, noise_us, size=len(latency))
-    return SampleColumns(np.full(len(latency), t, dtype=np.int64), hour.link_id, hour.spine_id,
-                         np.array([round(x, 6) for x in latency.tolist()]),
-                         hour.fabric_bps, hour.edge_bps)
+        noise = np.empty((minutes, n))
+        for i in range(minutes):
+            rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t + i}"))
+            noise[i] = rng.uniform(-noise_us, noise_us, size=n)
+        latency = latency + noise
+    return SampleColumns(np.repeat(np.arange(t, t + minutes, dtype=np.int64), n),
+                         np.tile(hour.link_id, minutes), np.tile(hour.spine_id, minutes),
+                         round6(latency.ravel()), np.tile(hour.fabric_bps, minutes),
+                         np.tile(hour.edge_bps, minutes))

@@ -42,17 +42,18 @@ def topology_from_config(cfg: SimConfig) -> Topology:
 
 def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str,
                    start_hour: int, hours: int, seed: int) -> int:
-    """Run the fabric for `hours` simulated hours (1-minute ticks), publishing
-    each tick's link samples in one batch. Returns the number published."""
+    """Run the fabric for `hours` simulated hours of 1-minute ticks. Each
+    hour is simulated in one `simulate_tick` call and published in one
+    batch, so the log only ever holds whole hours. Returns the number of
+    samples published."""
     published = 0
     for hour in range(start_hour, start_hour + hours):
         demands = generate_demands(cfg.traffic, topology.n_leaf, hour, seed)
         loads = hour_loads(topology, demands, seed, flows_per_pair=cfg.traffic.flows_per_pair,
                            queue_factor=cfg.latency.queue_factor)
-        for minute in range(60):
-            samples = simulate_tick(loads, seed, hour * 60 + minute, cfg.latency.noise_us)
-            bus.publish(topic, samples)
-            published += len(samples)
+        samples = simulate_tick(loads, seed, hour * 60, cfg.latency.noise_us, minutes=60)
+        bus.publish(topic, samples)
+        published += len(samples)
     return published
 
 

@@ -48,7 +48,8 @@ _SAMPLE_LINES = re.compile(
 _KEY_BYTES = b"abcdefghijklmnopqrstuvwxyz_=."   # what a valid line holds besides numbers
 _FIXED_LIMIT = 10**15    # fixed-point latencies below this have <= 15 digits: exact as floats
 _CHUNK_BYTES = 1 << 19   # ~6,000 lines: bounds the decoder's temporary objects
-_ROW = "ts=%d link=%d spine=%d latency_us=%.6f fabric_bps=%d edge_bps=%d\n"
+# one row with the link fields filled in and %d / %.6f holes left for ts and latency
+_ROW_TEMPLATE = "ts=%%d link=%d spine=%d latency_us=%%.6f fabric_bps=%d edge_bps=%d\n"
 
 
 def encode_sample(sample: LinkMetricSample) -> str:
@@ -59,12 +60,34 @@ def encode_sample(sample: LinkMetricSample) -> str:
 
 
 def encode_columns(batch: SampleColumns) -> str:
-    """The batch as wire-format lines, each ending in a newline, in one
-    %-format: equal to joining encode_sample(row) + "\\n" over its rows."""
-    cells = np.empty((len(batch), 6), dtype=object)
-    for i, column in enumerate(batch.columns()):
+    """The batch as wire-format lines, each ending in a newline: equal to
+    joining encode_sample(row) + "\\n" over its rows.
+
+    Rows are rendered in periods of L rows, L being the length of the first
+    run of equal `ts` (a simulated hour holds one run per minute). If the
+    batch is whole periods and the four link fields repeat with period L,
+    they are %-formatted once into a template of one period, and one more
+    %-format fills in `ts` and latency for every row. Otherwise L is the
+    whole batch. `ts` only picks L: the periodicity check alone decides
+    whether a template may be shared.
+    """
+    n = len(batch)
+    if not n:
+        return ""
+    links = [batch.link_id, batch.spine_id, batch.fabric_bps, batch.edge_bps]
+    period = int(np.argmax(batch.ts != batch.ts[0])) or n    # row 0 never differs
+    if n % period or not all((c.reshape(-1, period) == c[:period]).all() for c in links):
+        period = n
+    template = (_ROW_TEMPLATE * period) % _cells([c[:period] for c in links])
+    return (template * (n // period)) % _cells([batch.ts, batch.latency_us])
+
+
+def _cells(columns: list[np.ndarray]) -> tuple:
+    """The columns' values interleaved row by row, as Python scalars."""
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for i, column in enumerate(columns):
         cells[:, i] = column
-    return (_ROW * len(batch)) % tuple(cells.ravel().tolist())
+    return tuple(cells.ravel().tolist())
 
 
 def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
@@ -224,10 +247,12 @@ class TopicBus:
         return len(log)
 
     def publish(self, topic: str, samples: SampleColumns | list[LinkMetricSample]) -> int:
-        """Append one tick's samples; returns the first one's offset.
+        """Append a batch of samples (the simulator publishes one hour per
+        batch); returns the first one's offset.
 
-        If the topic has a backing file the lines are written in one write
-        before the in-memory append, so a failed write leaves no record.
+        If the topic has a backing file the batch is written in one write
+        before the in-memory append, so a failed write leaves no record of
+        it, in memory or in the file.
         Ints outside int64 and non-finite latencies, which no log can
         replay, are a DataError.
         """

@@ -1,14 +1,18 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import add_action, remove_action
 from spinescale.config import TopologyConfig, TrafficConfig
 from spinescale.errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundError,
                                PolicyViolationError)
 from spinescale.config import derive_seed
-from spinescale.fabric import (DemandMatrix, LinkMetricSample, apply_action, build_flows,
-                               build_topology, ecmp_assign, generate_demands, hour_loads,
-                               link_latency_us, simulate_tick)
+from spinescale.fabric import (DemandMatrix, LinkMetricSample, SampleColumns, apply_action,
+                               build_flows, build_topology, ecmp_assign, generate_demands,
+                               hour_loads, link_latency_us, round6, simulate_tick)
 from spinescale.telemetry import encode_sample
 
 CAP = 10_000_000_000
@@ -226,14 +230,47 @@ def test_tick_deterministic_with_noise(topo_3x5):
     assert a != c
 
 
-def test_ticks_share_the_hour_columns_read_only(topo_3x5):
+def test_an_hour_call_equals_its_minutes_concatenated(topo_3x5):
     loads = hour_loads(topo_3x5, generate_demands(quiet_traffic(), 3, 0, seed=4), seed=4)
-    a, b = (simulate_tick(loads, seed=4, t=t, noise_us=0.05) for t in (0, 1))
-    assert a.link_id is b.link_id is loads.link_id
-    assert a.edge_bps is b.edge_bps is loads.edge_bps
-    assert a.ts.tolist() == [0] * 15 and b.ts.tolist() == [1] * 15
-    with pytest.raises(ValueError):
-        a.fabric_bps[0] = 1
+    for noise_us in (0.0, 0.05):
+        hour = simulate_tick(loads, seed=4, t=120, noise_us=noise_us, minutes=60)
+        minutes = SampleColumns.concat([simulate_tick(loads, seed=4, t=t, noise_us=noise_us)
+                                        for t in range(120, 180)])
+        assert len(hour) == 60 * 15
+        for got, want in zip(hour.columns(), minutes.columns()):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert hour.ts.tolist() == [t for t in range(120, 180) for _ in range(15)]
+    # the batch owns its columns: writing to one leaves the hour's alone
+    hour.fabric_bps[0] = 1
+    assert loads.fabric_bps[0] != 1
+
+
+def decimal_tie(k: int, ulps: int) -> float:
+    """The double nearest (k + 0.5) / 10**6, moved `ulps` (-1, 0 or 1) ulps."""
+    x = float(Decimal(2 * k + 1) / 2_000_000)
+    return float(np.nextafter(x, np.copysign(np.inf, ulps))) if ulps else x
+
+
+ties = st.builds(decimal_tie, st.integers(-10**12, 10**12), st.sampled_from([-1, 0, 0, 1]))
+round_inputs = st.one_of(
+    ties, ties, ties,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 2.0**52 / 1e6,
+                     -2.0**52 / 1e6, 1e300, -1e300, 1.7e308, float("nan"), -float("nan"),
+                     float("inf"), -float("inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-6, 1e-6),
+    st.floats(-1e10, 1e10))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(round_inputs, max_size=50))
+def test_round6_equals_python_round(values):
+    got = round6(np.array(values, dtype=np.float64))
+    want = np.array([round(v, 6) for v in values], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def reference_tick(topology, demands, seed, t, flows_per_pair, queue_factor, noise_us):
@@ -289,6 +326,12 @@ def test_hour_loads_match_per_minute_reference():
             assert [encode_sample(s) for s in got] == [encode_sample(s) for s in want]
             assert got == want
             overloaded += any(s.fabric_bps == cap for s in got)
+        if trial % 5 == 0:                # a whole hour in one call
+            got = simulate_tick(hour, seed, trial * 60, noise_us=noise_us, minutes=60).rows()
+            want = [s for t in range(trial * 60, trial * 60 + 60)
+                    for s in reference_tick(topo, demands, seed, t, fpp, queue_factor, noise_us)]
+            assert [encode_sample(s) for s in got] == [encode_sample(s) for s in want]
+            assert got == want
     assert overloaded > 0
 
 

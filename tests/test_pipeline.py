@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import HalfWriteHandle
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
-from spinescale.errors import InsufficientDataError, InvalidConfigError
+from spinescale.errors import InsufficientDataError, InvalidConfigError, PersistenceError
 from spinescale.pipeline import (METRICS_TOPIC, _append_history, build_datasets, recent_history,
                                  run_closed_loop, series_from_bus, simulate_hours,
                                  topology_from_config)
@@ -40,6 +41,42 @@ def test_simulate_hours_record_count():
     bus = TopicBus()
     n = simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, 2, seed=1)
     assert n == 2 * 60 * 6 == bus.length(METRICS_TOPIC)
+
+
+class FailsOnWrite(HalfWriteHandle):
+    """Passes writes through to `real` until write number `failing`, which
+    lands half its data and raises."""
+
+    def __init__(self, real, failing: int) -> None:
+        super().__init__(real)
+        self.writes, self.failing = 0, failing
+
+    def write(self, data: bytes) -> int:
+        self.writes += 1
+        return self.real.write(data) if self.writes < self.failing else super().write(data)
+
+
+def test_failed_write_mid_simulation_leaves_whole_hours(tmp_path):
+    cfg = small_cfg()
+    cfg.latency = LatencyConfig(noise_us=0.05)
+    topo = topology_from_config(cfg)
+    with TopicBus() as bus:
+        bus.attach(METRICS_TOPIC, tmp_path / "whole.log")
+        simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, 4, seed=1)
+    for failing in (1, 3):
+        path = tmp_path / f"cut-{failing}.log"
+        with TopicBus() as bus:
+            bus.attach(METRICS_TOPIC, path)
+            bus._handles[METRICS_TOPIC] = FailsOnWrite(bus._handles[METRICS_TOPIC], failing)
+            with pytest.raises(PersistenceError):
+                simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, 4, seed=1)
+        hours = failing - 1
+        with TopicBus() as bus:
+            assert bus.attach(METRICS_TOPIC, path) == hours * 60 * 6
+            ts = bus.consume(METRICS_TOPIC, columns=True).ts
+            assert np.array_equal(ts, np.repeat(np.arange(hours * 60), 6))
+            simulate_hours(cfg, topo, bus, METRICS_TOPIC, hours, 4 - hours, seed=1)
+        assert path.read_bytes() == (tmp_path / "whole.log").read_bytes()
 
 
 def test_series_from_bus_offset_window():

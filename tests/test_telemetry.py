@@ -408,15 +408,38 @@ def test_batched_replay_at_the_int64_limits(key, value, chunk_bytes):
 # ---------------------------------------------------------------------------
 
 wide_ints = st.one_of(st.integers(-INT64_MAX - 1, INT64_MAX), st.integers(-10**4, 10**4))
-rows = st.lists(st.builds(
-    LinkMetricSample, wide_ints, wide_ints, wide_ints,
-    st.one_of(st.floats(-1e12, 1e12).map(lambda x: round(x, 6)),
-              st.sampled_from([0.0, -0.0, -1e-6, 1e20])),
-    wide_ints, wide_ints), max_size=40)
+latencies = st.one_of(st.floats(-1e12, 1e12).map(lambda x: round(x, 6)),
+                      st.sampled_from([0.0, -0.0, -1e-6, 1e20]))
+rows = st.lists(st.builds(LinkMetricSample, wide_ints, wide_ints, wide_ints, latencies,
+                          wide_ints, wide_ints), max_size=40)
+
+
+@st.composite
+def periodic_rows(draw):
+    """Batches shaped like a simulated hour: one tick's link fields tiled k
+    times, with fresh ts (one per copy, or one per row) and latency per
+    row; as they are, with one link cell changed, or cut short of whole
+    periods."""
+    links = draw(st.lists(st.tuples(wide_ints, wide_ints, wide_ints, wide_ints),
+                          min_size=1, max_size=6))
+    k = draw(st.integers(1, 6))
+    copy_ts = draw(st.lists(st.one_of(st.integers(0, 3), wide_ints), min_size=k, max_size=k))
+    ts_per_row = draw(st.booleans())
+    samples = [LinkMetricSample(draw(wide_ints) if ts_per_row else copy_ts[c], link, spine,
+                                draw(latencies), fabric, edge)
+               for c in range(k) for link, spine, fabric, edge in links]
+    change = draw(st.sampled_from(["none", "none", "cell", "cut"]))
+    if change == "cell":
+        i = draw(st.integers(0, len(samples) - 1))
+        name = draw(st.sampled_from(["link_id", "spine_id", "fabric_bps", "edge_bps"]))
+        samples[i] = replace(samples[i], **{name: draw(wide_ints)})
+    elif change == "cut":
+        samples = samples[:draw(st.integers(1, len(samples)))]
+    return samples
 
 
 @FUZZ
-@given(rows)
+@given(st.one_of(rows, periodic_rows()))
 def test_batch_encoding_equals_row_encoding(samples):
     batch = SampleColumns.from_rows(samples)
     assert batch.rows() == samples
