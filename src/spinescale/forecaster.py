@@ -11,7 +11,9 @@ checks against central differences are meaningful at 1e-4.
 
 Multi-step forecasts are recursive: each predicted latency is appended to
 the latency channel, while the speed channels are extended seasonal-naively
-(the value from 24 hours earlier).
+(the value from 24 hours earlier). `forecast_horizon` does not call the
+model once per horizon hour; it steps every horizon window through both
+LSTM layers along one diagonal (wavefront) schedule, with the same result.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .config import TrainingConfig, derive_seed
 from .errors import (DataError, DecodeError, InsufficientDataError, InsufficientHistoryError,
                      InvalidConfigError, NumericError, ShapeError, TrainingDivergedError)
-from .nn import (Adam, LstmCellParams, conv1d_backward, conv1d_forward, dropout_mask,
-                 lstm_layer_backward, lstm_layer_forward)
+from .nn import (Adam, LstmCellParams, _finish_step, _fuse_for_forward, conv1d_backward,
+                 conv1d_forward, dropout_mask, lstm_layer_backward, lstm_layer_forward)
 from .windows import N_CHANNELS, Scaler, SwitchSeries, WindowedDataset
 
 SEASONAL_LAG_HOURS = 24
@@ -333,14 +335,32 @@ def gradient_check(model: LstmModel, inputs: np.ndarray, targets: np.ndarray,
 # Recursive multi-step forecasting
 # ---------------------------------------------------------------------------
 
+def _diagonal(t: int, m: int, horizon: int) -> tuple[int, int]:
+    """First and last window w with 0 <= t - 2w < m: the windows whose step
+    t - 2w a layer runs at wavefront tick t (empty when first > last)."""
+    return max(0, (t - m + 2) // 2), min(horizon - 1, t // 2)
+
+
 def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: int) -> Forecast:
     """Hourly latency forecast per spine over `horizon` hours.
 
     Predicted latency feeds the next window's latency channel; the speed
     channels repeat their value from SEASONAL_LAG_HOURS earlier (last value
     if the series is still shorter than the lag). Output is de-normalized
-    and clamped at zero. All spines are stepped as one batch: one
-    forward_batch call per horizon hour.
+    and clamped at zero.
+
+    The result is that of one eval-mode forward_batch call per horizon
+    hour, computed as one wavefront. Window w (predicting hour w) reads
+    conv positions w .. w+m-1 (m LSTM steps), so each position's conv
+    output and layer-1 input projection is computed once, position m + w
+    as soon as window w's prediction is in. Layer 1 runs window w's step j
+    at tick 2w + j and layer 2 at tick 2w + j + 1, so window w predicts at
+    tick 2w + m, just before window w + 1's last step needs it. Each tick
+    steps all its windows and spines with one matmul per layer, layer 2
+    first, since both update per-window states in place. Products keep the
+    per-hour operation order, and a BLAS row rounds the same in any product
+    of two or more rows; with one spine or m = 1 the per-hour calls made
+    1-row products (BLAS's matrix-vector path), so the last bits can differ.
     """
     if horizon < 1:
         raise InvalidConfigError(f"horizon must be >= 1, got {horizon}")
@@ -349,13 +369,15 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     n = model.hyper.lookback_hours
     if not histories:
         return Forecast(horizon=horizon, per_spine={})
-    # per spine: the last lookback hours, then the horizon, whose speed
-    # channels never depend on the forecast and are filled in up front
-    buf = np.empty((len(histories), n + horizon, N_CHANNELS))
-    for row, series in zip(buf, histories):
+    for series in histories:
         if len(series) < n:
             raise InsufficientHistoryError(
                 f"spine {series.spine_id}: history {len(series)} h < lookback {n} h")
+    # per spine: the last lookback hours, then the horizon, whose speed
+    # channels never depend on the forecast and are filled in up front
+    S = len(histories)
+    buf = np.empty((S, n + horizon, N_CHANNELS))
+    for row, series in zip(buf, histories):
         norm = model.scaler.transform(series.channels())
         speeds = list(norm[:, 1:])
         for _ in range(horizon):
@@ -363,9 +385,52 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
                           else speeds[-1])
         row[:n, 0] = norm[-n:, 0]
         row[:, 1:] = speeds[-(n + horizon):]
-    for step in range(horizon):
-        preds, _ = forward_batch(model, buf[:, step:step + n])
-        buf[:, n + step, 0] = preds
+
+    width = model.conv_w.shape[0]
+    m = n - width + 1
+    W1, U1, b1, offset1, scale1 = _fuse_for_forward(model.layer1)
+    W2, U2, b2, offset2, scale2 = _fuse_for_forward(model.layer2)
+    # layer-1 input projection per conv position, time-major [position, S, 4H];
+    # the first window's positions come from one conv call, as in forward_batch
+    x1 = np.empty((m + horizon - 1, S, W1.shape[1]))
+    conv_out = conv1d_forward(buf[:, :n], model.conv_w, model.conv_b)
+    _check_finite(conv_out, "conv")
+    np.matmul(conv_out, W1, out=x1[:m].transpose(1, 0, 2))
+    x1[:m] += b1
+    # per-window states, window-major: window w's spines are rows w*S .. w*S+S-1
+    h1, c1 = np.zeros((2, horizon * S, model.layer1.hidden_size))
+    h2, c2 = np.zeros((2, horizon * S, model.layer2.hidden_size))
+    for t in range(2 * horizon + m - 1):
+        # layer 2 first: it reads layer 1's outputs of tick t - 1
+        lo, hi = _diagonal(t - 1, m, horizon)
+        if lo <= hi:
+            rows = slice(lo * S, (hi + 1) * S)
+            z = h1[rows] @ W2
+            z += b2
+            z += h2[rows] @ U2
+            _finish_step(z, c2[rows], offset2, scale2, c2[rows], h2[rows])
+            _check_finite(h2[rows], "lstm2")
+        if t >= m and (t - m) % 2 == 0:        # window w has run its last step
+            w = (t - m) // 2
+            preds = (h2[w * S:(w + 1) * S] @ model.dense_w + model.dense_b).ravel()
+            _check_finite(preds, "dense")
+            buf[:, n + w, 0] = preds
+            if w + 1 < horizon:                # conv position m + w now has its input
+                # as [S, 3] products: conv1d_forward on it would make 1-row ones
+                col = np.broadcast_to(model.conv_b, (S, model.conv_b.size)).copy()
+                for dt in range(width):
+                    col += buf[:, m + w + dt] @ model.conv_w[dt]
+                _check_finite(col, "conv")
+                np.matmul(col, W1, out=x1[m + w])
+                x1[m + w] += b1
+        lo, hi = _diagonal(t, m, horizon)
+        if lo <= hi:
+            rows = slice(lo * S, (hi + 1) * S)
+            z = h1[rows] @ U1                  # h @ U + x: IEEE addition commutes
+            z_windows = z.reshape(hi - lo + 1, S, -1)
+            z_windows += x1[t - hi:t - lo + 1][::-1]    # window w is at position t - w
+            _finish_step(z, c1[rows], offset1, scale1, c1[rows], h1[rows])
+            _check_finite(h1[rows], "lstm1")
     return Forecast(horizon=horizon, per_spine={
         series.spine_id: np.maximum(model.scaler.invert_latency(row[n:, 0]), 0.0)
         for series, row in zip(histories, buf)})

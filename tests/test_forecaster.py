@@ -2,14 +2,17 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_forecast
 import oracle_lstm
 from conftest import models_equal
 from spinescale import forecaster
 from spinescale.baselines import mse, persistence_predictions, seasonal_naive_predictions
 from spinescale.config import TrainingConfig
-from spinescale.errors import (DecodeError, InsufficientHistoryError, NumericError, ShapeError,
-                               TrainingDivergedError)
+from spinescale.errors import (DataError, DecodeError, InsufficientHistoryError,
+                               InvalidConfigError, NumericError, ShapeError, TrainingDivergedError)
 from spinescale.forecaster import (Forecast, backward_batch, digest_forecast, forecast_horizon,
                                    forward, forward_batch, gradient_check, init_model,
                                    load_checkpoint, load_forecast_csv, mse_loss, save_checkpoint,
@@ -233,19 +236,6 @@ def test_forecast_constant_signal_within_5_percent():
     assert np.all(np.abs(fc.per_spine[0] - 5.0) <= 0.25)
 
 
-def per_spine_recursion(model, series, horizon):
-    """Reference: one spine at a time, one forward call per hour, speed
-    channels extended as the forecast goes."""
-    n = model.hyper.lookback_hours
-    norm = model.scaler.transform(series.channels())
-    lat, fab, edg = list(norm[:, 0]), list(norm[:, 1]), list(norm[:, 2])
-    for _ in range(horizon):
-        lat.append(forward(model, np.stack([lat[-n:], fab[-n:], edg[-n:]], axis=1)))
-        fab.append(fab[-24] if len(fab) >= 24 else fab[-1])
-        edg.append(edg[-24] if len(edg) >= 24 else edg[-1])
-    return np.maximum(model.scaler.invert_latency(np.array(lat[-horizon:])), 0.0)
-
-
 def test_forecast_batch_matches_per_spine_calls():
     rng = np.random.default_rng(4)
     # 12 h = lookback and 20 h (< 24 h) run the last-value fallback first
@@ -260,7 +250,8 @@ def test_forecast_batch_matches_per_spine_calls():
     for series in histories:
         one = forecast_horizon(model, [series], 30).per_spine[series.spine_id]
         assert np.allclose(fc.per_spine[series.spine_id], one, rtol=0, atol=1e-12)
-        assert np.allclose(one, per_spine_recursion(model, series, 30), rtol=0, atol=1e-12)
+        assert np.allclose(one, oracle_forecast.per_spine_recursion(model, series, 30),
+                           rtol=0, atol=1e-12)
 
     empty = forecast_horizon(model, [], 30)
     assert empty.horizon == 30 and empty.per_spine == {}
@@ -271,6 +262,102 @@ def test_forecast_insufficient_history():
     short = constant_series(T=10)
     with pytest.raises(InsufficientHistoryError):
         forecast_horizon(model, [short], 5)
+
+
+# ---------------------------------------------------------------------------
+# wavefront forecast against the per-hour loop (tests/oracle_forecast.py)
+# ---------------------------------------------------------------------------
+
+def random_histories(rng, lengths):
+    return [SwitchSeries(spine_id=sid, start_hour=0, latency_us=rng.uniform(3.0, 9.0, T),
+                         fabric_bps=rng.uniform(1e9, 5e9, T), edge_bps=rng.uniform(1e9, 5e9, T))
+            for sid, T in enumerate(lengths)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), S=st.integers(1, 6), width=st.integers(1, 3),
+       steps=st.integers(1, 30), hidden=st.sampled_from([1, 3, 8, 16]),
+       channels=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2 ** 32 - 1))
+def test_wavefront_forecast_equals_per_hour_loop(data, S, width, steps, hidden, channels, seed):
+    # steps = m, the LSTM steps per window: lookback = width + m - 1, down to
+    # lookback == width; histories from the lookback (often < 24 h, the
+    # last-value speed fallback) to past the seasonal lag; horizons from 1 to
+    # past the lookback
+    lookback = width + steps - 1
+    lengths = data.draw(st.lists(st.integers(lookback, lookback + 40), min_size=S, max_size=S))
+    horizon = data.draw(st.integers(1, lookback + 8))
+    histories = random_histories(np.random.default_rng(seed), lengths)
+    hyper = TrainingConfig(lookback_hours=lookback, conv_width=width, conv_channels=channels,
+                           hidden_size=hidden, dropout=0.0, epochs=1, batch_size=8)
+    model = init_model(hyper, seed=seed, scaler=Scaler.fit(histories))
+
+    got = forecast_horizon(model, histories, horizon)
+    want = oracle_forecast.forecast_horizon(model, histories, horizon)
+    assert got.horizon == want.horizon and got.spine_ids() == want.spine_ids()
+    for sid in want.spine_ids():
+        if S >= 2 and steps >= 2:
+            assert np.array_equal(got.per_spine[sid], want.per_spine[sid]), sid
+        else:   # the per-hour loop's 1-row products took BLAS's matrix-vector path
+            assert np.allclose(got.per_spine[sid], want.per_spine[sid], rtol=0, atol=1e-12)
+
+
+def outcome(fn, *args):
+    """What a forecast call returns or raises, in comparable form."""
+    try:
+        fc = fn(*args)
+    except Exception as exc:    # the exception is the outcome
+        return type(exc), str(exc)
+    return fc.horizon, {sid: fc.per_spine[sid].tolist() for sid in fc.spine_ids()}
+
+
+@pytest.mark.parametrize("name", list(init_model(SMALL, seed=5).parameters()))
+def test_forecast_names_the_non_finite_layer_as_forward_batch_does(name):
+    histories = random_histories(np.random.default_rng(6), (30, 14, 40))
+    model = init_model(SMALL, seed=5, scaler=Scaler.fit(histories))
+    model.parameters()[name].reshape(-1)[-1] = np.nan
+    message = f"non-finite activations in layer '{name.split('.')[0]}'"
+    with pytest.raises(NumericError, match=message):
+        forward_batch(model, np.zeros((2, SMALL.lookback_hours, 3)))
+    got = outcome(forecast_horizon, model, histories, 7)
+    assert got == outcome(oracle_forecast.forecast_horizon, model, histories, 7)
+    assert got == (NumericError, message)
+
+
+def test_forecast_names_conv_for_a_non_finite_scaled_history():
+    # a scaler with a nan minimum passes its finite-input check but gives
+    # nan inputs, which the conv layer reports first
+    histories = random_histories(np.random.default_rng(6), (30, 14))
+    model = init_model(SMALL, seed=5, scaler=Scaler.fit(histories))
+    model.scaler.mins[2] = np.nan
+    got = outcome(forecast_horizon, model, histories, 4)
+    assert got == outcome(oracle_forecast.forecast_horizon, model, histories, 4)
+    assert got == (NumericError, "non-finite activations in layer 'conv'")
+
+
+def test_forecast_short_history_raises_before_any_compute(monkeypatch):
+    histories = random_histories(np.random.default_rng(6), (30, 11, 40))
+    model = init_model(SMALL, seed=5, scaler=Scaler.fit(histories))
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before checking every history's length")
+
+    monkeypatch.setattr(Scaler, "transform", no_compute)
+    monkeypatch.setattr(forecaster, "conv1d_forward", no_compute)
+    with pytest.raises(InsufficientHistoryError, match="spine 1: history 11 h < lookback 12 h"):
+        forecast_horizon(model, histories, 5)
+
+
+def test_forecast_argument_errors_and_empty_histories_match_the_loop():
+    histories = random_histories(np.random.default_rng(6), (30, 14))
+    model = init_model(SMALL, seed=5, scaler=Scaler.fit(histories))
+    unscaled = init_model(SMALL, seed=5)
+    cases = [(model, histories, 0), (model, histories, -3), (unscaled, histories, 5),
+             (unscaled, histories, 0), (unscaled, [], 5), (model, [], 5), (model, [], 0)]
+    for args in cases:
+        assert outcome(forecast_horizon, *args) == outcome(oracle_forecast.forecast_horizon, *args)
+    assert outcome(forecast_horizon, model, histories, 0)[0] is InvalidConfigError
+    assert outcome(forecast_horizon, unscaled, histories, 5)[0] is DataError
+    assert outcome(forecast_horizon, model, [], 5) == (5, {})
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +524,9 @@ def test_train_and_forecast_bit_identical_to_batch_major_layer(monkeypatch):
     monkeypatch.setattr(forecaster, "lstm_layer_forward", oracle_lstm.lstm_layer_forward)
     monkeypatch.setattr(forecaster, "lstm_layer_backward", oracle_lstm.lstm_layer_backward)
     ref_model, ref_report, ref_all, ref_one = run()
+    # forecast_horizon steps its own wavefront and no longer calls the layer,
+    # so the per-hour loop on the batch-major layer is its reference
+    ref_loop = oracle_forecast.forecast_horizon(ref_model, histories, 30)
 
     params, ref_params = model.parameters(), ref_model.parameters()
     assert params.keys() == ref_params.keys()
@@ -445,7 +535,7 @@ def test_train_and_forecast_bit_identical_to_batch_major_layer(monkeypatch):
     assert np.array_equal(report.train_losses, ref_report.train_losses)
     assert np.array_equal(report.val_losses, ref_report.val_losses)
     assert len(report.val_losses) == 2 and report.best_epoch == ref_report.best_epoch
-    for got, want in ((fc_all, ref_all), (fc_one, ref_one)):
+    for got, want in ((fc_all, ref_all), (fc_one, ref_one), (fc_all, ref_loop)):
         assert got.spine_ids() == want.spine_ids()
         for sid in got.spine_ids():
             assert np.array_equal(got.per_spine[sid], want.per_spine[sid])
