@@ -1,7 +1,9 @@
 """Command-line entry point wiring the pipeline stages end to end.
 
 Each subcommand consumes the previous stage's file artifact and writes its
-own under --out with a fixed name, so stages can be re-run independently:
+own under --out with a fixed name, so stages can be re-run independently.
+Each runs the same pipeline functions as the first cycle of `run`, so
+simulate -> train -> forecast -> decide writes the bytes a one-cycle `run` does:
 
     spinescale simulate     --config cfg.json --duration-hours 504 --out out/
     spinescale train        --config cfg.json --out out/
@@ -10,7 +12,9 @@ own under --out with a fixed name, so stages can be re-run independently:
     spinescale run          --config cfg.json --out out/
     spinescale export-plots --config cfg.json --out out/
 
-Policy thresholds and spine bounds come only from the config file.
+Training, policy and spine settings come only from the config file. A
+forecast reads the last max(lookback, 24) hours of each spine's telemetry.
+`decide` writes a fresh journal as cycle 0, with the cooldown elapsed.
 
 Artifacts: telemetry.log, model.ckpt, forecast.csv, journal.log, manifest.
 """
@@ -23,13 +27,13 @@ from pathlib import Path
 
 from .config import SimConfig, derive_seed, load_config, policy_from_config
 from .errors import SpinescaleError
-from .forecaster import (digest_forecast, forecast_horizon, load_checkpoint, load_forecast_csv,
-                         save_checkpoint, save_forecast_csv)
+from .forecaster import (forecast_horizon, load_checkpoint, load_forecast_csv, save_checkpoint,
+                         save_forecast_csv)
 from .pipeline import (CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, METRICS_TOPIC,
-                       TELEMETRY_FILE, recent_history, run_closed_loop, series_from_bus,
-                       simulate_hours, topology_from_config, train_from_series)
-from .policy import PolicyJournal, evaluate
-from .telemetry import TopicBus
+                       TELEMETRY_FILE, decide, run_closed_loop, series_from_bus, simulate_hours,
+                       topology_from_config, train_from_series)
+from .policy import REMOVE_SPINE, PolicyJournal, evaluate
+from .telemetry import TopicBus, write_atomic
 
 PLOT_LATENCY_FILE = "plot_latency.csv"
 PLOT_CANDIDATES_FILE = "plot_candidates.csv"
@@ -73,11 +77,7 @@ def _bus_from_log(path: Path) -> TopicBus:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    if args.epochs is not None:
-        cfg.training.epochs = args.epochs
-    cfg.training.validate()
-    telemetry = Path(args.telemetry) if args.telemetry else out / TELEMETRY_FILE
-    with _bus_from_log(telemetry) as bus:
+    with _bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
         series = series_from_bus(bus, METRICS_TOPIC)
     model, report = train_from_series(cfg, series, seed=cfg.seed, final_grad_check=True)
     path = out / CHECKPOINT_FILE
@@ -92,13 +92,10 @@ def cmd_train(args) -> int:
 
 def cmd_forecast(args) -> int:
     out = _out_dir(args)
-    checkpoint = Path(args.checkpoint) if args.checkpoint else out / CHECKPOINT_FILE
-    telemetry = Path(args.telemetry) if args.telemetry else out / TELEMETRY_FILE
-    model = load_checkpoint(checkpoint)
-    with _bus_from_log(telemetry) as bus:
+    model = load_checkpoint(args.checkpoint or out / CHECKPOINT_FILE)
+    with _bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
         series = series_from_bus(bus, METRICS_TOPIC)
-    histories = recent_history(series, max(model.hyper.lookback_hours, 2 * 24))
-    forecast = forecast_horizon(model, histories, args.horizon)
+    forecast = forecast_horizon(model, series, args.horizon)
     path = out / FORECAST_FILE
     save_forecast_csv(forecast, path)
     print(f"forecast {args.horizon} h for spines {forecast.spine_ids()} -> {path}")
@@ -108,18 +105,12 @@ def cmd_forecast(args) -> int:
 def cmd_decide(args) -> int:
     policy_cfg = policy_from_config(load_config(args.config))
     out = _out_dir(args)
-    forecast_path = Path(args.forecast) if args.forecast else out / FORECAST_FILE
-    forecast = load_forecast_csv(forecast_path)
-    cycles_since = args.cycles_since if args.cycles_since is not None \
-        else policy_cfg.cooldown_cycles
-    actions = evaluate(forecast, policy_cfg, forecast.spine_ids(), cycles_since,
-                       decision_cycle=args.cycle)
+    forecast = load_forecast_csv(args.forecast or out / FORECAST_FILE)
     path = out / JOURNAL_FILE
     path.unlink(missing_ok=True)
     with PolicyJournal(path) as journal:
-        digest = digest_forecast(forecast)
-        for action in actions:
-            journal.append(action, policy_cfg, digest)
+        actions = decide(forecast, policy_cfg, forecast.spine_ids(),
+                         policy_cfg.cooldown_cycles, 0, journal)
     print(f"{len(actions)} action(s) -> {path}")
     return 0
 
@@ -136,24 +127,20 @@ def cmd_run(args) -> int:
 def cmd_export_plots(args) -> int:
     policy_cfg = policy_from_config(load_config(args.config))
     out = _out_dir(args)
-    forecast_path = Path(args.forecast) if args.forecast else out / FORECAST_FILE
-    forecast = load_forecast_csv(forecast_path)
+    forecast = load_forecast_csv(args.forecast or out / FORECAST_FILE)
 
     plot_path = out / PLOT_LATENCY_FILE
     save_forecast_csv(forecast, plot_path)
 
     candidates_path = out / PLOT_CANDIDATES_FILE
     cand_lines = ["spine_id,mean_predicted_latency_us,hours_below_threshold"]
-    if forecast.per_spine:
-        actions = evaluate(forecast, policy_cfg, forecast.spine_ids(),
-                           policy_cfg.cooldown_cycles, decision_cycle=args.cycle)
-        for action in actions:
-            if action.kind != "remove_spine":
-                continue
+    for action in evaluate(forecast, policy_cfg, forecast.spine_ids(),
+                           policy_cfg.cooldown_cycles):
+        if action.kind == REMOVE_SPINE:
             preds = forecast.per_spine[action.spine_id]
             below = int((preds < policy_cfg.remove_threshold_us).sum())
             cand_lines.append(f"{action.spine_id},{action.reason.statistic_us!r},{below}")
-    candidates_path.write_text("\n".join(cand_lines) + "\n", encoding="utf-8")
+    write_atomic(candidates_path, "\n".join(cand_lines) + "\n")
     rows = forecast.horizon * len(forecast.per_spine)
     print(f"wrote {plot_path} ({rows} rows) and {candidates_path} "
           f"({len(cand_lines) - 1} candidates)")
@@ -178,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--telemetry", default=None, help="telemetry log (default OUT/telemetry.log)")
-    p.add_argument("--epochs", type=int, default=None, help="override config epochs")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train)
 
@@ -192,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="evaluate scaling policy on a forecast file")
     p.add_argument("--config", required=True)
     p.add_argument("--forecast", default=None, help="default OUT/forecast.csv")
-    p.add_argument("--cycle", type=int, default=0, help="decision cycle index for the journal")
-    p.add_argument("--cycles-since", type=int, default=None,
-                   help="cycles since last action (default: cooldown elapsed)")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_decide)
 
@@ -207,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-plots", help="emit plot-ready CSVs from a forecast file")
     p.add_argument("--config", required=True)
     p.add_argument("--forecast", default=None, help="default OUT/forecast.csv")
-    p.add_argument("--cycle", type=int, default=0, help="decision cycle index for the journal")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_export_plots)
     return parser

@@ -32,6 +32,7 @@ from .errors import (DataError, DecodeError, InsufficientDataError, Insufficient
                      InvalidConfigError, NumericError, ShapeError, TrainingDivergedError)
 from .nn import (Adam, LstmCellParams, _finish_step, _fuse_for_forward, conv1d_backward,
                  conv1d_forward, dropout_mask, lstm_layer_backward, lstm_layer_forward)
+from .telemetry import write_atomic
 from .windows import N_CHANNELS, Scaler, SwitchSeries, WindowedDataset
 
 SEASONAL_LAG_HOURS = 24
@@ -347,7 +348,9 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     Predicted latency feeds the next window's latency channel; the speed
     channels repeat their value from SEASONAL_LAG_HOURS earlier (last value
     if the series is still shorter than the lag). Output is de-normalized
-    and clamped at zero.
+    and clamped at zero. Only the last max(lookback, SEASONAL_LAG_HOURS)
+    hours of each history are read, so a longer history gives the same
+    forecast bit for bit.
 
     The result is that of one eval-mode forward_batch call per horizon
     hour, computed as one wavefront. Window w (predicting hour w) reads
@@ -378,7 +381,7 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     S = len(histories)
     buf = np.empty((S, n + horizon, N_CHANNELS))
     for row, series in zip(buf, histories):
-        norm = model.scaler.transform(series.channels())
+        norm = model.scaler.transform(series.channels()[-max(n, SEASONAL_LAG_HOURS):])
         speeds = list(norm[:, 1:])
         for _ in range(horizon):
             speeds.append(speeds[-SEASONAL_LAG_HOURS] if len(speeds) >= SEASONAL_LAG_HOURS
@@ -452,7 +455,7 @@ def save_forecast_csv(forecast: Forecast, path: str | Path) -> None:
     for sid in forecast.spine_ids():
         for hour, value in enumerate(forecast.per_spine[sid], start=1):
             lines.append(f"{hour},{sid},{float(value)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_forecast_csv(path: str | Path) -> Forecast:
@@ -519,7 +522,7 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
         lines.append(f"param {name} {dims}")
         lines.append(" ".join(repr(float(v)) for v in arr.reshape(-1)))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> LstmModel:

@@ -2,8 +2,10 @@
 
 Every stage talks to the next only through file artifacts (telemetry log,
 checkpoint, forecast CSV, journal), so single stages can be re-run from
-disk and a full closed loop is just the stages chained in memory. One root
-seed fans out per stage, making whole runs bit-reproducible.
+disk and a full closed loop is just the stages chained in memory. Each
+stage is one function here (`simulate_hours`, `train_from_series`,
+`forecast_horizon`, `decide`) that both `run_closed_loop` and the CLI
+call. One root seed fans out per stage, making whole runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, derive_seed, policy_from_config
+from .config import PolicyConfig, SimConfig, derive_seed, policy_from_config
 from .errors import InsufficientDataError
 from .fabric import (Topology, apply_action, build_topology, generate_demands, hour_loads,
                      simulate_tick)
-from .forecaster import (LstmModel, TrainReport, digest_forecast, forecast_horizon,
+from .forecaster import (Forecast, LstmModel, TrainReport, digest_forecast, forecast_horizon,
                          init_model, save_checkpoint, save_forecast_csv, train)
-from .policy import PolicyJournal, evaluate
-from .telemetry import TopicBus
+from .policy import PolicyAction, PolicyJournal, evaluate
+from .telemetry import TopicBus, write_atomic
 from .windows import (Scaler, SwitchSeries, WindowedDataset, aggregate_hourly, make_windows,
                       split_train_val)
 
@@ -85,7 +87,13 @@ def build_datasets(series_list: list[SwitchSeries], val_fraction: float,
 
 def train_from_series(cfg: SimConfig, series_list: list[SwitchSeries], seed: int,
                       final_grad_check: bool = False) -> tuple[LstmModel, TrainReport]:
+    """Train a fresh model on the series that hold at least one lookback +
+    horizon window; raises InsufficientDataError if none does."""
     tr = cfg.training
+    min_hours = tr.lookback_hours + tr.horizon_steps
+    series_list = [s for s in series_list if len(s) >= min_hours]
+    if not series_list:
+        raise InsufficientDataError(f"no spine has {min_hours} h of history yet")
     scaler, train_ds, val_ds = build_datasets(series_list, tr.val_fraction,
                                               tr.lookback_hours, tr.horizon_steps)
     model = init_model(tr, seed=seed, scaler=scaler)
@@ -103,6 +111,17 @@ def recent_history(series_list: list[SwitchSeries], hours: int) -> list[SwitchSe
     return out
 
 
+def decide(forecast: Forecast, policy_cfg: PolicyConfig, active: list[int], cycles_since: int,
+           cycle: int, journal: PolicyJournal) -> list[PolicyAction]:
+    """Evaluate the policy on one forecast and journal each action under
+    the forecast's digest. Returns the actions for the caller to apply."""
+    actions = evaluate(forecast, policy_cfg, active, cycles_since, decision_cycle=cycle)
+    digest = digest_forecast(forecast)
+    for action in actions:
+        journal.append(action, policy_cfg, digest)
+    return actions
+
+
 # ---------------------------------------------------------------------------
 # Closed loop
 # ---------------------------------------------------------------------------
@@ -117,8 +136,7 @@ class RunManifest:
     cycles: list[dict] = field(default_factory=list)
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n",
-                        encoding="utf-8")
+        write_atomic(path, json.dumps(dataclasses.asdict(self), indent=2) + "\n")
 
 
 def _append_history(history: dict[int, SwitchSeries], series: SwitchSeries) -> None:
@@ -150,7 +168,6 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
     topology = topology_from_config(cfg)
     policy_cfg = policy_from_config(cfg)
     sim_seed = derive_seed(cfg.seed, "simulate")
-    min_train_hours = cfg.training.lookback_hours + cfg.training.horizon_steps
 
     bus = TopicBus()
     bus.attach(METRICS_TOPIC, out / TELEMETRY_FILE)
@@ -168,35 +185,25 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
             start_hour += run_cfg.hours_per_cycle
             manifest.stage_timings_s[f"cycle{cycle}.simulate"] = time.perf_counter() - t0
 
-            window_series = series_from_bus(bus, METRICS_TOPIC, topology, offset_before)
-            for s in window_series:
+            for s in series_from_bus(bus, METRICS_TOPIC, topology, offset_before):
                 _append_history(history, s)
-            for sid in list(history):
-                if sid not in topology.active_spine_ids:
-                    del history[sid]
+            history = {sid: s for sid, s in history.items() if sid in topology.active_spine_ids}
 
             if model is None or run_cfg.retrain_each_cycle:
                 t0 = time.perf_counter()
-                trainable = [history[sid] for sid in sorted(history)
-                             if len(history[sid]) >= min_train_hours]
-                if not trainable:
-                    raise InsufficientDataError(
-                        f"cycle {cycle}: no spine has {min_train_hours} h of history yet")
-                model, _ = train_from_series(cfg, trainable, seed=cfg.seed)
+                model, _ = train_from_series(cfg, [history[sid] for sid in sorted(history)],
+                                             seed=cfg.seed)
                 manifest.stage_timings_s[f"cycle{cycle}.train"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            histories = recent_history([history[sid] for sid in topology.active_spine_ids],
-                                       run_cfg.hours_per_cycle)
-            forecast = forecast_horizon(model, histories, run_cfg.horizon_hours)
+            forecast = forecast_horizon(model, [history[sid] for sid in topology.active_spine_ids],
+                                        run_cfg.horizon_hours)
             save_forecast_csv(forecast, out / FORECAST_FILE)
             manifest.stage_timings_s[f"cycle{cycle}.forecast"] = time.perf_counter() - t0
 
-            actions = evaluate(forecast, policy_cfg, topology.active_spine_ids,
-                               cycles_since_action, decision_cycle=cycle)
-            digest = digest_forecast(forecast)
+            actions = decide(forecast, policy_cfg, topology.active_spine_ids,
+                             cycles_since_action, cycle, journal)
             for action in actions:
-                journal.append(action, policy_cfg, digest)
                 topology = apply_action(topology, action)
             cycles_since_action = 0 if actions else cycles_since_action + 1
             manifest.cycles.append({

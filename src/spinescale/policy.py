@@ -50,13 +50,14 @@ def evaluate(forecast: Forecast, config: PolicyConfig, active_spines: list[int],
     mean predicted latency (ties: lower id first), stopping at the
     min_spines floor. If nothing is removable and the aggregate prediction
     exceeds add_threshold_us with headroom under max_spines, one spine is
-    added. Nothing is emitted while the cooldown has not elapsed.
+    added. Nothing is emitted while the cooldown has not elapsed, or for
+    an empty fabric.
     """
     if set(forecast.per_spine) != set(active_spines):
         raise ConsistencyError(
             f"forecast covers spines {sorted(forecast.per_spine)} but active spines are "
             f"{sorted(active_spines)}")
-    if cycles_since_last_action < config.cooldown_cycles:
+    if cycles_since_last_action < config.cooldown_cycles or not active_spines:
         return []
     horizon = forecast.horizon
 
@@ -173,19 +174,14 @@ def decode_journal_line(line: str, offset: int) -> JournalEntry:
 class PolicyJournal:
     """Append-only action log, one key=value line per decision."""
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self.entries: list[JournalEntry] = []
-        self._handle = None
-        self._size = 0          # bytes in the journal file, tracked by append
-        if self.path is not None:
-            if self.path.exists():
-                self.entries = replay_journal(self.path)
-            try:
-                self._handle = self.path.open("ab", buffering=0)
-                self._size = self._handle.tell()
-            except OSError as exc:
-                raise PersistenceError(f"cannot open journal {self.path}: {exc}") from exc
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.entries: list[JournalEntry] = replay_journal(self.path) if self.path.exists() else []
+        try:
+            self._handle = self.path.open("ab", buffering=0)
+        except OSError as exc:
+            raise PersistenceError(f"cannot open journal {self.path}: {exc}") from exc
+        self._size = self._handle.tell()    # bytes in the journal file, tracked by append
 
     def append(self, action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> int:
         """Write one action; returns its offset. Atomic: a failed write
@@ -194,18 +190,15 @@ class PolicyJournal:
         (e.g. a digest that is not lowercase hex) never reaches the file."""
         line = encode_journal_line(action, config, forecast_digest)
         entry = decode_journal_line(line, len(self.entries))
-        if self._handle is not None:
-            try:
-                self._size = append_lines(self._handle, line + "\n", self.path, self._size)
-            except OSError as exc:
-                raise PersistenceError(f"journal write to {self.path} failed: {exc}") from exc
+        try:
+            self._size = append_lines(self._handle, line + "\n", self.path, self._size)
+        except OSError as exc:
+            raise PersistenceError(f"journal write to {self.path} failed: {exc}") from exc
         self.entries.append(entry)
         return entry.offset
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._handle.close()
 
     def __enter__(self) -> "PolicyJournal":
         return self

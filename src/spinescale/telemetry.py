@@ -180,6 +180,20 @@ def append_lines(handle, text: str, path: Path, size: int) -> int:
     return size + len(data)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace a whole file in one step through a sibling temp file, so a
+    write that fails or a process that dies midway leaves the previous
+    file, never a prefix. No fsync, as for the logs: safe against a crash
+    of the process, not of the machine."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass
 class TopicLog:
     name: str

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from spinescale.cli import main
+from spinescale.config import save_config
 from spinescale.forecaster import Forecast, load_checkpoint, load_forecast_csv, save_forecast_csv
 from spinescale.policy import replay_journal
+from test_pipeline import acting_cfg
 
 SMALL_CONFIG = {
     "seed": 9,
@@ -97,6 +99,26 @@ def test_stage_chain_train_forecast_decide(config_path, tmp_path):
     assert (out / "journal.log").read_text() == ""
 
 
+@pytest.mark.parametrize("hours", [24, 30, 36])
+def test_stage_chain_writes_the_bytes_of_a_one_cycle_run(tmp_path, hours):
+    # each CLI stage runs the closed loop's own stage code, so the chain is
+    # the first cycle of `run`, decision included
+    cfg = acting_cfg()
+    cfg.run.cycles, cfg.run.hours_per_cycle, cfg.run.horizon_hours = 1, hours, 24
+    cfg.training.hidden_size, cfg.training.conv_channels, cfg.training.epochs = 8, 4, 1
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    chain, loop = tmp_path / "chain", tmp_path / "run"
+    assert run_cli("simulate", "--config", path, "--duration-hours", hours, "--out", chain) == 0
+    assert run_cli("train", "--config", path, "--out", chain) == 0
+    assert run_cli("forecast", "--out", chain, "--horizon", 24) == 0
+    assert run_cli("decide", "--config", path, "--out", chain) == 0
+    assert run_cli("run", "--config", path, "--out", loop) == 0
+    assert replay_journal(chain / "journal.log")
+    for name in ("telemetry.log", "model.ckpt", "forecast.csv", "journal.log"):
+        assert (chain / name).read_bytes() == (loop / name).read_bytes(), name
+
+
 def test_decide_writes_expected_removals(empty_config, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -142,6 +164,14 @@ def test_export_plots_empty_forecast(empty_config, tmp_path):
     save_forecast_csv(Forecast(horizon=0, per_spine={}), out / "forecast.csv")
     assert run_cli("export-plots", "--config", empty_config, "--out", out) == 0
     assert (out / "plot_latency.csv").read_text() == "hour,spine_id,predicted_latency_us\n"
+
+
+def test_decide_on_an_empty_forecast_writes_an_empty_journal(empty_config, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    save_forecast_csv(Forecast(horizon=0, per_spine={}), out / "forecast.csv")
+    assert run_cli("decide", "--config", empty_config, "--out", out) == 0
+    assert (out / "journal.log").read_bytes() == b""
 
 
 def test_export_plots_candidates_match_decide(empty_config, tmp_path):

@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spinescale.forecaster import (Forecast, backward_batch, digest_forecast, fo
                                    forward, forward_batch, gradient_check, init_model,
                                    load_checkpoint, load_forecast_csv, mse_loss, save_checkpoint,
                                    save_forecast_csv, train)
+from spinescale.pipeline import recent_history
 from spinescale.windows import (Scaler, SwitchSeries, WindowedDataset, make_windows,
                                 split_train_val)
 
@@ -264,6 +266,28 @@ def test_forecast_insufficient_history():
         forecast_horizon(model, [short], 5)
 
 
+def test_forecast_reads_only_the_last_max_lookback_or_lag_hours():
+    # diurnal speed channels, so the value 24 h back is not the last value
+    rng = np.random.default_rng(8)
+    histories = []
+    for sid, T in ((0, 80), (1, 61)):
+        day = np.sin(2 * np.pi * np.arange(T) / 24)
+        histories.append(SwitchSeries(spine_id=sid, start_hour=0,
+                                      latency_us=rng.uniform(3.0, 9.0, T),
+                                      fabric_bps=3e9 + 1e9 * day + rng.uniform(0, 1e8, T),
+                                      edge_bps=3e9 - 1e9 * day + rng.uniform(0, 1e8, T)))
+    model = init_model(SMALL, seed=3, scaler=Scaler.fit(histories))
+    want = forecast_horizon(model, histories, 30)
+    read = max(SMALL.lookback_hours, forecaster.SEASONAL_LAG_HOURS)
+
+    def differs(k):
+        got = forecast_horizon(model, recent_history(histories, k), 30)
+        return any(not np.array_equal(got.per_spine[s], want.per_spine[s]) for s in (0, 1))
+
+    assert not any(differs(k) for k in range(read, 81))
+    assert any(differs(k) for k in range(SMALL.lookback_hours, read))
+
+
 # ---------------------------------------------------------------------------
 # wavefront forecast against the per-hour loop (tests/oracle_forecast.py)
 # ---------------------------------------------------------------------------
@@ -434,6 +458,24 @@ def test_forecast_csv_roundtrip(tmp_path):
     assert loaded.spine_ids() == [0, 4]
     for sid in (0, 4):
         assert np.array_equal(loaded.per_spine[sid], fc.per_spine[sid])
+
+
+def test_failed_forecast_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "forecast.csv"
+    save_forecast_csv(Forecast(horizon=2, per_spine={0: np.array([3.0, 4.0]),
+                                                     1: np.array([5.0, 10.987654321])}), path)
+    before = path.read_bytes()
+
+    def half_write(self, data, *args, **kwargs):
+        with self.open("w", encoding="utf-8") as fh:
+            fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_forecast_csv(Forecast(horizon=3, per_spine={2: np.array([6.0, 7.0, 8.0])}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["forecast.csv"]
 
 
 def test_forecast_csv_empty(tmp_path):
