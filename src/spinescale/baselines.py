@@ -9,9 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InsufficientDataError
-from .windows import WindowedDataset
-
-SEASONAL_PERIOD_HOURS = 24
+from .windows import SEASONAL_LAG_HOURS, WindowedDataset
 
 
 def persistence_predictions(dataset: WindowedDataset) -> np.ndarray:
@@ -20,7 +18,7 @@ def persistence_predictions(dataset: WindowedDataset) -> np.ndarray:
 
 
 def seasonal_naive_predictions(dataset: WindowedDataset,
-                               period: int = SEASONAL_PERIOD_HOURS) -> np.ndarray:
+                               period: int = SEASONAL_LAG_HOURS) -> np.ndarray:
     """Predict the latency observed one period before each target.
 
     The target sits `horizon` steps after the window, so the seasonal value

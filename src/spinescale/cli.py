@@ -25,10 +25,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SimConfig, derive_seed, load_config, policy_from_config
-from .errors import SpinescaleError
-from .forecaster import (forecast_horizon, load_checkpoint, load_forecast_csv, save_checkpoint,
-                         save_forecast_csv)
+from .config import PolicyConfig, SimConfig, derive_seed, load_config, policy_from_config
+from .errors import ConsistencyError, SpinescaleError
+from .forecaster import (Forecast, forecast_horizon, load_checkpoint, load_forecast_csv,
+                         save_checkpoint, save_forecast_csv)
 from .pipeline import (CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, METRICS_TOPIC,
                        TELEMETRY_FILE, decide, run_closed_loop, series_from_bus, simulate_hours,
                        topology_from_config, train_from_series)
@@ -102,10 +102,23 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def cmd_decide(args) -> int:
-    policy_cfg = policy_from_config(load_config(args.config))
+def _decision_inputs(args) -> tuple[PolicyConfig, Path, Forecast]:
+    """Policy, output directory and forecast for decide and export-plots; the
+    forecast's spines are the active set, so each must be a configured spine."""
+    cfg = load_config(args.config)
+    policy_cfg = policy_from_config(cfg)
     out = _out_dir(args)
     forecast = load_forecast_csv(args.forecast or out / FORECAST_FILE)
+    n_spine = cfg.topology.n_spine
+    unknown = [sid for sid in forecast.spine_ids() if not 0 <= sid < n_spine]
+    if unknown:
+        raise ConsistencyError(f"forecast names spine(s) {unknown}, but the configured "
+                               f"fabric has spines 0..{n_spine - 1}")
+    return policy_cfg, out, forecast
+
+
+def cmd_decide(args) -> int:
+    policy_cfg, out, forecast = _decision_inputs(args)
     path = out / JOURNAL_FILE
     path.unlink(missing_ok=True)
     with PolicyJournal(path) as journal:
@@ -125,9 +138,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_export_plots(args) -> int:
-    policy_cfg = policy_from_config(load_config(args.config))
-    out = _out_dir(args)
-    forecast = load_forecast_csv(args.forecast or out / FORECAST_FILE)
+    policy_cfg, out, forecast = _decision_inputs(args)
 
     plot_path = out / PLOT_LATENCY_FILE
     save_forecast_csv(forecast, plot_path)

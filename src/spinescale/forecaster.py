@@ -27,18 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainingConfig, derive_seed
+from .config import TrainingConfig, _build_section, derive_seed
 from .errors import (DataError, DecodeError, InsufficientDataError, InsufficientHistoryError,
                      InvalidConfigError, NumericError, ShapeError, TrainingDivergedError)
 from .nn import (Adam, LstmCellParams, _finish_step, _fuse_for_forward, conv1d_backward,
                  conv1d_forward, dropout_mask, lstm_layer_backward, lstm_layer_forward)
 from .telemetry import write_atomic
-from .windows import N_CHANNELS, Scaler, SwitchSeries, WindowedDataset
-
-SEASONAL_LAG_HOURS = 24
+from .windows import N_CHANNELS, SEASONAL_LAG_HOURS, Scaler, SwitchSeries, WindowedDataset
 
 __all__ = [
-    "LstmModel", "TrainReport", "Forecast", "init_model", "forward", "train",
+    "LstmModel", "TrainReport", "Forecast", "parameter_shapes", "init_model", "forward", "train",
     "gradient_check", "forecast_horizon", "save_checkpoint", "load_checkpoint",
     "save_forecast_csv", "load_forecast_csv", "digest_forecast",
 ]
@@ -56,7 +54,6 @@ class LstmModel:
     layer2: LstmCellParams        # hidden -> hidden
     dense_w: np.ndarray           # [hidden, 1]
     dense_b: np.ndarray           # [1]
-    dropout: float
     scaler: Scaler | None
     hyper: TrainingConfig
 
@@ -89,44 +86,49 @@ class Forecast:
         return sorted(self.per_spine)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def parameter_shapes(hyper: TrainingConfig) -> dict[str, tuple[int, ...]]:
+    """Every trainable array's name and shape, in parameters() order: the
+    one statement of the model's layout, read by init_model and
+    load_checkpoint."""
+    width, c_out, hidden = hyper.conv_width, hyper.conv_channels, hyper.hidden_size
+    shapes = {"conv.w": (width, N_CHANNELS, c_out), "conv.b": (c_out,)}
+    for prefix, d_in in (("lstm1", c_out), ("lstm2", hidden)):
+        for gate in "ifgo":
+            shapes[f"{prefix}.w_{gate}"] = (d_in, hidden)
+            shapes[f"{prefix}.u_{gate}"] = (hidden, hidden)
+            shapes[f"{prefix}.b_{gate}"] = (hidden,)
+    shapes["dense.w"] = (hidden, 1)
+    shapes["dense.b"] = (1,)
+    return shapes
 
 
-def _init_lstm(rng: np.random.Generator, input_size: int, hidden: int) -> LstmCellParams:
-    def w() -> np.ndarray:
-        return _xavier(rng, input_size, hidden, (input_size, hidden))
+def _assemble(arrays: dict[str, np.ndarray], scaler: Scaler | None,
+              hyper: TrainingConfig) -> LstmModel:
+    """The model holding `arrays`, keyed as parameter_shapes(hyper) is."""
+    def layer(prefix: str) -> LstmCellParams:
+        return LstmCellParams(**{f.name: arrays[f"{prefix}.{f.name}"]
+                                 for f in dataclasses.fields(LstmCellParams)})
 
-    def u() -> np.ndarray:
-        return _xavier(rng, hidden, hidden, (hidden, hidden))
-
-    # forget-gate bias starts at 1 so early memory is retained
-    return LstmCellParams(
-        w_i=w(), u_i=u(), b_i=np.zeros(hidden),
-        w_f=w(), u_f=u(), b_f=np.ones(hidden),
-        w_g=w(), u_g=u(), b_g=np.zeros(hidden),
-        w_o=w(), u_o=u(), b_o=np.zeros(hidden),
-    )
+    return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"], layer1=layer("lstm1"),
+                     layer2=layer("lstm2"), dense_w=arrays["dense.w"], dense_b=arrays["dense.b"],
+                     scaler=scaler, hyper=hyper)
 
 
 def init_model(hyper: TrainingConfig, seed: int, scaler: Scaler | None = None) -> LstmModel:
-    """Fresh model with Xavier-uniform weights, deterministic per seed."""
+    """Fresh model, deterministic per seed: Xavier-uniform weights drawn in
+    parameters() order, zero biases except the forget gate's, which start
+    at 1 so early memory is retained."""
     hyper.validate()
     hyper.validate_model()
     rng = np.random.default_rng(derive_seed(seed, "model-init"))
-    width, c_out, hidden = hyper.conv_width, hyper.conv_channels, hyper.hidden_size
-    return LstmModel(
-        conv_w=_xavier(rng, width * N_CHANNELS, c_out, (width, N_CHANNELS, c_out)),
-        conv_b=np.zeros(c_out),
-        layer1=_init_lstm(rng, c_out, hidden),
-        layer2=_init_lstm(rng, hidden, hidden),
-        dense_w=_xavier(rng, hidden, 1, (hidden, 1)),
-        dense_b=np.zeros(1),
-        dropout=hyper.dropout,
-        scaler=scaler,
-        hyper=hyper,
-    )
+    arrays = {}
+    for name, shape in parameter_shapes(hyper).items():
+        if len(shape) == 1:
+            arrays[name] = np.ones(shape) if name.endswith(".b_f") else np.zeros(shape)
+        else:
+            limit = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+            arrays[name] = rng.uniform(-limit, limit, size=shape)
+    return _assemble(arrays, scaler, hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +149,10 @@ def forward_batch(model: LstmModel, windows: np.ndarray, train_mode: bool = Fals
     _check_finite(conv_out, "conv")
     hs1, cache1 = lstm_layer_forward(conv_out, model.layer1)
     _check_finite(hs1, "lstm1")
-    if train_mode and model.dropout > 0.0:
+    if train_mode and model.hyper.dropout > 0.0:
         if rng is None:
             raise ValueError("train_mode with dropout > 0 requires an rng")
-        mask = dropout_mask(hs1.shape, model.dropout, rng)
+        mask = dropout_mask(hs1.shape, model.hyper.dropout, rng)
     else:
         mask = None
     dropped = hs1 if mask is None else hs1 * mask
@@ -226,16 +228,15 @@ def evaluate_mse(model: LstmModel, dataset: WindowedDataset, batch_size: int = 2
 
 def train(model: LstmModel, train_ds: WindowedDataset, seed: int,
           val_ds: WindowedDataset | None = None,
-          hyper: TrainingConfig | None = None,
           final_grad_check: bool = False) -> tuple[LstmModel, TrainReport]:
     """Adam + BPTT on MSE over normalized latency targets.
 
-    Deterministic for a fixed (datasets, hyper, seed). The parameters from
+    Deterministic for a fixed (datasets, model.hyper, seed). The parameters from
     the best-validation epoch (best-train if no val set) are restored into
     the returned model. With final_grad_check the report carries a
     finite-difference verification of the trained model's gradients.
     """
-    hyper = hyper or model.hyper
+    hyper = model.hyper
     if len(train_ds) == 0:
         raise InsufficientDataError("training dataset is empty")
     params = model.parameters()
@@ -513,7 +514,7 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
     reproduces m exactly."""
     lines = [_CKPT_MAGIC]
     lines.append("hyper " + json.dumps(dataclasses.asdict(model.hyper), sort_keys=True))
-    lines.append(f"dropout {model.dropout!r}")
+    lines.append(f"dropout {model.hyper.dropout!r}")
     if model.scaler is not None:
         lines.append("scaler_min " + " ".join(repr(float(v)) for v in model.scaler.mins))
         lines.append("scaler_max " + " ".join(repr(float(v)) for v in model.scaler.maxs))
@@ -526,6 +527,10 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> LstmModel:
+    """The model save_checkpoint wrote. Every malformed record is a
+    DecodeError naming the path: hyperparameters that fail validation,
+    a dropout line that disagrees with them, a scaler without both
+    N_CHANNELS-value records, or arrays other than parameter_shapes(hyper)."""
     path = Path(path)
     if not path.exists():
         raise DecodeError(f"checkpoint not found: {path}")
@@ -535,69 +540,56 @@ def load_checkpoint(path: str | Path) -> LstmModel:
 
     hyper: TrainingConfig | None = None
     dropout: float | None = None
-    scaler_min: np.ndarray | None = None
-    scaler_max: np.ndarray | None = None
+    stats: dict[str, np.ndarray] = {}
     arrays: dict[str, np.ndarray] = {}
     i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line == "end":
-            break
-        if line.startswith("hyper "):
-            hyper = TrainingConfig(**json.loads(line[len("hyper "):]))
-        elif line.startswith("dropout "):
-            dropout = float(line[len("dropout "):])
-        elif line.startswith("scaler_min "):
-            scaler_min = np.array([float(v) for v in line.split()[1:]])
-        elif line.startswith("scaler_max "):
-            scaler_max = np.array([float(v) for v in line.split()[1:]])
-        elif line.startswith("param "):
-            parts = line.split()
-            name = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
+    try:
+        while i < len(lines):
+            line = lines[i]
+            if line == "end":
+                break
+            key, _, rest = line.partition(" ")
+            if key == "hyper":
+                data = json.loads(rest)
+                if not isinstance(data, dict):
+                    raise ValueError("hyper is not a JSON object")
+                hyper = _build_section(TrainingConfig, data, "hyper")
+                hyper.validate()
+                hyper.validate_model()
+            elif key == "dropout":
+                dropout = float(rest)
+            elif key in ("scaler_min", "scaler_max"):
+                stats[key] = np.array([float(v) for v in rest.split()])
+            elif key == "param":
+                name, *dims = rest.split()
+                shape = tuple(int(d) for d in dims)
+                i += 1
+                if i >= len(lines):
+                    raise DecodeError(f"checkpoint {path}: missing values for param {name}")
+                arrays[name] = np.array([float(v) for v in lines[i].split()]).reshape(shape)
+            else:
+                raise DecodeError(f"checkpoint {path}: unrecognized line {i + 1}: {line!r}")
             i += 1
-            if i >= len(lines):
-                raise DecodeError(f"checkpoint {path}: missing values for param {name}")
-            values = np.array([float(v) for v in lines[i].split()])
-            if values.size != int(np.prod(shape)):
-                raise DecodeError(f"checkpoint {path}: param {name} has {values.size} values "
-                                  f"for shape {shape}")
-            arrays[name] = values.reshape(shape)
         else:
-            raise DecodeError(f"checkpoint {path}: unrecognized line {i + 1}: {line!r}")
-        i += 1
-    else:
-        raise DecodeError(f"checkpoint {path}: missing 'end' line")
+            raise DecodeError(f"checkpoint {path}: missing 'end' line")
+    except (ValueError, InvalidConfigError) as exc:
+        raise DecodeError(f"checkpoint {path}: line {i + 1}: {exc}") from exc
 
     if hyper is None or dropout is None:
         raise DecodeError(f"checkpoint {path}: missing hyper or dropout record")
-    expected = {"conv.w", "conv.b", "dense.w", "dense.b"}
-    expected |= {f"lstm{n}.{f.name}" for n in (1, 2) for f in dataclasses.fields(LstmCellParams)}
-    if set(arrays) != expected:
-        raise DecodeError(f"checkpoint {path}: parameter set mismatch "
-                          f"(missing {sorted(expected - set(arrays))}, "
-                          f"unexpected {sorted(set(arrays) - expected)})")
-
+    if dropout != hyper.dropout:
+        raise DecodeError(f"checkpoint {path}: dropout {dropout!r} != hyper's {hyper.dropout!r}")
     scaler = None
-    if scaler_min is not None and scaler_max is not None:
-        scaler = Scaler(mins=scaler_min, maxs=scaler_max)
-
-    def layer(prefix: str) -> LstmCellParams:
-        params = LstmCellParams(**{f.name: arrays[f"{prefix}.{f.name}"]
-                                   for f in dataclasses.fields(LstmCellParams)})
-        try:
-            params.validate()
-        except ShapeError as exc:
-            raise DecodeError(f"checkpoint {path}: {prefix}: {exc}") from exc
-        return params
-
-    layer1, layer2 = layer("lstm1"), layer("lstm2")
-    fits = {"conv.w": arrays["conv.w"].shape[:1] + (N_CHANNELS, layer1.input_size),
-            "conv.b": (layer1.input_size,), "lstm2.w_i": (layer1.hidden_size, layer2.hidden_size),
-            "dense.w": (layer2.hidden_size, 1), "dense.b": (1,)}
-    for name, want in fits.items():
-        if arrays[name].shape != want:
-            raise DecodeError(f"checkpoint {path}: {name}: shape {arrays[name].shape} != {want}")
-    return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"], layer1=layer1, layer2=layer2,
-                     dense_w=arrays["dense.w"], dense_b=arrays["dense.b"],
-                     dropout=dropout, scaler=scaler, hyper=hyper)
+    if stats:
+        if len(stats) != 2 or any(v.shape != (N_CHANNELS,) for v in stats.values()):
+            raise DecodeError(f"checkpoint {path}: a scaler needs both scaler_min and "
+                              f"scaler_max, {N_CHANNELS} values each")
+        scaler = Scaler(mins=stats["scaler_min"], maxs=stats["scaler_max"])
+    shapes = parameter_shapes(hyper)
+    found = {name: arr.shape for name, arr in arrays.items()}
+    if found != shapes:
+        diff = {name: (found.get(name), shapes.get(name)) for name in sorted(found.keys() | shapes)
+                if found.get(name) != shapes.get(name)}
+        raise DecodeError(f"checkpoint {path}: arrays do not fit the stored hyperparameters "
+                          f"(name: (stored shape, expected shape)): {diff}")
+    return _assemble(arrays, scaler, hyper)

@@ -109,15 +109,6 @@ class LstmCellParams:
     def array_names(self) -> list[str]:
         return [f.name for f in fields(self)]
 
-    def validate(self) -> None:
-        h = self.hidden_size
-        d = self.input_size
-        for name in self.array_names():
-            arr = getattr(self, name)
-            want = (d, h) if name.startswith("w_") else (h, h) if name.startswith("u_") else (h,)
-            if arr.shape != want:
-                raise ShapeError(f"lstm param {name}: shape {arr.shape} != {want}")
-
 
 def _fuse(p: LstmCellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-gate fields as one block in gate order i, f, g, o:

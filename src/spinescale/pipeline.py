@@ -98,7 +98,7 @@ def train_from_series(cfg: SimConfig, series_list: list[SwitchSeries], seed: int
                                               tr.lookback_hours, tr.horizon_steps)
     model = init_model(tr, seed=seed, scaler=scaler)
     return train(model, train_ds, seed=derive_seed(seed, "train"), val_ds=val_ds,
-                 hyper=tr, final_grad_check=final_grad_check)
+                 final_grad_check=final_grad_check)
 
 
 def recent_history(series_list: list[SwitchSeries], hours: int) -> list[SwitchSeries]:

@@ -17,6 +17,7 @@ from .errors import DataError, GapError, InsufficientDataError, InvalidConfigErr
 from .fabric import LinkMetricSample, SampleColumns, Topology
 
 N_CHANNELS = 3  # latency, fabric speed, edge speed
+SEASONAL_LAG_HOURS = 24  # the diurnal period the seasonal-naive forecasts repeat
 
 
 @dataclass

@@ -57,4 +57,4 @@ def models_equal(a, b) -> bool:
         if not (np.array_equal(a.scaler.mins, b.scaler.mins)
                 and np.array_equal(a.scaler.maxs, b.scaler.maxs)):
             return False
-    return a.dropout == b.dropout and a.hyper == b.hyper
+    return a.hyper == b.hyper

@@ -6,8 +6,10 @@ import pytest
 
 from spinescale.cli import main
 from spinescale.config import save_config
-from spinescale.forecaster import Forecast, load_checkpoint, load_forecast_csv, save_forecast_csv
+from spinescale.forecaster import (Forecast, init_model, load_checkpoint, load_forecast_csv,
+                                   save_checkpoint, save_forecast_csv)
 from spinescale.policy import replay_journal
+from test_forecaster import MALFORMED_RECORDS, SMALL
 from test_pipeline import acting_cfg
 
 SMALL_CONFIG = {
@@ -238,6 +240,32 @@ def test_bad_config_exits_2_before_running(tmp_path, capsys):
         assert run_cli("run", "--config", path, "--out", out) == 2
         assert capsys.readouterr().err.startswith("error [run]: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_RECORDS)
+def test_forecast_on_a_malformed_checkpoint_exits_2(tmp_path, capsys, mutate):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "model.ckpt"
+    save_checkpoint(init_model(SMALL, seed=3), path)
+    path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
+    assert run_cli("forecast", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [forecast]: ") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["decide", "export-plots"])
+@pytest.mark.parametrize("spine", [7, 5, -1])
+def test_a_forecast_naming_a_spine_the_fabric_lacks_exits_2(empty_config, tmp_path, capsys,
+                                                            command, spine):
+    out = tmp_path / "out"
+    out.mkdir()
+    save_forecast_csv(Forecast(horizon=4, per_spine={0: np.full(4, 3.0), 1: np.full(4, 9.0),
+                                                     spine: np.full(4, 3.0)}),
+                      out / "forecast.csv")
+    assert run_cli(command, "--config", empty_config, "--out", out) == 2
+    assert f"[{spine}]" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["forecast.csv"]
 
 
 def test_missing_artifacts_nonzero_exit(empty_config, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,8 @@ from spinescale.errors import (DataError, DecodeError, InsufficientHistoryError,
                                InvalidConfigError, NumericError, ShapeError, TrainingDivergedError)
 from spinescale.forecaster import (Forecast, backward_batch, digest_forecast, forecast_horizon,
                                    forward, forward_batch, gradient_check, init_model,
-                                   load_checkpoint, load_forecast_csv, mse_loss, save_checkpoint,
-                                   save_forecast_csv, train)
+                                   load_checkpoint, load_forecast_csv, mse_loss, parameter_shapes,
+                                   save_checkpoint, save_forecast_csv, train)
 from spinescale.pipeline import recent_history
 from spinescale.windows import (Scaler, SwitchSeries, WindowedDataset, make_windows,
                                 split_train_val)
@@ -413,12 +415,67 @@ def test_checkpoint_save_is_stable_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# init_model uses only PCG64 draws and repr'd floats, no BLAS, so its
+# checkpoint bytes are the same on every machine; they pin the draw order
+@pytest.mark.parametrize("hyper, seed, digest", [
+    (TrainingConfig(lookback_hours=12, conv_width=3, conv_channels=4, hidden_size=12,
+                    dropout=0.2), 3,
+     "7449c4dc0bc8cb4ce765b8dc3e1bfb39a6e79774a4e44b0ce10f77db0c8dc0a8"),
+    (TrainingConfig(lookback_hours=6, conv_width=1, conv_channels=2, hidden_size=5,
+                    dropout=0.0), 11,
+     "03047b617cdf8bc76e7cc1f2094c8989e2a58eb09192886fd68d1448c9bf73b6"),
+    (TrainingConfig(), 7, "8cf0eb6eceff9e0d901f375bce5dd1a77efbb1b9688df6b7dd7016406c2b26c4"),
+])
+def test_init_model_checkpoint_bytes_are_pinned(tmp_path, hyper, seed, digest):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(hyper, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_parameter_shapes_lists_the_model_arrays_in_order():
+    model = init_model(SMALL, seed=3)
+    assert list(parameter_shapes(SMALL).items()) == \
+        [(name, arr.shape) for name, arr in model.parameters().items()]
+
+
 def shrink_param(lines, name, shape):
     """Rewrite one param record to a smaller, self-consistent shape."""
     k = lines.index(next(ln for ln in lines if ln.startswith(f"param {name} ")))
     values = lines[k + 1].split()[:int(np.prod(shape))]
     return (lines[:k] + [f"param {name} " + " ".join(map(str, shape)), " ".join(values)]
             + lines[k + 2:])
+
+
+def set_record(lines, key, value):
+    return [f"{key} {value}" if ln.startswith(f"{key} ") else ln for ln in lines]
+
+
+def set_hyper(lines, **fields):
+    hyper = json.loads(next(ln for ln in lines if ln.startswith("hyper "))[len("hyper "):])
+    return set_record(lines, "hyper", json.dumps({**hyper, **fields}, sort_keys=True))
+
+
+def add_records(lines, *records):
+    """Insert records after the dropout line (the model has no scaler)."""
+    k = lines.index(next(ln for ln in lines if ln.startswith("dropout "))) + 1
+    return lines[:k] + list(records) + lines[k:]
+
+
+# a checkpoint of init_model(SMALL, seed=3), malformed in one record each
+MALFORMED_RECORDS = [
+    lambda lines: set_record(lines, "hyper", "{not json"),
+    lambda lines: set_record(lines, "hyper", "[1, 2]"),
+    lambda lines: set_hyper(lines, bogus=1),
+    lambda lines: set_hyper(lines, lookback_hours=0),                  # fails validate()
+    lambda lines: set_hyper(lines, hidden_size=99),                    # arrays are hidden 12
+    lambda lines: set_hyper(lines, conv_width=4),                      # conv.w is width 3
+    lambda lines: set_record(lines, "dropout", "0.5"),                 # hyper says 0.2
+    lambda lines: set_record(lines, "dropout", "high"),
+    lambda lines: add_records(lines, "scaler_min 0.0 x 1.0", "scaler_max 1.0 1.0 1.0"),
+    lambda lines: add_records(lines, "scaler_min 0.0 0.0 0.0"),        # no scaler_max
+    lambda lines: add_records(lines, "scaler_min 0.0 0.0", "scaler_max 1.0 1.0"),
+    lambda lines: [ln.replace("param dense.b 1", "param dense.b 1.0") for ln in lines],
+]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -429,6 +486,7 @@ def shrink_param(lines, name, shape):
     lambda lines: shrink_param(lines, "dense.w", (5, 1)),      # does not fit lstm2's hidden 12
     lambda lines: functools.reduce(                            # lstm2 input 11 != lstm1 hidden 12
         lambda ls, gate: shrink_param(ls, f"lstm2.w_{gate}", (11, 12)), "ifgo", lines),
+    *MALFORMED_RECORDS,
 ])
 def test_checkpoint_corruption_detected(tmp_path, mutate):
     model = init_model(SMALL, seed=3)
