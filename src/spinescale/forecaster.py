@@ -48,24 +48,35 @@ __all__ = [
 
 @dataclass
 class LstmModel:
-    conv_w: np.ndarray            # [width, 3, conv_channels]
-    conv_b: np.ndarray            # [conv_channels]
-    layer1: LstmCellParams        # conv_channels -> hidden
-    layer2: LstmCellParams        # hidden -> hidden
-    dense_w: np.ndarray           # [hidden, 1]
-    dense_b: np.ndarray           # [1]
+    """Every trainable value lives in `theta`, in parameter_shapes(hyper) order.
+    Each array below is a contiguous view of it, and so is its reshape(-1)."""
+    theta: np.ndarray
     scaler: Scaler | None
     hyper: TrainingConfig
+    conv_w: np.ndarray = field(init=False, repr=False)          # [width, 3, conv_channels]
+    conv_b: np.ndarray = field(init=False, repr=False)          # [conv_channels]
+    layer1: LstmCellParams = field(init=False, repr=False)      # conv_channels -> hidden
+    layer2: LstmCellParams = field(init=False, repr=False)      # hidden -> hidden
+    dense_w: np.ndarray = field(init=False, repr=False)         # [hidden, 1]
+    dense_b: np.ndarray = field(init=False, repr=False)         # [1]
+
+    def __post_init__(self) -> None:
+        arrays = self.parameters()
+        self.conv_w, self.conv_b = arrays["conv.w"], arrays["conv.b"]
+        self.layer1, self.layer2 = (
+            LstmCellParams(**{f.name: arrays[f"{prefix}.{f.name}"]
+                              for f in dataclasses.fields(LstmCellParams)})
+            for prefix in ("lstm1", "lstm2"))
+        self.dense_w, self.dense_b = arrays["dense.w"], arrays["dense.b"]
+
+    def __reduce__(self):       # a copy or unpickled model rebuilds its views of its theta
+        return LstmModel, (self.theta, self.scaler, self.hyper)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """All trainable arrays under canonical names, stable order."""
-        out = {"conv.w": self.conv_w, "conv.b": self.conv_b}
-        for prefix, layer in (("lstm1", self.layer1), ("lstm2", self.layer2)):
-            for name in layer.array_names():
-                out[f"{prefix}.{name}"] = getattr(layer, name)
-        out["dense.w"] = self.dense_w
-        out["dense.b"] = self.dense_b
-        return out
+        """All trainable arrays by name, in parameter_shapes order, as views of theta."""
+        shapes = parameter_shapes(self.hyper)
+        parts = np.split(self.theta, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+        return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 @dataclass
@@ -102,18 +113,6 @@ def parameter_shapes(hyper: TrainingConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _assemble(arrays: dict[str, np.ndarray], scaler: Scaler | None,
-              hyper: TrainingConfig) -> LstmModel:
-    """The model holding `arrays`, keyed as parameter_shapes(hyper) is."""
-    def layer(prefix: str) -> LstmCellParams:
-        return LstmCellParams(**{f.name: arrays[f"{prefix}.{f.name}"]
-                                 for f in dataclasses.fields(LstmCellParams)})
-
-    return LstmModel(conv_w=arrays["conv.w"], conv_b=arrays["conv.b"], layer1=layer("lstm1"),
-                     layer2=layer("lstm2"), dense_w=arrays["dense.w"], dense_b=arrays["dense.b"],
-                     scaler=scaler, hyper=hyper)
-
-
 def init_model(hyper: TrainingConfig, seed: int, scaler: Scaler | None = None) -> LstmModel:
     """Fresh model, deterministic per seed: Xavier-uniform weights drawn in
     parameters() order, zero biases except the forget gate's, which start
@@ -121,14 +120,15 @@ def init_model(hyper: TrainingConfig, seed: int, scaler: Scaler | None = None) -
     hyper.validate()
     hyper.validate_model()
     rng = np.random.default_rng(derive_seed(seed, "model-init"))
-    arrays = {}
-    for name, shape in parameter_shapes(hyper).items():
-        if len(shape) == 1:
-            arrays[name] = np.ones(shape) if name.endswith(".b_f") else np.zeros(shape)
+    model = LstmModel(np.empty(sum(map(math.prod, parameter_shapes(hyper).values()))),
+                      scaler, hyper)
+    for name, arr in model.parameters().items():
+        if arr.ndim == 1:
+            arr[...] = 1.0 if name.endswith(".b_f") else 0.0
         else:
-            limit = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
-            arrays[name] = rng.uniform(-limit, limit, size=shape)
-    return _assemble(arrays, scaler, hyper)
+            limit = math.sqrt(6.0 / (math.prod(arr.shape[:-1]) + arr.shape[-1]))
+            arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +239,14 @@ def train(model: LstmModel, train_ds: WindowedDataset, seed: int,
     hyper = model.hyper
     if len(train_ds) == 0:
         raise InsufficientDataError("training dataset is empty")
-    params = model.parameters()
-    optimizer = Adam(params, lr=hyper.learning_rate)
+    names = list(parameter_shapes(hyper))
+    optimizer = Adam(model.theta, lr=hyper.learning_rate)
     shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
 
     report = TrainReport()
     best_loss = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = model.theta.copy()
     n = len(train_ds)
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(n)
@@ -259,7 +259,7 @@ def train(model: LstmModel, train_ds: WindowedDataset, seed: int,
                 loss, d_preds = mse_loss(preds, train_ds.targets[idx])
                 sq_sum += loss * len(idx)
                 grads = backward_batch(model, cache, d_preds)
-                optimizer.step(grads)
+                optimizer.step(np.concatenate([grads[name].reshape(-1) for name in names]))
         except NumericError as exc:
             raise TrainingDivergedError(f"training diverged at epoch {epoch}: {exc}") from exc
         train_loss = sq_sum / n
@@ -276,10 +276,9 @@ def train(model: LstmModel, train_ds: WindowedDataset, seed: int,
         if select < best_loss:
             best_loss = select
             report.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best = model.theta.copy()
 
-    for name, arr in params.items():
-        arr[...] = best_params[name]
+    model.theta[...] = best
     if final_grad_check:
         k = min(len(train_ds), 4)
         report.grad_check_error = gradient_check(
@@ -529,8 +528,9 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> LstmModel:
     """The model save_checkpoint wrote. Every malformed record is a
     DecodeError naming the path: hyperparameters that fail validation,
-    a dropout line that disagrees with them, a scaler without both
-    N_CHANNELS-value records, or arrays other than parameter_shapes(hyper)."""
+    a repeated record, a dropout line that disagrees with them, a scaler
+    without both N_CHANNELS-value records, a non-finite scaler or parameter
+    value, or arrays other than parameter_shapes(hyper)."""
     path = Path(path)
     if not path.exists():
         raise DecodeError(f"checkpoint not found: {path}")
@@ -542,6 +542,7 @@ def load_checkpoint(path: str | Path) -> LstmModel:
     dropout: float | None = None
     stats: dict[str, np.ndarray] = {}
     arrays: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     i = 1
     try:
         while i < len(lines):
@@ -549,6 +550,10 @@ def load_checkpoint(path: str | Path) -> LstmModel:
             if line == "end":
                 break
             key, _, rest = line.partition(" ")
+            record = f"param {rest.split(' ', 1)[0]}" if key == "param" else key
+            if record in seen:
+                raise DecodeError(f"checkpoint {path}: line {i + 1}: a second {record!r} record")
+            seen.add(record)
             if key == "hyper":
                 data = json.loads(rest)
                 if not isinstance(data, dict):
@@ -581,9 +586,10 @@ def load_checkpoint(path: str | Path) -> LstmModel:
         raise DecodeError(f"checkpoint {path}: dropout {dropout!r} != hyper's {hyper.dropout!r}")
     scaler = None
     if stats:
-        if len(stats) != 2 or any(v.shape != (N_CHANNELS,) for v in stats.values()):
+        if len(stats) != 2 or any(v.shape != (N_CHANNELS,) or not np.isfinite(v).all()
+                                  for v in stats.values()):
             raise DecodeError(f"checkpoint {path}: a scaler needs both scaler_min and "
-                              f"scaler_max, {N_CHANNELS} values each")
+                              f"scaler_max, {N_CHANNELS} finite values each")
         scaler = Scaler(mins=stats["scaler_min"], maxs=stats["scaler_max"])
     shapes = parameter_shapes(hyper)
     found = {name: arr.shape for name, arr in arrays.items()}
@@ -592,4 +598,7 @@ def load_checkpoint(path: str | Path) -> LstmModel:
                 if found.get(name) != shapes.get(name)}
         raise DecodeError(f"checkpoint {path}: arrays do not fit the stored hyperparameters "
                           f"(name: (stored shape, expected shape)): {diff}")
-    return _assemble(arrays, scaler, hyper)
+    theta = np.concatenate([arrays[name].reshape(-1) for name in shapes])
+    if not np.isfinite(theta).all():
+        raise DecodeError(f"checkpoint {path}: non-finite parameter values")
+    return LstmModel(theta, scaler, hyper)

@@ -4,10 +4,11 @@ so gradients can be verified against central finite differences.
 
 Array layout is batch-first row vectors: activations are [B, features] or
 [B, T, features], weights are [in_features, out_features], so a step is
-`x @ W + b + h @ U`. LSTM weights are stored per gate (`LstmCellParams`)
-and fused per call into W [in, 4H], U [H, 4H], b [4H] in gate order i, f,
-g, o: one input matmul covers all T steps, each step is one [H, 4H]
-matmul, and backward forms dW, dU, db with one matmul each after the loop.
+`x @ W + b + h @ U`. LSTM weights are per-gate arrays (`LstmCellParams`; a
+forecaster model's are views of its one parameter vector `theta`), fused
+per call into W [in, 4H], U [H, 4H], b [4H] in gate order i, f, g, o: one
+input matmul covers all T steps, each step is one [H, 4H] matmul, and
+backward forms dW, dU, db with one matmul each after the loop.
 
 Inside the LSTM layer the gates, c and h are time-major [T, B, .], so
 each step reads and writes contiguous slices; the layer's interface
@@ -261,29 +262,26 @@ def dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam over a dict of parameter arrays, updated in place."""
+    """Adam over one parameter vector, updated in place. It is elementwise:
+    each slice of the vector steps as a separate Adam over it would."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
+    def __init__(self, theta: np.ndarray, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        self.params = params
+        self.theta = theta
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        self.theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)

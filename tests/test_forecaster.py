@@ -1,6 +1,8 @@
+import copy
 import functools
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +440,36 @@ def test_parameter_shapes_lists_the_model_arrays_in_order():
         [(name, arr.shape) for name, arr in model.parameters().items()]
 
 
+@pytest.mark.parametrize("source", ["init_model", "load_checkpoint", "deepcopy", "pickle"])
+def test_every_parameter_is_a_contiguous_view_of_theta_in_table_order(tmp_path, source):
+    model = init_model(SMALL, seed=3)
+    if source == "load_checkpoint":
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        model = load_checkpoint(tmp_path / "model.ckpt")
+    elif source == "deepcopy":
+        model = copy.deepcopy(model)
+    elif source == "pickle":
+        model = pickle.loads(pickle.dumps(model))
+    params = model.parameters()
+    assert list(params) == list(parameter_shapes(SMALL))
+    assert sum(arr.size for arr in params.values()) == model.theta.size
+    start = 0
+    for name, arr in params.items():
+        assert arr.flags.c_contiguous and np.shares_memory(arr, model.theta), name
+        for k in (0, arr.size - 1):     # a write through reshape(-1) lands in theta, in order
+            arr.reshape(-1)[k] = -(start + k + 1.5)
+            assert model.theta[start + k] == -(start + k + 1.5), name
+        start += arr.size
+    # the arrays forward_batch reads are the same views
+    held = {"conv.w": model.conv_w, "conv.b": model.conv_b,
+            "dense.w": model.dense_w, "dense.b": model.dense_b}
+    for prefix, layer in (("lstm1", model.layer1), ("lstm2", model.layer2)):
+        held.update({f"{prefix}.{name}": getattr(layer, name) for name in layer.array_names()})
+    assert held.keys() == params.keys()
+    for name, arr in held.items():
+        assert arr.flags.c_contiguous and np.shares_memory(arr, params[name]), name
+
+
 def shrink_param(lines, name, shape):
     """Rewrite one param record to a smaller, self-consistent shape."""
     k = lines.index(next(ln for ln in lines if ln.startswith(f"param {name} ")))
@@ -461,6 +493,21 @@ def add_records(lines, *records):
     return lines[:k] + list(records) + lines[k:]
 
 
+def param_record(lines, name):
+    """The index of a param record's header line; its values are the next line."""
+    return lines.index(next(ln for ln in lines if ln.startswith(f"param {name} ")))
+
+
+def set_first_value(lines, name, value):
+    k = param_record(lines, name) + 1
+    return lines[:k] + [f"{value} " + lines[k].split(" ", 1)[1]] + lines[k + 1:]
+
+
+def repeat_param(lines, name):
+    k = param_record(lines, name)
+    return lines[:k + 2] + lines[k:k + 2] + lines[k + 2:]
+
+
 # a checkpoint of init_model(SMALL, seed=3), malformed in one record each
 MALFORMED_RECORDS = [
     lambda lines: set_record(lines, "hyper", "{not json"),
@@ -475,6 +522,9 @@ MALFORMED_RECORDS = [
     lambda lines: add_records(lines, "scaler_min 0.0 0.0 0.0"),        # no scaler_max
     lambda lines: add_records(lines, "scaler_min 0.0 0.0", "scaler_max 1.0 1.0"),
     lambda lines: [ln.replace("param dense.b 1", "param dense.b 1.0") for ln in lines],
+    lambda lines: set_first_value(lines, "dense.w", "nan"),             # non-finite weight
+    lambda lines: add_records(lines, "scaler_min 0.0 0.0 0.0", "scaler_max inf 1.0 1.0"),
+    lambda lines: repeat_param(lines, "dense.w"),                      # one array given twice
 ]
 
 

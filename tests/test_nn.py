@@ -346,15 +346,31 @@ def test_dropout_inverted_scaling_unbiased():
 def test_adam_zero_lr_is_noop():
     params = {"w": np.array([1.0, -2.0])}
     before = params["w"].copy()
-    opt = Adam(params, lr=0.0)
+    opt = Adam(params["w"], lr=0.0)
     for _ in range(5):
-        opt.step({"w": np.array([10.0, -10.0])})
+        opt.step(np.array([10.0, -10.0]))
     assert np.array_equal(params["w"], before)
 
 
 def test_adam_minimizes_quadratic():
     params = {"w": np.array([5.0, -3.0])}
-    opt = Adam(params, lr=0.05)
+    opt = Adam(params["w"], lr=0.05)
     for _ in range(500):
-        opt.step({"w": 2.0 * params["w"]})
+        opt.step(2.0 * params["w"])
     assert np.all(np.abs(params["w"]) < 1e-3)
+
+
+def test_adam_over_a_vector_steps_each_slice_as_a_separate_adam_would():
+    rng = np.random.default_rng(12)
+    theta = rng.normal(size=40)
+    slices = [slice(0, 1), slice(1, 13), slice(13, 40)]
+    parts = [theta[s].copy() for s in slices]
+    whole = Adam(theta, lr=0.01)
+    separate = [Adam(part, lr=0.01) for part in parts]
+    for _ in range(50):
+        grad = rng.normal(size=theta.size) * rng.choice([1e-6, 1.0, 1e3], size=theta.size)
+        whole.step(grad)
+        for opt, s in zip(separate, slices):
+            opt.step(grad[s])
+    for part, s in zip(parts, slices):
+        assert np.array_equal(theta[s], part)
