@@ -40,8 +40,8 @@ print(f"log on disk: {log_path} ({log_path.stat().st_size / 1e6:.1f} MB)")
 with TopicBus() as reader:
     restored = reader.attach(METRICS_TOPIC, log_path)
     print(f"reopened log, {restored} records restored")
-    first_offset, first = reader.consume(METRICS_TOPIC, 0, 1)[0]
-    print(f"first record (offset {first_offset}): {first}")
+    last_offset, last = reader.consume(METRICS_TOPIC, restored - 1)[0]
+    print(f"last record (offset {last_offset}): {last}")
     # the whole stream as columns: no per-record objects
     samples = reader.consume(METRICS_TOPIC, 0, columns=True)
 

@@ -69,11 +69,11 @@ def build_datasets(series_list: list[SwitchSeries], val_fraction: float,
                    ) -> tuple[Scaler, WindowedDataset, WindowedDataset | None]:
     """Time-split, fit the scaler on the training side only, window both.
 
-    If the validation side is too short to hold a single window the split
-    is skipped and validation is disabled (val dataset None).
+    If either side of any series is too short to hold a single window the
+    split is skipped and validation is disabled (val dataset None).
     """
     train_series, val_series = split_train_val(series_list, val_fraction)
-    if min(len(s) for s in val_series) < lookback + horizon:
+    if min(len(s) for s in train_series + val_series) < lookback + horizon:
         train_series, val_series = series_list, None
     scaler = Scaler.fit(train_series)
     train_ds = make_windows([scaler.transform_series(s) for s in train_series],

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import PolicyConfig
-from .errors import ConsistencyError, DecodeError, PersistenceError
+from .errors import ConsistencyError, DecodeError, NotFoundError
 from .forecaster import Forecast
-from .telemetry import INT_PATTERN, append_lines, truncate_torn_line
+from .telemetry import INT_PATTERN, AppendLog, split_lines
 
 ADD_SPINE = "add_spine"
 REMOVE_SPINE = "remove_spine"
@@ -175,13 +175,9 @@ class PolicyJournal:
     """Append-only action log, one key=value line per decision."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.entries: list[JournalEntry] = replay_journal(self.path) if self.path.exists() else []
-        try:
-            self._handle = self.path.open("ab", buffering=0)
-        except OSError as exc:
-            raise PersistenceError(f"cannot open journal {self.path}: {exc}") from exc
-        self._size = self._handle.tell()    # bytes in the journal file, tracked by append
+        self._log = AppendLog(path)
+        self.entries = self._log.replay(lambda lines: [decode_journal_line(line, offset)
+                                                       for offset, line in split_lines(lines)])
 
     def append(self, action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> int:
         """Write one action; returns its offset. Atomic: a failed write
@@ -190,15 +186,12 @@ class PolicyJournal:
         (e.g. a digest that is not lowercase hex) never reaches the file."""
         line = encode_journal_line(action, config, forecast_digest)
         entry = decode_journal_line(line, len(self.entries))
-        try:
-            self._size = append_lines(self._handle, line + "\n", self.path, self._size)
-        except OSError as exc:
-            raise PersistenceError(f"journal write to {self.path} failed: {exc}") from exc
+        self._log.append(f"{line}\n".encode("utf-8"))
         self.entries.append(entry)
         return entry.offset
 
     def close(self) -> None:
-        self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "PolicyJournal":
         return self
@@ -208,10 +201,9 @@ class PolicyJournal:
 
 
 def replay_journal(path: str | Path) -> list[JournalEntry]:
-    """Parse a journal file back into its entry sequence. A torn last line
-    is truncated away first (see truncate_torn_line)."""
-    path = Path(path)
-    truncate_torn_line(path)
-    with path.open("r", encoding="utf-8") as fh:
-        return [decode_journal_line(line, offset) for offset, line in enumerate(fh)
-                if line.strip()]
+    """Parse an existing journal file back into its entry sequence. A torn
+    last line is cut off first (see AppendLog)."""
+    if not Path(path).exists():
+        raise NotFoundError(f"journal not found: {path}")
+    with PolicyJournal(path) as journal:
+        return journal.entries

@@ -28,6 +28,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -125,6 +126,18 @@ def _decode_chunk_fast(chunk: bytes, n_lines: int) -> SampleColumns | None:
                          cells[:, 4], cells[:, 5])
 
 
+def split_lines(data: bytes, offset: int = 0) -> list[tuple[int, str]]:
+    """(offset, text) of each non-blank line of `data` that a newline byte
+    ends, its first line being at `offset`. Blank lines count in the
+    offsets; a line that is not UTF-8 is a DecodeError naming its offset."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = offset + data.count(b"\n", 0, exc.start)
+        raise DecodeError(f"line at offset {bad} is not UTF-8") from exc
+    return [(offset + i, line) for i, line in enumerate(text.split("\n")[:-1]) if line.strip()]
+
+
 def decode_log(data: bytes) -> list[SampleColumns]:
     """Decode a log's complete lines in chunks of about _CHUNK_BYTES; a
     torn last line is not a record.
@@ -143,41 +156,11 @@ def decode_log(data: bytes) -> list[SampleColumns]:
         n_lines = chunk.count(b"\n")
         columns = _decode_chunk_fast(chunk, n_lines)
         if columns is None:
-            lines = chunk.decode("utf-8", "replace").split("\n")[:n_lines]
-            columns = SampleColumns.from_rows([decode_sample(line, offset + i)
-                                               for i, line in enumerate(lines) if line.strip()])
+            columns = SampleColumns.from_rows([decode_sample(line, i)
+                                               for i, line in split_lines(chunk, offset)])
         chunks.append(columns)
         pos, offset = end, offset + n_lines
     return chunks
-
-
-def truncate_torn_line(path: Path) -> None:
-    """Cut an append-only file back to its last newline. A last line without
-    its newline is a write cut short: replay skips it, and the next append
-    starts a fresh line."""
-    with path.open("rb") as fh:
-        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-        if fh.read(1) in (b"", b"\n"):     # empty, or ends on a complete line
-            return
-    with path.open("r+b") as fh:
-        fh.truncate(fh.read().rfind(b"\n") + 1)
-
-
-def append_lines(handle, text: str, path: Path, size: int) -> int:
-    """Append whole lines through an unbuffered binary handle to a file of
-    `size` bytes, which the caller tracks as the file's only writer, and
-    return its new size. If the write fails or is cut short, cut the file
-    back to `size`, so no partial line is left for the next append to run
-    on from, and re-raise."""
-    data = text.encode("utf-8")
-    try:
-        if handle.write(data) != len(data):
-            raise OSError(f"short write to {path}")
-        handle.flush()
-    except OSError:
-        os.truncate(path, size)
-        raise
-    return size + len(data)
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -194,13 +177,63 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+class AppendLog:
+    """An append-only file of lines, each ended by a newline byte, that this
+    object alone writes. Every OSError it meets is raised as
+    PersistenceError. No fsync: safe against a crash of the process, not
+    of the machine."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        try:
+            self._handle = self.path.open("a+b", buffering=0)
+        except OSError as exc:
+            raise PersistenceError(f"cannot open {self.path}: {exc}") from exc
+
+    def replay(self, decode: Callable[[bytes], list]) -> list:
+        """Cut a torn last line off and return decode(the whole lines before
+        it). A last line without its newline is a write cut short: replay
+        skips it, and the next append starts a fresh line. Called once,
+        before the first append; the lines are not kept, and the file is
+        closed if reading or decoding them fails."""
+        try:
+            try:
+                self._handle.seek(0)
+                lines = self._handle.read()
+                self.size = lines.rfind(b"\n") + 1    # bytes in the file, tracked by append
+                if self.size < len(lines):
+                    self._handle.truncate(self.size)
+            except OSError as exc:
+                raise PersistenceError(f"cannot read {self.path}: {exc}") from exc
+            return decode(lines[:self.size])
+        except BaseException:
+            self.close()
+            raise
+
+    def append(self, data: bytes) -> None:
+        """Append whole lines in one write. If the write fails or is cut
+        short, cut the file back to its size before it, so no partial line
+        is left for the next append to run on from."""
+        try:
+            try:
+                if self._handle.write(data) != len(data):
+                    raise OSError("short write")
+            except OSError:
+                os.truncate(self.path, self.size)
+                raise
+        except OSError as exc:
+            raise PersistenceError(f"write to {self.path} failed: {exc}") from exc
+        self.size += len(data)
+
+    def close(self) -> None:
+        self._handle.close()
+
+
 @dataclass
 class TopicLog:
-    name: str
     chunks: list[SampleColumns] = field(default_factory=list)
     ends: list[int] = field(default_factory=list)   # offset just past each chunk
-    path: Path | None = None
-    file_size: int = 0      # bytes in the backing file, tracked by publish
+    file: AppendLog | None = None
 
     def __len__(self) -> int:
         return self.ends[-1] if self.ends else 0
@@ -210,16 +243,14 @@ class TopicLog:
             self.chunks.append(batch)
             self.ends.append(len(self) + len(batch))
 
-    def read(self, start: int, stop: int) -> list[SampleColumns]:
-        """The pieces of the chunks that hold records [start, stop)."""
-        pieces = []
-        for i in range(bisect_right(self.ends, start), len(self.chunks)):
-            chunk, end = self.chunks[i], self.ends[i]
-            first = end - len(chunk)
-            if first >= stop:
-                break
-            whole = start <= first and end <= stop
-            pieces.append(chunk if whole else chunk.slice(max(start - first, 0), stop - first))
+    def read(self, start: int) -> list[SampleColumns]:
+        """The pieces of the chunks that hold records from `start` on."""
+        i = bisect_right(self.ends, start)
+        pieces = self.chunks[i:]
+        if pieces:
+            first = self.ends[i] - len(pieces[0])
+            if start > first:
+                pieces[0] = pieces[0].slice(start - first, len(pieces[0]))
         return pieces
 
 
@@ -228,7 +259,6 @@ class TopicBus:
 
     def __init__(self) -> None:
         self._topics: dict[str, TopicLog] = {}
-        self._handles: dict[str, object] = {}
 
     def attach(self, topic: str, path: str | Path) -> int:
         """Bind a topic to a backing file, replaying any existing records.
@@ -241,22 +271,13 @@ class TopicBus:
         if not topic:
             raise NotFoundError("topic name must be non-empty")
         known = self._topics.get(topic)
-        if known is not None and (len(known) or known.path is not None):
+        if known is not None and (len(known) or known.file is not None):
             raise ConsistencyError(
                 f"topic {topic!r} already has records or a backing file; "
                 "attach a topic once, before publishing to it")
-        path = Path(path)
-        log = TopicLog(name=topic, path=path)
-        try:
-            if path.exists():
-                truncate_torn_line(path)
-                for chunk in decode_log(path.read_bytes()):
-                    log.append(chunk)
-            handle = path.open("ab", buffering=0)
-            log.file_size = handle.tell()
-            self._handles[topic] = handle
-        except OSError as exc:
-            raise PersistenceError(f"cannot open backing file {path}: {exc}") from exc
+        log = TopicLog(file=AppendLog(path))
+        for chunk in log.file.replay(decode_log):
+            log.append(chunk)
         self._topics[topic] = log
         return len(log)
 
@@ -275,24 +296,17 @@ class TopicBus:
         batch = samples if isinstance(samples, SampleColumns) else SampleColumns.from_rows(samples)
         if not np.isfinite(batch.latency_us).all():
             raise DataError(f"non-finite latency published to {topic!r}")
-        log = self._topics.get(topic)
-        if log is None:
-            log = self._topics[topic] = TopicLog(name=topic)
-        handle = self._handles.get(topic)
-        if handle is not None and len(batch):
-            try:
-                log.file_size = append_lines(handle, encode_columns(batch), log.path,
-                                             log.file_size)
-            except OSError as exc:
-                raise PersistenceError(f"write to {log.path} failed: {exc}") from exc
+        log = self._topics.setdefault(topic, TopicLog())
+        if log.file is not None and len(batch):
+            log.file.append(encode_columns(batch).encode("utf-8"))
         log.append(batch)
         return len(log) - len(batch)
 
-    def consume(self, topic: str, from_offset: int = 0, max_records: int | None = None, *,
+    def consume(self, topic: str, from_offset: int = 0, *,
                 columns: bool = False) -> list[tuple[int, LinkMetricSample]] | SampleColumns:
-        """Records [from_offset, from_offset + max_records) that exist, as
-        (offset, LinkMetricSample) rows, or with columns=True as one
-        SampleColumns batch, for which no row objects are built.
+        """Records from `from_offset` on, as (offset, LinkMetricSample)
+        rows, or with columns=True as one SampleColumns batch, for which no
+        row objects are built.
 
         Read-only: repeated identical calls return equal results.
         """
@@ -300,9 +314,7 @@ class TopicBus:
             raise ValueError(f"from_offset must be >= 0, got {from_offset}")
         if topic not in self._topics:
             raise NotFoundError(f"unknown topic: {topic!r}")
-        log = self._topics[topic]
-        stop = len(log) if max_records is None else min(len(log), from_offset + max_records)
-        pieces = log.read(from_offset, stop)
+        pieces = self._topics[topic].read(from_offset)
         if columns:
             return SampleColumns.concat(pieces)
         rows = [row for piece in pieces for row in piece.rows()]
@@ -314,9 +326,9 @@ class TopicBus:
         return len(self._topics[topic])
 
     def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
+        for log in self._topics.values():
+            if log.file is not None:
+                log.file.close()
 
     def __enter__(self) -> "TopicBus":
         return self

@@ -133,10 +133,6 @@ class Scaler:
         data = self.transform(series.channels())
         return SwitchSeries.from_channels(series.spine_id, series.start_hour, data)
 
-    def transform_latency(self, values: np.ndarray | float) -> np.ndarray | float:
-        span = float(self._span()[0])
-        return (values - float(self.mins[0])) / span
-
     def invert_latency(self, values: np.ndarray | float) -> np.ndarray | float:
         span = float(self._span()[0])
         return values * span + float(self.mins[0])
@@ -144,7 +140,8 @@ class Scaler:
 
 def split_train_val(series_list: list[SwitchSeries], val_fraction: float
                     ) -> tuple[list[SwitchSeries], list[SwitchSeries]]:
-    """Split each series by time, earliest (1-val_fraction) for training.
+    """Split each series by time, earliest (1-val_fraction) for training;
+    either side of a short series may be empty.
 
     Windows are built per split afterwards, so none straddles the boundary.
     """
@@ -153,9 +150,6 @@ def split_train_val(series_list: list[SwitchSeries], val_fraction: float
     train, val = [], []
     for s in series_list:
         cut = int(len(s) * (1.0 - val_fraction))
-        if cut == 0 or cut == len(s):
-            raise InsufficientDataError(
-                f"series for spine {s.spine_id} too short ({len(s)} h) to split")
         data = s.channels()
         train.append(SwitchSeries.from_channels(s.spine_id, s.start_hour, data[:cut]))
         val.append(SwitchSeries.from_channels(s.spine_id, s.start_hour + cut, data[cut:]))

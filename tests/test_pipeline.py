@@ -67,7 +67,8 @@ def test_failed_write_mid_simulation_leaves_whole_hours(tmp_path):
         path = tmp_path / f"cut-{failing}.log"
         with TopicBus() as bus:
             bus.attach(METRICS_TOPIC, path)
-            bus._handles[METRICS_TOPIC] = FailsOnWrite(bus._handles[METRICS_TOPIC], failing)
+            file = bus._topics[METRICS_TOPIC].file
+            file._handle = FailsOnWrite(file._handle, failing)
             with pytest.raises(PersistenceError):
                 simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, 4, seed=1)
         hours = failing - 1
@@ -100,6 +101,16 @@ def test_build_datasets_val_fallback_when_short():
     long = [series(0, 0, np.linspace(3, 4, 200))]
     scaler, train_ds, val_ds = build_datasets(long, 0.2, lookback=12, horizon=1)
     assert val_ds is not None and len(val_ds) == 40 - 12
+
+
+@pytest.mark.parametrize("hours, lookback, val_fraction", [(100, 30, 0.8), (7, 3, 0.5),
+                                                          (2, 1, 0.6)])
+def test_build_datasets_val_fallback_when_the_training_side_is_short(hours, lookback,
+                                                                    val_fraction):
+    whole = [series(0, 0, np.linspace(3, 4, hours))]
+    scaler, train_ds, val_ds = build_datasets(whole, val_fraction, lookback, horizon=1)
+    assert val_ds is None
+    assert len(train_ds) == hours - lookback
 
 
 def test_append_history_contiguous_merge_and_reset():

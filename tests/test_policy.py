@@ -9,7 +9,7 @@ from conftest import HalfWriteHandle
 from oracle_policy import brute_force_actions, brute_force_candidates
 from spinescale.config import load_config, policy_from_config
 from spinescale.errors import (ConsistencyError, DecodeError, InvalidConfigError,
-                               PersistenceError)
+                               NotFoundError, PersistenceError)
 from spinescale.forecaster import Forecast
 from spinescale.policy import (ActionReason, PolicyAction, PolicyConfig, PolicyJournal,
                                decode_journal_line, encode_journal_line, evaluate,
@@ -285,6 +285,36 @@ def test_journal_torn_last_line_dropped_and_truncated(tmp_path):
         replay_journal(path)
 
 
+@pytest.mark.parametrize("first, second, bad_offset", [("\r\n", "\r", 0), ("\n", "\r\n", 1),
+                                                       ("\n", "\r", 1)])
+def test_replay_rejects_carriage_returns_between_entries(first, second, bad_offset, tmp_path):
+    lines = [encode_journal_line(one_action(), cfg(), digest)
+             for digest in ("aaaa00000000", "bbbb00000000", "cccc00000000")]
+    path = tmp_path / "journal.log"
+    path.write_bytes((lines[0] + first + lines[1] + second + lines[2] + "\n").encode())
+    with pytest.raises(DecodeError, match=f"offset {bad_offset}"):
+        replay_journal(path)
+
+
+def test_replay_rejects_a_line_that_is_not_utf8(tmp_path):
+    line = encode_journal_line(one_action(), cfg(), "aaaa00000000") + "\n"
+    path = tmp_path / "journal.log"
+    path.write_bytes(line.encode() + b"\xff" + line.encode())
+    with pytest.raises(DecodeError, match="offset 1"):
+        replay_journal(path)
+
+
+def test_replay_of_a_missing_journal_raises_and_creates_no_file(tmp_path):
+    with pytest.raises(NotFoundError):
+        replay_journal(tmp_path / "journal.log")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_journal_on_a_directory_is_persistence_error(tmp_path):
+    with pytest.raises(PersistenceError):
+        PolicyJournal(tmp_path)
+
+
 def test_journal_line_format():
     action = one_action()
     line = encode_journal_line(action, cfg(), "cafe00000000")
@@ -353,15 +383,15 @@ def test_journal_write_failure_keeps_no_entry(tmp_path):
         with PolicyJournal(path) as journal:
             journal.append(one_action(), cfg(), "aaaa00000000")
         with PolicyJournal(path) as journal:
-            real = journal._handle
+            real = journal._log._handle
             for digest in ("bbbb00000000", "cccc00000000"):
                 journal.append(one_action(), cfg(), digest)
                 good = path.read_bytes()
-                journal._handle = HalfWriteHandle(real, raises=raises)
+                journal._log._handle = HalfWriteHandle(real, raises=raises)
                 with pytest.raises(PersistenceError):
                     journal.append(one_action(), cfg(), "ffff00000000")
                 assert path.read_bytes() == good
-                journal._handle = real
+                journal._log._handle = real
             assert [e.forecast_digest for e in journal.entries] == [
                 "aaaa00000000", "bbbb00000000", "cccc00000000"]
             assert journal.append(one_action(), cfg(), "dddd00000000") == 3
