@@ -48,10 +48,10 @@ with TopicBus() as reader:
 # Hourly per-spine aggregation is the forecaster's input format.
 hourly = aggregate_hourly(samples, topology)
 for series in hourly:
-    lat = series.latency_us
+    lat = series.data[:, 0]
     print(f"spine {series.spine_id}: hourly latency "
           f"min {lat.min():.2f}  mean {lat.mean():.2f}  max {lat.max():.2f} us, "
-          f"peak fabric load {series.fabric_bps.max() / 1e9:.2f} Gb/s per link")
+          f"peak fabric load {series.data[:, 1].max() / 1e9:.2f} Gb/s per link")
 
-peak_hour = int(np.argmax(hourly[0].latency_us))
+peak_hour = int(np.argmax(hourly[0].data[:, 0]))
 print(f"latency peaks around simulated hour {peak_hour} (diurnal load curve)")

@@ -175,8 +175,11 @@ class TrainingConfig:
 
     def validate(self) -> None:
         _check_fields(self, "training")
-        if self.lookback_hours < 1 or self.horizon_steps < 1:
-            raise InvalidConfigError("lookback_hours and horizon_steps must be >= 1")
+        if self.lookback_hours < 1:
+            raise InvalidConfigError(f"lookback_hours must be >= 1, got {self.lookback_hours}")
+        if self.horizon_steps != 1:
+            # forecast_horizon feeds each prediction back in as the next hour
+            raise InvalidConfigError(f"horizon_steps must be 1, got {self.horizon_steps}")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfigError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
@@ -326,8 +329,8 @@ def load_config(path: str | Path) -> SimConfig:
         raise InvalidConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:     # not UTF-8, or not JSON
+        raise InvalidConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
 

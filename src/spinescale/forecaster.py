@@ -381,7 +381,7 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     S = len(histories)
     buf = np.empty((S, n + horizon, N_CHANNELS))
     for row, series in zip(buf, histories):
-        norm = model.scaler.transform(series.channels()[-max(n, SEASONAL_LAG_HOURS):])
+        norm = model.scaler.transform(series.data[-max(n, SEASONAL_LAG_HOURS):])
         speeds = list(norm[:, 1:])
         for _ in range(horizon):
             speeds.append(speeds[-SEASONAL_LAG_HOURS] if len(speeds) >= SEASONAL_LAG_HOURS
@@ -458,11 +458,20 @@ def save_forecast_csv(forecast: Forecast, path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a text artifact; a missing or non-UTF-8 file is a
+    DecodeError naming it."""
+    if not path.exists():
+        raise DecodeError(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{what} {path} is not UTF-8: {exc}") from exc
+
+
 def load_forecast_csv(path: str | Path) -> Forecast:
     path = Path(path)
-    if not path.exists():
-        raise DecodeError(f"forecast file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path, "forecast file")
     if not lines or lines[0] != FORECAST_HEADER:
         raise DecodeError(f"forecast file {path}: bad or missing header")
     per_spine: dict[int, list[float]] = {}
@@ -532,9 +541,7 @@ def load_checkpoint(path: str | Path) -> LstmModel:
     without both N_CHANNELS-value records, a non-finite scaler or parameter
     value, or arrays other than parameter_shapes(hyper)."""
     path = Path(path)
-    if not path.exists():
-        raise DecodeError(f"checkpoint not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path, "checkpoint")
     if not lines or lines[0] != _CKPT_MAGIC:
         raise DecodeError(f"checkpoint {path}: bad or missing magic line")
 

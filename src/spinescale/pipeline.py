@@ -70,10 +70,11 @@ def build_datasets(series_list: list[SwitchSeries], val_fraction: float,
     """Time-split, fit the scaler on the training side only, window both.
 
     If either side of any series is too short to hold a single window the
-    split is skipped and validation is disabled (val dataset None).
+    split is skipped and validation is disabled (val dataset None). No
+    series at all is an InsufficientDataError, raised by Scaler.fit.
     """
     train_series, val_series = split_train_val(series_list, val_fraction)
-    if min(len(s) for s in train_series + val_series) < lookback + horizon:
+    if min((len(s) for s in train_series + val_series), default=0) < lookback + horizon:
         train_series, val_series = series_list, None
     scaler = Scaler.fit(train_series)
     train_ds = make_windows([scaler.transform_series(s) for s in train_series],
@@ -103,12 +104,8 @@ def train_from_series(cfg: SimConfig, series_list: list[SwitchSeries], seed: int
 
 def recent_history(series_list: list[SwitchSeries], hours: int) -> list[SwitchSeries]:
     """Last `hours` hours of each series (all of it if shorter)."""
-    out = []
-    for s in series_list:
-        data = s.channels()[-hours:]
-        start = s.start_hour + max(0, len(s) - hours)
-        out.append(SwitchSeries.from_channels(s.spine_id, start, data))
-    return out
+    return [SwitchSeries(s.spine_id, s.start_hour + max(0, len(s) - hours), s.data[-hours:])
+            for s in series_list]
 
 
 def decide(forecast: Forecast, policy_cfg: PolicyConfig, active: list[int], cycles_since: int,
@@ -142,9 +139,8 @@ class RunManifest:
 def _append_history(history: dict[int, SwitchSeries], series: SwitchSeries) -> None:
     prev = history.get(series.spine_id)
     if prev is not None and prev.start_hour + len(prev) == series.start_hour:
-        merged = np.concatenate([prev.channels(), series.channels()], axis=0)
-        history[series.spine_id] = SwitchSeries.from_channels(
-            series.spine_id, prev.start_hour, merged)
+        history[series.spine_id] = SwitchSeries(series.spine_id, prev.start_hour,
+                                                np.concatenate([prev.data, series.data]))
     else:
         # first sight of this spine, or non-contiguous (re-added): start over
         history[series.spine_id] = series

@@ -176,18 +176,23 @@ class PolicyJournal:
 
     def __init__(self, path: str | Path) -> None:
         self._log = AppendLog(path)
-        self.entries = self._log.replay(lambda lines: [decode_journal_line(line, offset)
-                                                       for offset, line in split_lines(lines)])
+        self.entries = self._log.replay(self._decode)
+
+    def _decode(self, lines: bytes) -> list[JournalEntry]:
+        self._next_offset = lines.count(b"\n")     # blank lines have offsets too
+        return [decode_journal_line(line, offset) for offset, line in split_lines(lines)]
 
     def append(self, action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> int:
-        """Write one action; returns its offset. Atomic: a failed write
-        leaves no in-memory entry and no partial line in the file. The line
-        is decoded before it is written, so one that replay would reject
-        (e.g. a digest that is not lowercase hex) never reaches the file."""
+        """Write one action; returns its offset, the line index replay will
+        give it. Atomic: a failed write leaves no in-memory entry and no
+        partial line in the file. The line is decoded before it is written,
+        so one that replay would reject (e.g. a digest that is not
+        lowercase hex) never reaches the file."""
         line = encode_journal_line(action, config, forecast_digest)
-        entry = decode_journal_line(line, len(self.entries))
+        entry = decode_journal_line(line, self._next_offset)
         self._log.append(f"{line}\n".encode("utf-8"))
         self.entries.append(entry)
+        self._next_offset += 1
         return entry.offset
 
     def close(self) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, GapError, InsufficientDataError, InvalidConfigError
 from .fabric import LinkMetricSample, SampleColumns, Topology
@@ -22,29 +23,30 @@ SEASONAL_LAG_HOURS = 24  # the diurnal period the seasonal-naive forecasts repea
 
 @dataclass
 class SwitchSeries:
-    """Hourly metric channels for one spine switch, hours contiguous."""
+    """Hourly (latency, fabric speed, edge speed) means of one spine switch:
+    row t of `data` [T, N_CHANNELS] is hour start_hour + t. `data` is kept
+    as a read-only view of the array given, so stages slice it, not copy."""
     spine_id: int
     start_hour: int
-    latency_us: np.ndarray
-    fabric_bps: np.ndarray
-    edge_bps: np.ndarray
+    data: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.latency_us) == len(self.fabric_bps) == len(self.edge_bps)):
-            raise DataError(f"channel lengths differ for spine {self.spine_id}")
+        data = np.asarray(self.data, dtype=np.float64).view()
+        if data.ndim != 2 or data.shape[1] != N_CHANNELS:
+            raise DataError(f"spine {self.spine_id}: shape {data.shape} is not [T, {N_CHANNELS}]")
+        data.flags.writeable = False
+        self.data = data
 
     def __len__(self) -> int:
-        return len(self.latency_us)
+        return len(self.data)
 
+    # bench/worker.py's names for `data` and the constructor
     def channels(self) -> np.ndarray:
-        """Stacked [T, 3] array in (latency, fabric, edge) order."""
-        return np.stack([self.latency_us, self.fabric_bps, self.edge_bps], axis=1)
+        return self.data
 
     @classmethod
     def from_channels(cls, spine_id: int, start_hour: int, data: np.ndarray) -> "SwitchSeries":
-        return cls(spine_id=spine_id, start_hour=start_hour,
-                   latency_us=data[:, 0].copy(), fabric_bps=data[:, 1].copy(),
-                   edge_bps=data[:, 2].copy())
+        return cls(spine_id, start_hour, data)
 
 
 def aggregate_hourly(samples: SampleColumns | list[LinkMetricSample],
@@ -89,7 +91,7 @@ def aggregate_hourly(samples: SampleColumns | list[LinkMetricSample],
             raise GapError(f"spine {spine_id} has no samples for hour {gap}")
         if not np.isfinite(means[lo:hi]).all():
             raise DataError(f"non-finite aggregate for spine {spine_id}")
-        series.append(SwitchSeries.from_channels(spine_id, h_min, means[lo:hi]))
+        series.append(SwitchSeries(spine_id, h_min, means[lo:hi]))
     return series
 
 
@@ -111,7 +113,7 @@ class Scaler:
     def fit(cls, series_list: list[SwitchSeries]) -> "Scaler":
         if not series_list:
             raise InsufficientDataError("cannot fit a scaler on an empty training split")
-        stacked = np.concatenate([s.channels() for s in series_list], axis=0)
+        stacked = np.concatenate([s.data for s in series_list], axis=0)
         if not np.isfinite(stacked).all():
             raise DataError("non-finite values in scaler training data")
         return cls(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
@@ -130,8 +132,7 @@ class Scaler:
         return data * self._span() + self.mins
 
     def transform_series(self, series: SwitchSeries) -> SwitchSeries:
-        data = self.transform(series.channels())
-        return SwitchSeries.from_channels(series.spine_id, series.start_hour, data)
+        return SwitchSeries(series.spine_id, series.start_hour, self.transform(series.data))
 
     def invert_latency(self, values: np.ndarray | float) -> np.ndarray | float:
         span = float(self._span()[0])
@@ -150,9 +151,8 @@ def split_train_val(series_list: list[SwitchSeries], val_fraction: float
     train, val = [], []
     for s in series_list:
         cut = int(len(s) * (1.0 - val_fraction))
-        data = s.channels()
-        train.append(SwitchSeries.from_channels(s.spine_id, s.start_hour, data[:cut]))
-        val.append(SwitchSeries.from_channels(s.spine_id, s.start_hour + cut, data[cut:]))
+        train.append(SwitchSeries(s.spine_id, s.start_hour, s.data[:cut]))
+        val.append(SwitchSeries(s.spine_id, s.start_hour + cut, s.data[cut:]))
     return train, val
 
 
@@ -189,22 +189,21 @@ def make_windows(series_list: list[SwitchSeries], lookback: int, horizon: int = 
     """
     if lookback < 1 or horizon < 1:
         raise InvalidConfigError("lookback and horizon must be >= 1")
-    all_inputs, all_targets, all_labels = [], [], []
-    for s in series_list:
-        T = len(s)
-        count = T - lookback - horizon + 1
+    counts = [len(s) - lookback - horizon + 1 for s in series_list]
+    for s, count in zip(series_list, counts):
         if count < 1:
-            raise InsufficientDataError(
-                f"spine {s.spine_id}: series length {T} < lookback {lookback} + horizon {horizon}")
-        data = s.channels()
-        for i in range(count):
-            all_inputs.append(data[i:i + lookback])
-            all_targets.append(data[i + lookback + horizon - 1, 0])
-            all_labels.append(s.spine_id)
+            raise InsufficientDataError(f"spine {s.spine_id}: series length {len(s)} < "
+                                        f"lookback {lookback} + horizon {horizon}")
     return WindowedDataset(
-        inputs=np.asarray(all_inputs, dtype=np.float64),
-        targets=np.asarray(all_targets, dtype=np.float64),
-        spine_ids=np.asarray(all_labels, dtype=np.int64),
+        # the leading empty arrays shape the result of no series; a window
+        # view's window axis is last, and the last window ends `horizon`
+        # hours before its series does
+        inputs=np.concatenate([np.empty((0, lookback, N_CHANNELS)), *(
+            sliding_window_view(s.data[:len(s) - horizon], lookback, axis=0).transpose(0, 2, 1)
+            for s in series_list)]),
+        targets=np.concatenate([np.empty(0), *(s.data[lookback + horizon - 1:, 0]
+                                               for s in series_list)]),
+        spine_ids=np.repeat(np.array([s.spine_id for s in series_list], dtype=np.int64), counts),
         lookback=lookback,
         horizon=horizon,
     )

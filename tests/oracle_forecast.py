@@ -49,7 +49,7 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
         if len(series) < n:
             raise InsufficientHistoryError(
                 f"spine {series.spine_id}: history {len(series)} h < lookback {n} h")
-        norm = model.scaler.transform(series.channels())
+        norm = model.scaler.transform(series.data)
         speeds = list(norm[:, 1:])
         for _ in range(horizon):
             speeds.append(speeds[-SEASONAL_LAG_HOURS] if len(speeds) >= SEASONAL_LAG_HOURS
@@ -68,7 +68,7 @@ def per_spine_recursion(model: LstmModel, series: SwitchSeries, horizon: int) ->
     """One spine at a time, one forward call per hour, speed channels
     extended as the forecast goes."""
     n = model.hyper.lookback_hours
-    norm = model.scaler.transform(series.channels())
+    norm = model.scaler.transform(series.data)
     lat, fab, edg = list(norm[:, 0]), list(norm[:, 1]), list(norm[:, 2])
     for _ in range(horizon):
         lat.append(forecaster.forward(model, np.stack([lat[-n:], fab[-n:], edg[-n:]], axis=1)))

@@ -393,9 +393,9 @@ def test_trained_artifact_goldens_on_the_recording_blas(small_run_pair):
 def test_criterion_8_horizon_contract(small_run_pair):
     out1, _ = small_run_pair
     model = load_checkpoint(out1 / "model.ckpt")
-    bus = TopicBus()
-    bus.attach(METRICS_TOPIC, out1 / "telemetry.log")
-    series = series_from_bus(bus, METRICS_TOPIC)
+    with TopicBus() as bus:
+        bus.attach(METRICS_TOPIC, out1 / "telemetry.log")
+        series = series_from_bus(bus, METRICS_TOPIC)
     forecast = forecast_horizon(model, series, 120)
     assert forecast.spine_ids() == [0, 1, 2]
     for sid in forecast.spine_ids():

@@ -268,6 +268,19 @@ def test_a_forecast_naming_a_spine_the_fabric_lacks_exits_2(empty_config, tmp_pa
     assert sorted(p.name for p in out.iterdir()) == ["forecast.csv"]
 
 
+@pytest.mark.parametrize("command, name", [("run", "config.json"), ("decide", "forecast.csv"),
+                                           ("forecast", "model.ckpt")])
+def test_an_input_file_that_is_not_utf8_exits_2(empty_config, tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = (tmp_path if command == "run" else out) / name
+    path.write_bytes(b"\xff\n")
+    config = {"run": ["--config", path], "decide": ["--config", empty_config], "forecast": []}
+    assert run_cli(command, *config[command], "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: ") and str(path) in err
+
+
 def test_missing_artifacts_nonzero_exit(empty_config, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

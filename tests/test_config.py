@@ -86,6 +86,16 @@ def test_invalid_values_rejected(tmp_path):
             load_config(path)
 
 
+def test_horizon_steps_other_than_one_rejected_at_load(tmp_path):
+    # forecast_horizon feeds each prediction back in as the next hour, so a
+    # model trained k > 1 hours ahead would forecast shifted in time
+    path = tmp_path / "config.json"
+    for steps in (0, 2):
+        path.write_text(json.dumps({"training": {"horizon_steps": steps}}))
+        with pytest.raises(InvalidConfigError, match="horizon_steps"):
+            load_config(path)
+
+
 def test_model_rules_apply_only_to_a_model():
     # a config that only simulates and windows may look back less than the
     # convolution is wide; building a model from it may not
@@ -103,6 +113,10 @@ def test_missing_or_malformed_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InvalidConfigError, match="JSON"):
         load_config(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(InvalidConfigError, match="UTF-8"):
+        load_config(latin1)
     arr = tmp_path / "arr.json"
     arr.write_text("[1,2]")
     with pytest.raises(InvalidConfigError, match="object"):

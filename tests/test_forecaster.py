@@ -41,8 +41,7 @@ def toy_dataset(n=8, lookback=12, seed=0):
 
 def constant_series(spine_id=0, T=60, lat=5.0, fab=100.0, edg=200.0):
     return SwitchSeries(spine_id=spine_id, start_hour=0,
-                        latency_us=np.full(T, lat), fabric_bps=np.full(T, fab),
-                        edge_bps=np.full(T, edg))
+                        data=np.column_stack([np.full(T, lat), np.full(T, fab), np.full(T, edg)]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def test_forecast_single_step_equals_forward_on_last_window():
     model, series = trained_constant_model()
     fc = forecast_horizon(model, [series], 1)
     n = model.hyper.lookback_hours
-    window = model.scaler.transform(series.channels())[-n:]
+    window = model.scaler.transform(series.data)[-n:]
     expected = max(model.scaler.invert_latency(forward(model, window)), 0.0)
     assert fc.per_spine[0][0] == pytest.approx(expected, abs=1e-12)
 
@@ -246,9 +245,9 @@ def test_forecast_batch_matches_per_spine_calls():
     rng = np.random.default_rng(4)
     # 12 h = lookback and 20 h (< 24 h) run the last-value fallback first
     histories = [SwitchSeries(spine_id=sid, start_hour=0,
-                              latency_us=rng.uniform(3.0, 9.0, T),
-                              fabric_bps=rng.uniform(1e9, 5e9, T),
-                              edge_bps=rng.uniform(1e9, 5e9, T))
+                              data=np.column_stack([rng.uniform(3.0, 9.0, T),
+                                                    rng.uniform(1e9, 5e9, T),
+                                                    rng.uniform(1e9, 5e9, T)]))
                  for sid, T in ((3, 20), (0, 50), (7, 12), (1, 31))]
     model = init_model(SMALL, seed=5, scaler=Scaler.fit(histories))
     fc = forecast_horizon(model, histories, 30)
@@ -276,10 +275,10 @@ def test_forecast_reads_only_the_last_max_lookback_or_lag_hours():
     histories = []
     for sid, T in ((0, 80), (1, 61)):
         day = np.sin(2 * np.pi * np.arange(T) / 24)
-        histories.append(SwitchSeries(spine_id=sid, start_hour=0,
-                                      latency_us=rng.uniform(3.0, 9.0, T),
-                                      fabric_bps=3e9 + 1e9 * day + rng.uniform(0, 1e8, T),
-                                      edge_bps=3e9 - 1e9 * day + rng.uniform(0, 1e8, T)))
+        histories.append(SwitchSeries(spine_id=sid, start_hour=0, data=np.column_stack([
+            rng.uniform(3.0, 9.0, T),
+            3e9 + 1e9 * day + rng.uniform(0, 1e8, T),
+            3e9 - 1e9 * day + rng.uniform(0, 1e8, T)])))
     model = init_model(SMALL, seed=3, scaler=Scaler.fit(histories))
     want = forecast_horizon(model, histories, 30)
     read = max(SMALL.lookback_hours, forecaster.SEASONAL_LAG_HOURS)
@@ -297,8 +296,9 @@ def test_forecast_reads_only_the_last_max_lookback_or_lag_hours():
 # ---------------------------------------------------------------------------
 
 def random_histories(rng, lengths):
-    return [SwitchSeries(spine_id=sid, start_hour=0, latency_us=rng.uniform(3.0, 9.0, T),
-                         fabric_bps=rng.uniform(1e9, 5e9, T), edge_bps=rng.uniform(1e9, 5e9, T))
+    return [SwitchSeries(spine_id=sid, start_hour=0,
+                         data=np.column_stack([rng.uniform(3.0, 9.0, T), rng.uniform(1e9, 5e9, T),
+                                               rng.uniform(1e9, 5e9, T)]))
             for sid, T in enumerate(lengths)]
 
 
@@ -525,6 +525,7 @@ MALFORMED_RECORDS = [
     lambda lines: set_first_value(lines, "dense.w", "nan"),             # non-finite weight
     lambda lines: add_records(lines, "scaler_min 0.0 0.0 0.0", "scaler_max inf 1.0 1.0"),
     lambda lines: repeat_param(lines, "dense.w"),                      # one array given twice
+    lambda lines: set_hyper(lines, horizon_steps=2),                   # fails validate()
 ]
 
 
@@ -636,8 +637,8 @@ def test_seasonal_naive_requires_long_lookback():
 def test_seasonal_naive_perfect_on_periodic_signal():
     t = np.arange(200, dtype=float)
     wave = np.sin(2 * np.pi * t / 24.0)
-    series = SwitchSeries(spine_id=0, start_hour=0, latency_us=wave,
-                          fabric_bps=np.zeros(200), edge_bps=np.zeros(200))
+    series = SwitchSeries(spine_id=0, start_hour=0,
+                          data=np.column_stack([wave, np.zeros(200), np.zeros(200)]))
     ds = make_windows([series], lookback=48, horizon=1)
     preds = seasonal_naive_predictions(ds)
     assert mse(preds, ds.targets) < 1e-25
@@ -653,9 +654,9 @@ def test_train_and_forecast_bit_identical_to_batch_major_layer(monkeypatch):
     # must be the same bits whichever layer implementation runs
     rng = np.random.default_rng(11)
     histories = [SwitchSeries(spine_id=sid, start_hour=0,
-                              latency_us=rng.uniform(3.0, 9.0, T),
-                              fabric_bps=rng.uniform(1e9, 5e9, T),
-                              edge_bps=rng.uniform(1e9, 5e9, T))
+                              data=np.column_stack([rng.uniform(3.0, 9.0, T),
+                                                    rng.uniform(1e9, 5e9, T),
+                                                    rng.uniform(1e9, 5e9, T)]))
                  for sid, T in ((0, 64), (2, 56), (5, 52))]
     train_series, val_series = split_train_val(histories, 0.25)
     scaler = Scaler.fit(train_series)

@@ -31,8 +31,8 @@ def small_cfg(**run_over) -> SimConfig:
 
 def series(spine_id, start, values):
     v = np.asarray(values, dtype=float)
-    return SwitchSeries(spine_id=spine_id, start_hour=start, latency_us=v,
-                        fabric_bps=v * 10, edge_bps=v * 20)
+    return SwitchSeries(spine_id=spine_id, start_hour=start,
+                        data=np.column_stack([v, v * 10, v * 20]))
 
 
 def test_simulate_hours_record_count():
@@ -113,14 +113,19 @@ def test_build_datasets_val_fallback_when_the_training_side_is_short(hours, look
     assert len(train_ds) == hours - lookback
 
 
+def test_build_datasets_of_no_series_is_insufficient_data():
+    with pytest.raises(InsufficientDataError):
+        build_datasets([], val_fraction=0.2, lookback=4, horizon=1)
+
+
 def test_append_history_contiguous_merge_and_reset():
     history = {}
     _append_history(history, series(0, 0, [1, 2, 3]))
     _append_history(history, series(0, 3, [4, 5]))
-    assert history[0].latency_us.tolist() == [1, 2, 3, 4, 5]
+    assert history[0].data[:, 0].tolist() == [1, 2, 3, 4, 5]
     assert history[0].start_hour == 0
     _append_history(history, series(0, 10, [9]))    # gap: start over
-    assert history[0].latency_us.tolist() == [9]
+    assert history[0].data[:, 0].tolist() == [9]
     assert history[0].start_hour == 10
 
 
@@ -129,7 +134,7 @@ def test_recent_history_trims_from_the_end():
     (trimmed,) = recent_history([s], 10)
     assert len(trimmed) == 10
     assert trimmed.start_hour == 25
-    assert trimmed.latency_us.tolist() == list(np.arange(20, 30, dtype=float))
+    assert trimmed.data[:, 0].tolist() == list(np.arange(20, 30, dtype=float))
 
 
 def test_run_rejects_cycle_shorter_than_lookback(tmp_path):

@@ -249,6 +249,19 @@ def test_journal_replay_reconstructs_sequence(tmp_path):
         assert journal.append(one_action(), cfg(), "feedbeef1234") == 2
 
 
+def test_journal_append_returns_the_offset_replay_gives(tmp_path):
+    # replay numbers entries by line index, blank lines included
+    path = tmp_path / "journal.log"
+    with PolicyJournal(path) as journal:
+        assert journal.append(one_action(), cfg(), "aaaa00000000") == 0
+    with path.open("a") as fh:
+        fh.write("\n")
+    with PolicyJournal(path) as journal:
+        assert journal.append(one_action(), cfg(), "bbbb00000000") == 2
+        assert [e.offset for e in journal.entries] == [0, 2]
+    assert [e.offset for e in replay_journal(path)] == [0, 2]
+
+
 def test_journal_three_cycles_in_order(tmp_path):
     path = tmp_path / "journal.log"
     fc_low = make_forecast({0: 3.0, 1: 3.5, 2: 9.0, 3: 9.2, 4: 9.4})

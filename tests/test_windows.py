@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinescale.errors import DataError, GapError, InsufficientDataError
 from spinescale.config import LatencyConfig, SimConfig, TopologyConfig, TrafficConfig
@@ -20,7 +22,25 @@ def series(spine_id=0, lat=None, fab=None, edg=None, start_hour=0):
     fab = np.asarray(fab if fab is not None else np.zeros_like(lat), dtype=float)
     edg = np.asarray(edg if edg is not None else np.zeros_like(lat), dtype=float)
     return SwitchSeries(spine_id=spine_id, start_hour=start_hour,
-                        latency_us=lat, fabric_bps=fab, edge_bps=edg)
+                        data=np.column_stack([lat, fab, edg]))
+
+
+def test_series_data_is_a_read_only_view_that_the_split_shares():
+    source = np.arange(30, dtype=float).reshape(10, 3)
+    s = SwitchSeries(spine_id=0, start_hour=0, data=source)
+    assert np.shares_memory(s.data, source)
+    assert not s.data.flags.writeable and source.flags.writeable
+    with pytest.raises(ValueError):
+        s.data[0, 0] = 1.0
+    train, val = split_train_val([s], val_fraction=0.2)
+    for side in (train[0], val[0]):
+        assert np.shares_memory(side.data, source) and not side.data.flags.writeable
+
+
+@pytest.mark.parametrize("data", [np.zeros(5), np.zeros((5, 2)), np.zeros((5, 3, 1))])
+def test_series_data_must_be_hours_by_channels(data):
+    with pytest.raises(DataError, match="spine 4"):
+        SwitchSeries(spine_id=4, start_hour=0, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +52,7 @@ def test_constant_hour_mean():
     samples = [mk_sample(ts=m, link=0, spine=0, lat=6.0) for m in range(60)]
     out = aggregate_hourly(samples, topo)
     assert len(out) == 1
-    assert out[0].latency_us.tolist() == [6.0]
+    assert out[0].data[:, 0].tolist() == [6.0]
     assert out[0].start_hour == 0
 
 
@@ -41,7 +61,7 @@ def test_arithmetic_mean_of_two_values():
     samples = [mk_sample(ts=m, link=0, spine=0, lat=2.0 if m % 2 == 0 else 4.0)
                for m in range(60)]
     out = aggregate_hourly(samples, topo)
-    assert out[0].latency_us.tolist() == [3.0]
+    assert out[0].data[:, 0].tolist() == [3.0]
 
 
 def test_grouping_two_spines_two_hours():
@@ -55,8 +75,8 @@ def test_grouping_two_spines_two_hours():
     out = aggregate_hourly(samples, topo)
     assert [s.spine_id for s in out] == [0, 1]
     assert all(len(s) == 2 for s in out)
-    assert out[0].latency_us.tolist() == [1.0, 1.0]
-    assert out[1].latency_us.tolist() == [2.0, 2.0]
+    assert out[0].data[:, 0].tolist() == [1.0, 1.0]
+    assert out[1].data[:, 0].tolist() == [2.0, 2.0]
 
 
 def test_gap_error_names_spine_and_hour():
@@ -82,7 +102,7 @@ def test_aggregate_permutation_invariant():
     rng.shuffle(shuffled)
     b = aggregate_hourly(shuffled, topo)
     for x, y in zip(a, b):
-        assert np.array_equal(x.channels(), y.channels())
+        assert np.array_equal(x.data, y.data)
 
 
 def test_aggregate_without_topology_uses_sample_spines():
@@ -117,7 +137,7 @@ def reference_aggregate(samples, topology=None):
             if (spine_id, hour) not in sums:
                 raise GapError(f"spine {spine_id} has no samples for hour {hour}")
             rows[hour - h_min] = sums[(spine_id, hour)] / counts[(spine_id, hour)]
-        out.append(SwitchSeries.from_channels(spine_id, h_min, rows))
+        out.append(SwitchSeries(spine_id, h_min, rows))
     return out
 
 
@@ -138,7 +158,7 @@ def assert_same_series(got, want):
     assert [(s.spine_id, s.start_hour, len(s)) for s in got] == \
         [(s.spine_id, s.start_hour, len(s)) for s in want]
     for x, y in zip(got, want):
-        assert np.array_equal(x.channels(), y.channels())
+        assert np.array_equal(x.data, y.data)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -192,9 +212,9 @@ def test_scaler_constant_channel_maps_to_zero_and_inverts():
     s = series(lat=[5.0, 5.0, 5.0], fab=[1, 2, 3], edg=[0, 0, 0])
     scaler = Scaler.fit([s])
     normed = scaler.transform_series(s)
-    assert normed.latency_us.tolist() == [0.0, 0.0, 0.0]
-    back = scaler.invert(normed.channels())
-    assert np.allclose(back, s.channels(), rtol=1e-12, atol=0)
+    assert normed.data[:, 0].tolist() == [0.0, 0.0, 0.0]
+    back = scaler.invert(normed.data)
+    assert np.allclose(back, s.data, rtol=1e-12, atol=0)
 
 
 def test_scaler_roundtrip_identity_random():
@@ -275,6 +295,48 @@ def test_shifting_series_shifts_targets():
     assert np.array_equal(ds_a.inputs[1:], ds_c.inputs)
 
 
+def loop_windows(series_list, lookback, horizon):
+    """make_windows as one Python step per window: the oracle for the
+    sliding-window version."""
+    inputs, targets, labels = [], [], []
+    for s in series_list:
+        for i in range(len(s) - lookback - horizon + 1):
+            inputs.append(s.data[i:i + lookback])
+            targets.append(s.data[i + lookback + horizon - 1, 0])
+            labels.append(s.spine_id)
+    return (np.asarray(inputs, dtype=np.float64), np.asarray(targets, dtype=np.float64),
+            np.asarray(labels, dtype=np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lookback=st.integers(1, 8), horizon=st.sampled_from([1, 2]),
+       extra_hours=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+       strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(lookback=3, horizon=1, extra_hours=[0], strided=False, seed=0)
+@example(lookback=5, horizon=2, extra_hours=[0, 7, 0], strided=True, seed=1)
+def test_make_windows_equals_the_per_window_loop(lookback, horizon, extra_hours, strided,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    series_list = []
+    for i, extra in enumerate(extra_hours):
+        T = lookback + horizon + extra
+        data = rng.uniform(-1.0, 2.0, (2 * T, 3))
+        # every other row: the strided rows a split or tail slice can give
+        series_list.append(SwitchSeries(spine_id=5 - i, start_hour=i,
+                                        data=data[::2] if strided else data[:T]))
+    ds = make_windows(series_list, lookback, horizon)
+    for got, want in zip((ds.inputs, ds.targets, ds.spine_ids),
+                         loop_windows(series_list, lookback, horizon)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_make_windows_of_no_series_is_empty_with_window_shape():
+    ds = make_windows([], lookback=4, horizon=2)
+    assert ds.inputs.shape == (0, 4, 3) and ds.targets.shape == (0,)
+    assert ds.spine_ids.shape == (0,) and ds.spine_ids.dtype == np.int64
+
+
 def test_windows_stack_switch_labels():
     a = series(spine_id=0, lat=np.arange(6, dtype=float))
     b = series(spine_id=3, lat=np.arange(6, dtype=float) * 2)
@@ -292,8 +354,8 @@ def test_split_train_val_no_straddle():
     train, val = split_train_val([s], val_fraction=0.2)
     assert len(train[0]) == 8 and len(val[0]) == 2
     assert val[0].start_hour == 8
-    assert train[0].latency_us.tolist() == list(range(8))
-    assert val[0].latency_us.tolist() == [8.0, 9.0]
+    assert train[0].data[:, 0].tolist() == list(range(8))
+    assert val[0].data[:, 0].tolist() == [8.0, 9.0]
 
 
 def export_windows(dataset, path) -> int:
