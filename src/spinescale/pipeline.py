@@ -103,9 +103,14 @@ def train_from_series(cfg: SimConfig, series_list: list[SwitchSeries], seed: int
 
 
 def recent_history(series_list: list[SwitchSeries], hours: int) -> list[SwitchSeries]:
-    """Last `hours` hours of each series (all of it if shorter)."""
-    return [SwitchSeries(s.spine_id, s.start_hour + max(0, len(s) - hours), s.data[-hours:])
-            for s in series_list]
+    """Last `hours` hours of each series (all of it if shorter, none if
+    `hours` <= 0)."""
+    trimmed = []
+    for s in series_list:
+        keep = min(max(hours, 0), len(s))
+        trimmed.append(SwitchSeries(s.spine_id, s.start_hour + len(s) - keep,
+                                    s.data[len(s) - keep:]))
+    return trimmed
 
 
 def decide(forecast: Forecast, policy_cfg: PolicyConfig, active: list[int], cycles_since: int,
@@ -131,6 +136,8 @@ class RunManifest:
     stage_timings_s: dict[str, float] = field(default_factory=dict)
     artifacts: dict[str, str] = field(default_factory=dict)
     cycles: list[dict] = field(default_factory=list)
+    status: str = "ok"           # "failed" if the run raised
+    error: str | None = None     # "<ExcType>: <msg>" of what it raised
 
     def write(self, path: Path) -> None:
         write_atomic(path, json.dumps(dataclasses.asdict(self), indent=2) + "\n")
@@ -151,7 +158,9 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
     """The full elastic loop: per decision cycle, simulate one window,
     train (first cycle, or every cycle if configured), forecast the
     horizon, evaluate the policy, apply its actions to the live topology,
-    and journal every decision. The manifest is written last."""
+    and journal every decision. The manifest is written last, also when a
+    cycle raises: it then says "failed", names the error and holds the
+    cycles completed, and the exception propagates."""
     cfg.validate()
     cfg.training.validate_model()
     run_cfg = cfg.run
@@ -207,16 +216,17 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
                 "actions": [f"{a.kind}:{a.spine_id}" for a in actions],
                 "active_spines": topology.active_spine_ids,
             })
+    except BaseException as exc:
+        manifest.status, manifest.error = "failed", f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         bus.close()
         journal.close()
-
-    save_checkpoint(model, out / CHECKPOINT_FILE)
-    manifest.artifacts = {
-        "telemetry": str(out / TELEMETRY_FILE),
-        "checkpoint": str(out / CHECKPOINT_FILE),
-        "forecast": str(out / FORECAST_FILE),
-        "journal": str(out / JOURNAL_FILE),
-    }
-    manifest.write(out / MANIFEST_FILE)
+        if model is not None:
+            save_checkpoint(model, out / CHECKPOINT_FILE)
+        artifacts = {"telemetry": TELEMETRY_FILE, "checkpoint": CHECKPOINT_FILE,
+                     "forecast": FORECAST_FILE, "journal": JOURNAL_FILE}
+        manifest.artifacts = {key: str(out / name) for key, name in artifacts.items()
+                              if (out / name).exists()}
+        manifest.write(out / MANIFEST_FILE)
     return manifest

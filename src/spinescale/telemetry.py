@@ -42,12 +42,17 @@ _FIXED6 = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
 _SAMPLE_LINE = re.compile(
     rf"ts=({_INT}) link=({_INT}) spine=({_INT}) latency_us=({_FIXED6}) "
     rf"fabric_bps=({_INT}) edge_bps=({_INT})\n?")
-# the same line in bytes, without groups: one findall match per valid line
+# What the batched decoder takes: ints of at most 18 digits, which int64
+# holds whatever they are (np.fromstring saturates past int64 without a
+# word), and latencies of at most 9 integer digits, whose 15-digit
+# fixed-point value is exact as a float. The repeat is possessive: a
+# greedy one keeps a backtrack entry per line.
+_FAST_INT = r"(?:0|-?[1-9][0-9]{0,17})"
+_FAST_FIXED6 = r"-?(?:0|[1-9][0-9]{0,8})\.[0-9]{6}"
 _SAMPLE_LINES = re.compile(
-    rf"^ts={_INT} link={_INT} spine={_INT} latency_us={_FIXED6} "
-    rf"fabric_bps={_INT} edge_bps={_INT}\n".encode(), re.MULTILINE)
+    rf"(?:ts={_FAST_INT} link={_FAST_INT} spine={_FAST_INT} latency_us={_FAST_FIXED6} "
+    rf"fabric_bps={_FAST_INT} edge_bps={_FAST_INT}\n)*+".encode())
 _KEY_BYTES = b"abcdefghijklmnopqrstuvwxyz_=."   # what a valid line holds besides numbers
-_FIXED_LIMIT = 10**15    # fixed-point latencies below this have <= 15 digits: exact as floats
 _CHUNK_BYTES = 1 << 19   # ~6,000 lines: bounds the decoder's temporary objects
 # one row with the link fields filled in and %d / %.6f holes left for ts and latency
 _ROW_TEMPLATE = "ts=%%d link=%d spine=%d latency_us=%%.6f fabric_bps=%d edge_bps=%d\n"
@@ -106,23 +111,18 @@ def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
 
 
 def _decode_chunk_fast(chunk: bytes, n_lines: int) -> SampleColumns | None:
-    """Columns of a chunk of whole lines if every line is a record whose
-    latency has at most 15 digits and is not "-0.000000" (which only the
-    per-line decoder keeps as -0.0); else None. The "." is dropped, so the
-    latency parses as its fixed-point integer."""
-    if len(_SAMPLE_LINES.findall(chunk)) != n_lines or b"latency_us=-0.000000" in chunk:
+    """Columns of a chunk of whole lines if every line is a record within
+    the batched decoder's limits (see _SAMPLE_LINES) and no latency is
+    "-0.000000" (which only the per-line decoder keeps as -0.0); else None.
+    The keys and the "." are dropped, so the latency parses as its
+    fixed-point integer, and numpy's C parser reads all the numbers."""
+    if _SAMPLE_LINES.fullmatch(chunk) is None or b"latency_us=-0.000000" in chunk:
         return None
-    try:
-        cells = np.array(list(map(int, chunk.translate(None, _KEY_BYTES).split())),
-                         dtype=np.int64).reshape(n_lines, 6)
-    except OverflowError:
-        return None
-    fixed = cells[:, 3]
-    if ((fixed >= _FIXED_LIMIT) | (fixed <= -_FIXED_LIMIT)).any():
-        return None
-    # exact: below 2**53 `fixed` and 1e6 are exact doubles, and the division
-    # rounds once, as float() of the text does
-    return SampleColumns(cells[:, 0], cells[:, 1], cells[:, 2], fixed / 1e6,
+    cells = np.fromstring(chunk.translate(None, _KEY_BYTES), dtype=np.int64,
+                          sep=" ").reshape(n_lines, 6)
+    # exact: the fixed-point latency (below 10**15 < 2**53) and 1e6 are exact
+    # doubles, and the division rounds once, as float() of the text does
+    return SampleColumns(cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] / 1e6,
                          cells[:, 4], cells[:, 5])
 
 
@@ -143,10 +143,10 @@ def decode_log(data: bytes) -> list[SampleColumns]:
     torn last line is not a record.
 
     A chunk the batched decoder cannot take whole (a blank or malformed
-    line, an int outside int64, a latency past 15 digits) is decoded line
-    by line with decode_sample, so both accept the same lines and a
-    DecodeError names the same offset: the line's index in the file,
-    blank lines included. Only a newline byte ends a line.
+    line, an int past 18 digits, a latency past 9 integer digits) is
+    decoded line by line with decode_sample, so both accept the same
+    lines and a DecodeError names the same offset: the line's index in
+    the file, blank lines included. Only a newline byte ends a line.
     """
     chunks, pos, offset = [], 0, 0
     stop = data.rfind(b"\n") + 1

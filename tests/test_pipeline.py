@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import HalfWriteHandle
+from spinescale import pipeline
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
 from spinescale.errors import InsufficientDataError, InvalidConfigError, PersistenceError
+from spinescale.forecaster import forecast_horizon
 from spinescale.pipeline import (METRICS_TOPIC, _append_history, build_datasets, recent_history,
                                  run_closed_loop, series_from_bus, simulate_hours,
                                  topology_from_config)
@@ -137,6 +139,15 @@ def test_recent_history_trims_from_the_end():
     assert trimmed.data[:, 0].tolist() == list(np.arange(20, 30, dtype=float))
 
 
+@pytest.mark.parametrize("hours", [0, 1, 30, 35])
+def test_recent_history_equals_a_slice_of_the_last_hours(hours):
+    s = series(0, 5, np.arange(30, dtype=float))
+    (trimmed,) = recent_history([s], hours)
+    kept = s.data[30 - min(hours, 30):]
+    assert np.array_equal(trimmed.data, kept)
+    assert trimmed.start_hour + len(trimmed) == s.start_hour + len(s) == 35
+
+
 def test_run_rejects_cycle_shorter_than_lookback(tmp_path):
     cfg = small_cfg(hours_per_cycle=6)
     with pytest.raises(InvalidConfigError):
@@ -163,6 +174,41 @@ def test_closed_loop_idle_policy_keeps_topology(tmp_path):
     assert (tmp_path / "manifest").exists()
     for name in ("telemetry.log", "model.ckpt", "forecast.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def idle_cfg() -> SimConfig:
+    cfg = small_cfg(cycles=2, hours_per_cycle=16, horizon_hours=12)
+    cfg.policy.remove_threshold_us = 0.5
+    cfg.policy.add_threshold_us = 500.0
+    return cfg
+
+
+def test_a_good_run_writes_an_ok_manifest(tmp_path):
+    run_closed_loop(idle_cfg(), tmp_path)
+    written = json.loads((tmp_path / "manifest").read_text())
+    assert (written["status"], written["error"]) == ("ok", None)
+    assert len(written["cycles"]) == 2
+    assert sorted(written["artifacts"]) == ["checkpoint", "forecast", "journal", "telemetry"]
+
+
+def test_a_failing_cycle_still_writes_the_manifest_and_raises(tmp_path, monkeypatch):
+    calls = []
+
+    def forecast_or_fail(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("forecast broke in cycle 1")
+        return forecast_horizon(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forecast_horizon", forecast_or_fail)
+    with pytest.raises(RuntimeError, match="forecast broke in cycle 1"):
+        run_closed_loop(idle_cfg(), tmp_path)
+    written = json.loads((tmp_path / "manifest").read_text())
+    assert written["status"] == "failed"
+    assert written["error"] == "RuntimeError: forecast broke in cycle 1"
+    assert [c["cycle"] for c in written["cycles"]] == [0]
+    assert (tmp_path / "model.ckpt").stat().st_size > 0
+    assert written["artifacts"]["checkpoint"] == str(tmp_path / "model.ckpt")
 
 
 def test_closed_loop_floor_blocks_all_removals(tmp_path):

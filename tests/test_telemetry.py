@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import HalfWriteHandle
 from spinescale import telemetry
+from spinescale.config import LatencyConfig, SimConfig, TopologyConfig
 from spinescale.errors import (ConsistencyError, DataError, DecodeError, NotFoundError,
                                PersistenceError)
 from spinescale.fabric import LinkMetricSample, SampleColumns
+from spinescale.pipeline import simulate_hours, topology_from_config
 from spinescale.telemetry import (AppendLog, TopicBus, decode_sample, encode_columns,
                                   encode_sample)
 
@@ -351,7 +353,8 @@ FIXED_LIMIT_TEXTS = ["999999999.999999", "-999999999.999999", "1000000000.000000
                      "100000000000000000000.000000", "-0.000001", "-0.000000", "0.000000",
                      "-3.250000", "6.250000"]
 edge_ints = st.sampled_from([0, 1, -1, INT64_MAX, -INT64_MAX - 1, INT64_MAX + 1,
-                             -INT64_MAX - 2, 10**19 - 1])
+                             -INT64_MAX - 2, 10**19 - 1, 10**18 - 1, -(10**18 - 1),
+                             10**18, -10**18])
 line_ints = st.one_of(edge_ints, st.integers(-10**6, 10**12))
 latency_texts = st.one_of(st.sampled_from(FIXED_LIMIT_TEXTS),
                           st.floats(-1e4, 1e4).map(lambda x: f"{round(x, 6):.6f}"))
@@ -417,12 +420,52 @@ def test_batched_replay_at_the_fixed_point_limits(latency, chunk_bytes):
 
 
 @pytest.mark.parametrize("chunk_bytes", [64, 1 << 19])
-@pytest.mark.parametrize("value", [INT64_MAX, -INT64_MAX - 1, INT64_MAX + 1, -INT64_MAX - 2])
+@pytest.mark.parametrize("value", [INT64_MAX, -INT64_MAX - 1, INT64_MAX + 1, -INT64_MAX - 2,
+                                   10**18 - 1, -(10**18 - 1), 10**18, -10**18])
 @pytest.mark.parametrize("key", ["ts", "link", "edge_bps"])
 def test_batched_replay_at_the_int64_limits(key, value, chunk_bytes):
     good = encode_sample(sample())
     line = with_value(good, key, value)
     assert_replay_equals_line_by_line(f"{good}\n{line}\n{good}\n".encode(), chunk_bytes)
+
+
+def line_by_line_decodes(data: bytes, tmp_path) -> int:
+    """How many lines attach hands to decode_sample while replaying `data`."""
+    path = tmp_path / "telemetry.log"
+    path.write_bytes(data)
+    with mock.patch.object(telemetry, "decode_sample", wraps=decode_sample) as per_line, \
+            TopicBus() as bus:
+        bus.attach(TOPIC, path)
+    return per_line.call_count
+
+
+@pytest.mark.parametrize("key, value, per_line", [
+    ("ts", 10**18 - 1, 0), ("ts", -(10**18 - 1), 0), ("ts", 10**18, 3), ("ts", -10**18, 3),
+    ("fabric_bps", 10**18 - 1, 0), ("fabric_bps", 10**18, 3),
+    ("latency_us", "999999999.999999", 0), ("latency_us", "-999999999.999999", 0),
+    ("latency_us", "1000000000.000000", 3), ("latency_us", "-1000000000.000000", 3)])
+def test_the_batched_decoder_takes_18_digit_ints_and_9_digit_latencies(key, value, per_line,
+                                                                       tmp_path):
+    good = encode_sample(sample())
+    line = with_value(good, key, value)
+    assert line_by_line_decodes(f"{good}\n{line}\n{good}\n".encode(), tmp_path) == per_line
+
+
+def test_a_simulated_log_replays_without_the_per_line_decoder(tmp_path):
+    cfg = SimConfig(seed=7)
+    cfg.topology = TopologyConfig(n_leaf=3, n_spine=2, capacity_bps=1_000_000_000,
+                                  base_latency_us=3.0, min_spines=1, max_spines=4)
+    cfg.latency = LatencyConfig(noise_us=0.2)
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        simulate_hours(cfg, topology_from_config(cfg), bus, TOPIC, 0, 4, seed=11)
+        published = bus.consume(TOPIC, columns=True)
+    with mock.patch.object(telemetry, "decode_sample", side_effect=AssertionError), \
+            mock.patch.object(telemetry, "_CHUNK_BYTES", 4096), TopicBus() as bus:
+        assert bus.attach(TOPIC, path) == len(published) == 4 * 60 * 6
+        replayed = bus.consume(TOPIC, columns=True)
+    assert encode_columns(replayed) == encode_columns(published) == path.read_text()
 
 
 # ---------------------------------------------------------------------------
