@@ -6,7 +6,7 @@ and drive add/remove-spine decisions from the forecasts.
 """
 
 from .config import SimConfig, TrafficConfig, derive_seed, load_config, save_config
-from .fabric import (DemandMatrix, Flow, LinkMetricSample, SampleColumns, Topology,
+from .fabric import (DemandMatrix, LinkMetricSample, SampleColumns, Topology,
                      apply_action, build_topology, ecmp_assign, generate_demands, hour_loads,
                      simulate_tick)
 from .forecaster import (Forecast, LstmModel, TrainReport, forecast_horizon, forward,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SimConfig", "TrafficConfig", "derive_seed", "load_config", "save_config",
-    "DemandMatrix", "Flow", "LinkMetricSample", "SampleColumns", "Topology", "apply_action",
+    "DemandMatrix", "LinkMetricSample", "SampleColumns", "Topology", "apply_action",
     "build_topology", "ecmp_assign", "generate_demands", "hour_loads", "simulate_tick",
     "Forecast", "LstmModel", "TrainReport", "forecast_horizon", "forward",
     "gradient_check", "init_model", "load_checkpoint", "save_checkpoint", "train",

@@ -7,7 +7,7 @@ Config file schema (JSON, one file drives every stage)
   "topology": {
     "n_leaf": 3,                  leaf switch count
     "n_spine": 5,                 spine switch count
-    "capacity_bps": 10000000000,  per-link capacity, bits/second
+    "capacity_bps": 10000000000,  per-link capacity, bits/second (at most 2**53)
     "base_latency_us": 3.0,       per-link propagation floor, microseconds
     "min_spines": 2,              safety floor on active spines
     "max_spines": 8,              cap on active spines
@@ -112,8 +112,10 @@ class TopologyConfig:
         if self.n_leaf < 1 or self.n_spine < 1:
             raise InvalidConfigError(
                 f"node counts must be >= 1 (n_leaf={self.n_leaf}, n_spine={self.n_spine})")
-        if self.capacity_bps <= 0:
-            raise InvalidConfigError(f"capacity_bps must be > 0, got {self.capacity_bps}")
+        if not 0 < self.capacity_bps <= 2**53:
+            # a utilization is load / capacity in float64, exact only up to 2**53
+            raise InvalidConfigError(
+                f"capacity_bps must be in 1..2**53, got {self.capacity_bps}")
         if self.base_latency_us <= 0:
             raise InvalidConfigError(f"base_latency_us must be > 0, got {self.base_latency_us}")
         if not self.min_spines <= self.n_spine <= self.max_spines:

@@ -5,7 +5,9 @@ currently active spine switches. Each simulated hour (`hour_loads`):
 
   1. the offered load for the hour is split into a fixed number of flows
      per leaf pair (integer bits/second each, so totals are exact),
-  2. every flow is hashed onto an active spine (ECMP over hash slots),
+  2. every flow is hashed onto an active spine (ECMP over hash slots), all
+     at once as one int64 array (`build_flows`); a pair that is not two
+     distinct leaves, or demand summing past int64, is a DataError,
   3. per-link metrics are derived from the carried upstream load with a
      queueing-shaped latency curve:
 
@@ -135,15 +137,6 @@ class SampleColumns:
 
 
 @dataclass(frozen=True)
-class Flow:
-    flow_id: int
-    src_leaf: int
-    dst_leaf: int
-    rate_bps: int
-    assigned_spine: int
-
-
-@dataclass(frozen=True)
 class DemandMatrix:
     """Offered load per ordered leaf pair for one simulation hour."""
     t: int
@@ -171,13 +164,6 @@ class Topology:
         """Complete bipartite links of the active spines, sorted by link id."""
         return [Link(id=s * self.n_leaf + l, leaf_id=l, spine_id=s)
                 for s in self.active_spine_ids for l in range(self.n_leaf)]
-
-    def ecmp_slots(self) -> list[int]:
-        """Active spine ids repeated per their hash-slot weight, ascending."""
-        out: list[int] = []
-        for sid in self.active_spine_ids:
-            out.extend([sid] * self.spine_slots[sid])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +246,8 @@ def generate_demands(config: TrafficConfig, n_leaf: int, t: int, seed: int) -> D
 # ECMP placement
 # ---------------------------------------------------------------------------
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """splitmix64 of a Python int, or of each element of a uint64 array."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -272,7 +259,7 @@ def ecmp_assign(flow_id: int, active_spines: list[int], seed: int) -> int:
 
     h = splitmix64(splitmix64(seed) ^ flow_id); the spine is
     active_spines[h mod len(active_spines)]. Deterministic in
-    (flow_id, active_spines, seed).
+    (flow_id, active_spines, seed). The reference for `build_flows`.
     """
     if not active_spines:
         raise NoCapacityError("no active spine to place the flow on")
@@ -280,34 +267,44 @@ def ecmp_assign(flow_id: int, active_spines: list[int], seed: int) -> int:
     return active_spines[h % len(active_spines)]
 
 
-def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int, seed: int) -> list[Flow]:
+def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int,
+                seed: int) -> np.ndarray:
     """Split each pair's demand into flows_per_pair integer-rate flows and
-    place each with ecmp_assign. Flow ids are stable across hours so a
-    flow's spine only changes when the active set changes."""
-    slots = topology.ecmp_slots()
+    place each as ecmp_assign would over the active hash slots. Flow ids
+    are stable across hours so a flow's spine only changes when the active
+    set changes. Returns one int64 row (src, dst, rate, spine) per flow of
+    nonzero rate, pairs ascending. A pair that is not two distinct leaves,
+    or demand summing past int64 (link and leaf sums would wrap), is a
+    DataError."""
     n_leaf = topology.n_leaf
-    flows: list[Flow] = []
-    for (src, dst), demand in sorted(demands.entries.items()):
-        if demand <= 0:
-            continue
-        q, r = divmod(demand, flows_per_pair)
-        for k in range(flows_per_pair):
-            rate = q + 1 if k < r else q
-            if rate == 0:
-                continue
-            fid = (src * n_leaf + dst) * flows_per_pair + k
-            flows.append(Flow(flow_id=fid, src_leaf=src, dst_leaf=dst,
-                              rate_bps=rate, assigned_spine=ecmp_assign(fid, slots, seed)))
-    return flows
+    pairs = _int64_column([(src, dst, max(bps, 0))
+                           for (src, dst), bps in sorted(demands.entries.items())]).reshape(-1, 3)
+    src, dst, demand = pairs.T
+    bad = np.flatnonzero((src < 0) | (src >= n_leaf) | (dst < 0) | (dst >= n_leaf) | (src == dst))
+    if len(bad):
+        raise DataError(f"demand pair {pairs[bad[0], :2].tolist()} is not two distinct leaves")
+    if sum(demand.tolist()) > np.iinfo(np.int64).max:
+        raise DataError("the hour's demand sums past the int64 range")
+    q, r = np.divmod(demand, flows_per_pair)
+    rate = q[:, None] + (np.arange(flows_per_pair) < r[:, None])
+    pair, k = np.nonzero(rate)
+    flow_id = (src[pair] * n_leaf + dst[pair]) * flows_per_pair + k
+    active = topology.active_spine_ids
+    ring = np.repeat(np.array(active, dtype=np.int64), [topology.spine_slots[s] for s in active])
+    if len(flow_id) and not len(ring):
+        raise NoCapacityError("no active spine to place the flow on")
+    h = _splitmix64(_splitmix64(np.array([seed & _MASK64], dtype=np.uint64))
+                    ^ flow_id.astype(np.uint64))
+    return np.stack([src[pair], dst[pair], rate[pair, k], ring[h % len(ring)]], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Tick simulation
 # ---------------------------------------------------------------------------
 
-def link_latency_us(base_latency_us: float, rho: float, queue_factor: float) -> float:
-    """Queueing-shaped latency curve; rho is clamped to [0, RHO_MAX]."""
-    rho = min(max(rho, 0.0), RHO_MAX)
+def link_latency_us(base_latency_us: float, rho, queue_factor: float):
+    """Queueing-shaped latency curve, elementwise; rho is clamped to [0, RHO_MAX]."""
+    rho = np.clip(rho, 0.0, RHO_MAX)
     return base_latency_us * (1.0 + queue_factor * rho / (1.0 - rho))
 
 
@@ -328,23 +325,21 @@ def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
     Overload never raises: utilization is clamped at RHO_MAX, which shows
     up as high latency, and fabric_bps is capped at the link capacity.
     """
-    carried: dict[int, int] = {}      # link id -> upstream bits/second
-    edge: dict[int, int] = {}         # leaf id -> host-facing bits/second
-    for f in build_flows(demands, topology, flows_per_pair, seed):
-        up_link = f.assigned_spine * topology.n_leaf + f.src_leaf
-        carried[up_link] = carried.get(up_link, 0) + f.rate_bps
-        edge[f.src_leaf] = edge.get(f.src_leaf, 0) + f.rate_bps
-        edge[f.dst_leaf] = edge.get(f.dst_leaf, 0) + f.rate_bps
-
+    src, dst, rate, spine = build_flows(demands, topology, flows_per_pair, seed).T
+    n_leaf = topology.n_leaf
+    active = np.array(topology.active_spine_ids, dtype=np.int64)
+    carried = np.zeros((len(active), n_leaf), dtype=np.int64)
+    np.add.at(carried, (np.searchsorted(active, spine), src), rate)
+    edge = np.zeros(n_leaf, dtype=np.int64)
+    np.add.at(edge, src, rate)
+    np.add.at(edge, dst, rate)
+    loads = carried.ravel()
+    # Python's exact load / cap: cap <= 2**53, and a load past it clamps either way
     cap = topology.capacity_bps
-    links = topology.links
-    loads = [carried.get(link.id, 0) for link in links]
-    return HourLoads(_int64_column([link.id for link in links]),
-                     _int64_column([link.spine_id for link in links]),
-                     _int64_column([min(load, cap) for load in loads]),
-                     _int64_column([edge.get(link.leaf_id, 0) for link in links]),
-                     np.array([link_latency_us(topology.base_latency_us, load / cap, queue_factor)
-                               for load in loads]))
+    return HourLoads((active[:, None] * n_leaf + np.arange(n_leaf)).ravel(),
+                     np.repeat(active, n_leaf), np.minimum(loads, cap),
+                     np.tile(edge, len(active)),
+                     link_latency_us(topology.base_latency_us, loads / cap, queue_factor))
 
 
 def round6(x: np.ndarray) -> np.ndarray:

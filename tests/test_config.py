@@ -53,6 +53,8 @@ def test_invalid_values_rejected(tmp_path):
         ("topology", {"min_spines": 9}),
         ("topology", {"n_spine": 9}),
         ("topology", {"spine_slots": [1, 1]}),
+        # a float64 holds no speed past 2**53 exactly
+        ("topology", {"capacity_bps": 2**53 + 1}),
         ("latency", {"noise_us": -1}),
         ("traffic", {"flows_per_pair": 0}),
         ("training", {"dropout": 1.5}),

@@ -138,6 +138,34 @@ def test_ecmp_deterministic():
     assert a == b
 
 
+def test_array_placement_equals_scalar_ecmp_assign():
+    seeds = [0, 1, -1, 2**32 - 1, 2**63, 2**64 - 1, -2**63] + np.random.default_rng(16).integers(
+        -2**63, 2**63 - 1, size=200, endpoint=True).tolist()
+    for seed in seeds:
+        rng = np.random.default_rng(seed & 0xFFFFFFFF)
+        n_leaf, n_spine = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        topo = build_topology(TopologyConfig(
+            n_leaf, n_spine, CAP, 3.0, min_spines=1,
+            spine_slots=[int(k) for k in rng.integers(1, 5, size=n_spine)]))
+        keep = rng.choice(n_spine, size=int(rng.integers(1, n_spine + 1)), replace=False)
+        topo.active_spine_ids = sorted(keep.tolist())
+        fpp = int(rng.integers(1, 13))
+        # a demand below flows_per_pair leaves flows at rate 0, which are not placed
+        demands = DemandMatrix(t=0, entries={
+            (src, dst): int(rng.choice([0, rng.integers(1, 13), rng.integers(1, CAP)]))
+            for src in range(n_leaf) for dst in range(n_leaf) if src != dst})
+        flows = build_flows(demands, topo, fpp, seed)
+        assert flows.dtype == np.int64 and flows.shape[1:] == (4,)
+        assert flows.tolist() == reference_flows(demands, topo, fpp, seed), seed
+
+
+def test_build_flows_holds_only_nonzero_rate_flows(topo_3x5):
+    demands = DemandMatrix(t=0, entries={(0, 1): 3, (1, 2): 0, (2, 0): 16})
+    flows = build_flows(demands, topo_3x5, 8, seed=0)
+    assert len(flows) == 3 + 8
+    assert flows[:, 2].tolist() == [1] * 3 + [2] * 8
+
+
 # ---------------------------------------------------------------------------
 # hour_loads + simulate_tick
 # ---------------------------------------------------------------------------
@@ -189,9 +217,11 @@ def test_edge_speed_counts_both_directions():
 
 def test_latency_monotone_in_utilization():
     rhos = np.linspace(0.0, 1.2, 40)
-    lats = [link_latency_us(3.0, r, 1.0) for r in rhos]
+    lats = [link_latency_us(3.0, r, 1.0) for r in rhos.tolist()]
     assert all(b >= a for a, b in zip(lats, lats[1:]))
     assert lats[0] == 3.0
+    # one array call is the scalar calls, bit for bit
+    assert link_latency_us(3.0, rhos, 1.0).tobytes() == np.array(lats).tobytes()
 
 
 def test_overload_clamps_instead_of_crashing():
@@ -205,10 +235,26 @@ def test_overload_clamps_instead_of_crashing():
 
 def test_speeds_past_int64_are_a_data_error():
     # telemetry columns and the wire format carry int64 speeds only
-    topo = build_topology(TopologyConfig(2, 1, 1 << 64, 3.0, min_spines=1))
+    topo = build_topology(TopologyConfig(2, 1, 2**53, 3.0, min_spines=1))
     with pytest.raises(DataError):
         hour_loads(topo, DemandMatrix(t=0, entries={(0, 1): 1 << 63}), seed=0)
     hour_loads(topo, DemandMatrix(t=0, entries={(0, 1): (1 << 62) - 1}), seed=0)
+
+
+def test_a_demand_sum_past_int64_is_a_data_error_not_a_wrapped_speed():
+    # every pair fits int64, but leaf 0's edge speed would be 2**63
+    topo = build_topology(TopologyConfig(3, 2, CAP, 3.0, min_spines=1))
+    with pytest.raises(DataError, match="int64"):
+        hour_loads(topo, DemandMatrix(t=0, entries={(0, 1): 2**62, (0, 2): 2**62}), seed=0)
+
+
+@pytest.mark.parametrize("pair", [(5, 0), (0, 3), (-1, 0), (0, -2), (1, 1)])
+def test_a_pair_that_is_not_two_leaves_of_the_fabric_is_a_data_error(pair):
+    # (5, 0) would otherwise land on link 5, spine 1's uplink from leaf 2
+    topo = build_topology(TopologyConfig(3, 2, CAP, 3.0, min_spines=1))
+    with pytest.raises(DataError, match=r"demand pair"):
+        hour_loads(topo, DemandMatrix(t=0, entries={(0, 1): 1000, pair: 3_000_000_000}),
+                   seed=0)
 
 
 def test_latency_floor_with_noise_off_random_ticks(topo_3x5):
@@ -273,15 +319,34 @@ def test_round6_equals_python_round(values):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def reference_flows(demands, topology, flows_per_pair, seed):
+    """Flow by flow with scalar ecmp_assign: the oracle for build_flows, as
+    [src, dst, rate, spine] rows."""
+    slots = [sid for sid in topology.active_spine_ids
+             for _ in range(topology.spine_slots[sid])]
+    flows = []
+    for (src, dst), demand in sorted(demands.entries.items()):
+        if demand <= 0:
+            continue
+        q, r = divmod(demand, flows_per_pair)
+        for k in range(flows_per_pair):
+            rate = q + 1 if k < r else q
+            if rate == 0:
+                continue
+            fid = (src * topology.n_leaf + dst) * flows_per_pair + k
+            flows.append([src, dst, rate, ecmp_assign(fid, slots, seed)])
+    return flows
+
+
 def reference_tick(topology, demands, seed, t, flows_per_pair, queue_factor, noise_us):
     """The simulator as it was when every minute re-placed every flow: the
     oracle for hour_loads + simulate_tick."""
     carried, edge = {}, {}
-    for f in build_flows(demands, topology, flows_per_pair, seed):
-        up_link = f.assigned_spine * topology.n_leaf + f.src_leaf
-        carried[up_link] = carried.get(up_link, 0) + f.rate_bps
-        edge[f.src_leaf] = edge.get(f.src_leaf, 0) + f.rate_bps
-        edge[f.dst_leaf] = edge.get(f.dst_leaf, 0) + f.rate_bps
+    for src, dst, rate, spine in reference_flows(demands, topology, flows_per_pair, seed):
+        up_link = spine * topology.n_leaf + src
+        carried[up_link] = carried.get(up_link, 0) + rate
+        edge[src] = edge.get(src, 0) + rate
+        edge[dst] = edge.get(dst, 0) + rate
     noise = None
     if noise_us > 0:
         rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t}"))
