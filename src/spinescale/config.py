@@ -71,6 +71,15 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") & _MASK64
 
 
+def noise_width_is_finite(noise_us) -> bool:
+    """Whether uniform(-noise_us, noise_us) spans a finite float64 width,
+    2 * noise_us, as numpy's uniform requires."""
+    try:
+        return math.isfinite(2.0 * float(noise_us))
+    except OverflowError:               # an int past the float64 range
+        return False
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -140,6 +149,8 @@ class LatencyConfig:
             raise InvalidConfigError(f"queue_factor must be >= 0, got {self.queue_factor}")
         if self.noise_us < 0:
             raise InvalidConfigError(f"noise_us must be >= 0, got {self.noise_us}")
+        if not noise_width_is_finite(self.noise_us):
+            raise InvalidConfigError(f"2 * noise_us must be finite, got noise_us={self.noise_us}")
 
 
 @dataclass

@@ -16,7 +16,11 @@ currently active spine switches. Each simulated hour (`hour_loads`):
 
 with the noise drawn anew each simulated minute ("tick"). `simulate_tick`
 turns an hour's loads into the samples of a run of minutes, a whole hour
-in one call.
+in one call. Minute t's noise is what
+`np.random.default_rng(derive_seed(seed, f"latency-noise:{t}")).uniform`
+draws, but no generator is built: `uniform_rows` runs numpy's
+SeedSequence hashing, PCG64 seeding and XSL-RR output for all the hour's
+minutes and links as uint32/uint64 array arithmetic, bit for bit.
 
 Link load accounting is upstream only (leaf -> spine): a flow contributes
 its rate to the link leaving its source leaf, so summing fabric_speed over
@@ -33,6 +37,7 @@ each minute adds only its `ts` and noisy latency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -40,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import _MASK64, TopologyConfig, TrafficConfig, derive_seed
+from .config import _MASK64, TopologyConfig, TrafficConfig, derive_seed, noise_width_is_finite
 from .errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundError,
                      PolicyViolationError)
 
@@ -138,12 +143,20 @@ class SampleColumns:
 
 @dataclass(frozen=True)
 class DemandMatrix:
-    """Offered load per ordered leaf pair for one simulation hour."""
+    """Offered load per ordered leaf pair for one simulation hour. A demand
+    that is not a non-negative integer (bool excluded) is a DataError, so
+    `total_bps` is what placement routes."""
     t: int
     entries: dict[tuple[int, int], int]
 
+    def __post_init__(self) -> None:
+        for pair, bps in self.entries.items():
+            if isinstance(bps, bool) or not isinstance(bps, (int, np.integer)) or bps < 0:
+                raise DataError(f"demand of pair {pair} must be a non-negative integer, "
+                                f"got {bps!r}")
+
     def total_bps(self) -> int:
-        return sum(self.entries.values())
+        return sum(map(int, self.entries.values()))     # numpy ints would wrap
 
 
 @dataclass
@@ -277,7 +290,7 @@ def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int,
     or demand summing past int64 (link and leaf sums would wrap), is a
     DataError."""
     n_leaf = topology.n_leaf
-    pairs = _int64_column([(src, dst, max(bps, 0))
+    pairs = _int64_column([(src, dst, bps)
                            for (src, dst), bps in sorted(demands.entries.items())]).reshape(-1, 3)
     src, dst, demand = pairs.T
     bad = np.flatnonzero((src < 0) | (src >= n_leaf) | (dst < 0) | (dst >= n_leaf) | (src == dst))
@@ -364,21 +377,119 @@ def round6(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR 128/64)
+# constants. The hash constants advance by a fixed multiply whatever the
+# data, so every one of them is known before any seed is.
+_M32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init, init*mult, init*mult**2, ... mod 2**32: count + 1 uint32 values."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+_MIX_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 16)   # 4 fills + 12 cross mixes
+_OUT_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)    # 8 output words
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix with hash constants k ... k + count - 1, one per row."""
+    value = (value ^ consts[k:k + count]) * consts[k + 1:k + count + 1]
+    return value ^ (value >> 16)
+
+
+def _seed_state(seeds: list[int]) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for each seed s in
+    0 ... 2**64 - 1, as a [4, len(seeds)] uint64 array. A seed is its two
+    32-bit words, low first; one below 2**32 hashes as if its high word were
+    0, since its missing word is hashed as 0."""
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(s)), dtype=np.uint32)
+    pool[0], pool[1] = s & _M32, s >> 32
+    pool = _hashmix(pool, _MIX_CONSTS, 0, 4)
+    for src in range(4):      # mix every word into each of the other three
+        dst = [i for i in range(4) if i != src]
+        mixed = (pool[dst] * np.uint32(0xCA01F9DD)
+                 - _hashmix(pool[src], _MIX_CONSTS, 4 + 3 * src, 3) * np.uint32(0x4973F715))
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_CONSTS, 0, 8).astype(np.uint64)
+    return words[0::2] | (words[1::2] << 32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2**128 of 128-bit values given as uint64 (hi, lo) arrays:
+    the full 64x64 -> 128-bit product of the low words from four 32-bit
+    products, plus the two cross products into the high word."""
+    a0, a1, b0, b1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    return hi, (mid << 32) | (p00 & _M32)
+
+
+@functools.cache
+def _pcg64_jumps(n: int) -> tuple[np.ndarray, ...]:
+    """(A_hi, A_lo, G_hi, G_lo), each [n] uint64: draw k of a PCG64 seeded
+    with srandom(initstate, initseq) reads the state A_k * T + G_k * inc
+    mod 2**128, where inc = 2 * initseq + 1, T = initstate + inc,
+    A_k = M**(k + 2) and G_k = M**0 + ... + M**(k + 1). (Seeding steps
+    twice and every draw steps once before it outputs.)"""
+    powers = [1]
+    for _ in range(n + 1):
+        powers.append(powers[-1] * _PCG64_MULT & _MASK128)
+    a = powers[2:]
+    g = [sum(powers[:k + 2]) & _MASK128 for k in range(n)]
+    jumps = tuple(np.array([v >> shift & _MASK64 for v in vals], dtype=np.uint64)
+                  for vals in (a, g) for shift in (64, 0))
+    for arr in jumps:
+        arr.flags.writeable = False
+    return jumps
+
+
+def uniform_rows(seeds: list[int], noise_us: float, n: int) -> np.ndarray:
+    """A [len(seeds), n] float64 array whose row i is, bit for bit,
+    np.random.default_rng(seeds[i]).uniform(-noise_us, noise_us, n), computed
+    without a generator: SeedSequence hashing and PCG64 seeding of every
+    seed as array arithmetic, then every draw k of every row at once by
+    jumping the seeded state k + 1 steps (`_pcg64_jumps`), XSL-RR output,
+    (x >> 11) * 2**-53 and low + (high - low) * d, as numpy computes them.
+    2 * noise_us must be finite."""
+    init_hi, init_lo, seq_hi, seq_lo = _seed_state(seeds)
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    t_lo = init_lo + inc_lo
+    t_hi = init_hi + inc_hi + (t_lo < inc_lo)
+    a_hi, a_lo, g_hi, g_lo = _pcg64_jumps(n)
+    hi1, lo1 = _mul128(a_hi, a_lo, t_hi[:, None], t_lo[:, None])
+    hi2, lo2 = _mul128(g_hi, g_lo, inc_hi[:, None], inc_lo[:, None])
+    lo = lo1 + lo2
+    hi = hi1 + hi2 + (lo < lo1)
+    x, rot = hi ^ lo, hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    low = -float(noise_us)
+    return low + (float(noise_us) - low) * ((x >> 11).astype(np.float64) * 2.0**-53)
+
+
 def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0,
                   minutes: int = 1) -> SampleColumns:
     """One sample per active link for each minute t ... t + minutes - 1, minute
     by minute in `Topology.links` order: the hour's latency plus that
-    minute's uniform noise, rounded to 6 places as round does. Each minute
-    draws from its own generator, so a run of minutes equals the single
-    minutes concatenated."""
+    minute's uniform noise, rounded to 6 places as round does. Minute m's
+    noise is what default_rng(derive_seed(seed, f"latency-noise:{m}"))
+    draws; `uniform_rows` computes all the minutes' noise as one block, so a
+    run of minutes equals the single minutes concatenated. A noise_us whose
+    doubled width is not finite (NaN, inf, 1e308) is a DataError."""
+    if not noise_width_is_finite(noise_us):
+        raise DataError(f"2 * noise_us must be finite, got noise_us={noise_us!r}")
     n = len(hour.latency_us)
     latency = np.broadcast_to(hour.latency_us, (minutes, n))
     if noise_us > 0:
-        noise = np.empty((minutes, n))
-        for i in range(minutes):
-            rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t + i}"))
-            noise[i] = rng.uniform(-noise_us, noise_us, size=n)
-        latency = latency + noise
+        seeds = [derive_seed(seed, f"latency-noise:{m}") for m in range(t, t + minutes)]
+        latency = latency + uniform_rows(seeds, noise_us, n)
     return SampleColumns(np.repeat(np.arange(t, t + minutes, dtype=np.int64), n),
                          np.tile(hour.link_id, minutes), np.tile(hour.spine_id, minutes),
                          round6(latency.ravel()), np.tile(hour.fabric_bps, minutes),

@@ -56,6 +56,9 @@ def test_invalid_values_rejected(tmp_path):
         # a float64 holds no speed past 2**53 exactly
         ("topology", {"capacity_bps": 2**53 + 1}),
         ("latency", {"noise_us": -1}),
+        # numpy's uniform needs a finite width, 2 * noise_us
+        ("latency", {"noise_us": 1e308}),
+        ("latency", {"noise_us": 10**400}),
         ("traffic", {"flows_per_pair": 0}),
         ("training", {"dropout": 1.5}),
         ("training", {"val_fraction": 0.0}),

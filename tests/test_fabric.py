@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -12,7 +13,8 @@ from spinescale.errors import (DataError, InvalidConfigError, NoCapacityError, N
 from spinescale.config import derive_seed
 from spinescale.fabric import (DemandMatrix, LinkMetricSample, SampleColumns, apply_action,
                                build_flows, build_topology, ecmp_assign, generate_demands,
-                               hour_loads, link_latency_us, round6, simulate_tick)
+                               hour_loads, link_latency_us, round6, simulate_tick,
+                               uniform_rows)
 from spinescale.telemetry import encode_sample
 
 CAP = 10_000_000_000
@@ -92,6 +94,29 @@ def test_diurnal_exactly_periodic_without_bursts_and_noise():
     # and it actually varies across the day
     day = [generate_demands(cfg, 2, t, seed=9).entries[(0, 1)] for t in range(24)]
     assert len(set(day)) > 1
+
+
+@pytest.mark.parametrize("bps", [-5, 7.9, 3.0, np.float64(4.0), True, "12", None])
+def test_a_demand_that_is_not_a_non_negative_integer_is_a_data_error(bps):
+    with pytest.raises(DataError, match=r"demand of pair \(1, 0\)"):
+        DemandMatrix(t=0, entries={(0, 1): 2, (1, 0): bps})
+
+
+def test_a_matrix_whose_total_is_not_what_placement_routes_is_rejected():
+    # total_bps() read 2.9 here while placement routed 7 bps
+    with pytest.raises(DataError, match=r"demand of pair \(0, 1\)"):
+        DemandMatrix(t=0, entries={(0, 1): -5, (1, 0): 7.9})
+
+
+def test_numpy_integer_demands_are_routed_in_full(topo_3x5):
+    dm = DemandMatrix(t=0, entries={(0, 1): np.int64(9_000), (1, 2): np.uint32(7), (2, 0): 0})
+    assert dm.total_bps() == 9_007
+    assert hour_loads(topo_3x5, dm, seed=0).fabric_bps.sum() == 9_007
+    # the total is exact where int64 arithmetic would wrap
+    big = DemandMatrix(t=0, entries={(0, 1): np.int64(2**62), (1, 0): np.uint64(2**62)})
+    assert big.total_bps() == 2**63
+    with pytest.raises(DataError, match="int64"):
+        hour_loads(topo_3x5, big, seed=0)
 
 
 def test_demands_never_negative():
@@ -290,6 +315,49 @@ def test_an_hour_call_equals_its_minutes_concatenated(topo_3x5):
     # the batch owns its columns: writing to one leaves the hour's alone
     hour.fabric_bps[0] = 1
     assert loads.fabric_bps[0] != 1
+
+
+def reference_noise(seed, t, noise_us, n, minutes):
+    """One generator per minute, as the simulator used to draw its noise:
+    the oracle for the block simulate_tick computes with uniform_rows."""
+    noise = np.empty((minutes, n))
+    for i in range(minutes):
+        rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t + i}"))
+        noise[i] = rng.uniform(-noise_us, noise_us, size=n)
+    return noise
+
+
+@pytest.mark.parametrize("n", [1, 15, 128])
+def test_uniform_rows_is_default_rng_uniform_byte_for_byte(n):
+    # a copy of numpy's SeedSequence and PCG64: a numpy release that changes
+    # either, or a build that fuses low + range * d into one FMA, fails here
+    seeds = ([derive_seed(17, f"latency-noise:{t}") for t in range(2_000)]
+             + list(range(50)) + [2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    for noise_us in (1e-9, 0.15, 1e3):
+        want = np.array([np.random.default_rng(s).uniform(-noise_us, noise_us, n)
+                         for s in seeds])
+        got = uniform_rows(seeds, noise_us, n)
+        assert got.dtype == np.float64 and got.shape == (len(seeds), n)
+        assert got.tobytes() == want.tobytes(), noise_us
+
+
+def test_an_hour_of_noise_is_the_per_minute_generators(topo_3x5):
+    loads = hour_loads(topo_3x5, generate_demands(quiet_traffic(), 3, 0, seed=4), seed=4)
+    for seed, t, minutes, noise_us in [(4, 0, 60, 0.15), (131, 8_580, 60, 0.2),
+                                       (2**64 - 1, 7, 3, 1), (0, 60, 1, sys.float_info.max / 2)]:
+        got = simulate_tick(loads, seed, t, noise_us=noise_us, minutes=minutes).latency_us
+        want = round6((loads.latency_us + reference_noise(seed, t, noise_us, 15, minutes)).ravel())
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("noise_us", [1e308, sys.float_info.max, float("inf"), float("nan"),
+                                      -float("inf"), 10**400])
+def test_a_noise_range_past_float64_is_a_data_error(topo_3x5, noise_us):
+    # numpy's uniform needs a finite 2 * noise_us; an array copy would give inf or NaN
+    loads = hour_loads(topo_3x5, DemandMatrix(t=0, entries={}), seed=0)
+    with pytest.raises(DataError, match="noise_us"):
+        simulate_tick(loads, seed=0, t=0, noise_us=noise_us, minutes=60)
 
 
 def decimal_tie(k: int, ulps: int) -> float:
