@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .config import PolicyConfig, SimConfig, derive_seed, load_config, policy_from_config
-from .errors import ConsistencyError, SpinescaleError
+from .errors import ConsistencyError, InvalidConfigError, SpinescaleError
 from .forecaster import (Forecast, forecast_horizon, load_checkpoint, load_forecast_csv,
                          save_checkpoint, save_forecast_csv)
 from .pipeline import (CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, METRICS_TOPIC,
@@ -53,6 +53,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    if args.duration_hours < 1:     # checked before the old log is replaced
+        raise InvalidConfigError(f"--duration-hours must be at least 1, got {args.duration_hours}")
     cfg = _load_cfg(args)
     out = _out_dir(args)
     topology = topology_from_config(cfg)

@@ -27,9 +27,10 @@ its rate to the link leaving its source leaf, so summing fabric_speed over
 all links recovers the routed demand exactly. The spine -> destination hop
 shows up in the destination leaf's edge_speed instead.
 
-Samples quantize latency to 6 decimal places and speeds to whole bits per
-second at construction time, matching the telemetry wire format exactly so
-serialization round-trips are bit-identical. Samples are carried as
+`simulate_tick` rounds latency to 6 decimal places and speeds are whole
+bits per second, so its samples are what the telemetry wire format carries
+exactly; building a sample quantizes nothing, and the bus refuses one that
+the wire format could not give back. Samples are carried as
 columns (`SampleColumns`), not as one object per link: an hour's link
 columns are computed once and tiled over its minutes, minute-major, and
 each minute adds only its `ts` and noisy latency.
@@ -78,18 +79,25 @@ class LinkMetricSample:
     ts: int                # simulation minute
     link_id: int
     spine_id: int
-    latency_us: float      # quantized to 6 decimal places
+    latency_us: float      # on the 6-decimal grid to be published
     fabric_bps: int
     edge_bps: int
 
 
-def _int64_column(values) -> np.ndarray:
-    """An int64 array of `values`; a value outside int64 is a DataError,
-    since neither the columns nor the wire format can carry it."""
+def _column(values: list, name: str, dtype: type = np.int64) -> np.ndarray:
+    """A `dtype` array of `values`, the `name` field of some records. An
+    int64 column takes ints (Python or numpy; a bool, float or str is not
+    one) within int64, a float64 column ints and floats but no bool: since
+    neither the columns nor the wire format can carry anything else
+    exactly, anything else is a DataError."""
+    allowed = (int, np.integer) if dtype is np.int64 else (int, float, np.integer, np.floating)
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, allowed):
+            raise DataError(f"{name} cannot hold a {kind.__name__}")
     try:
-        return np.array(values, dtype=np.int64)
+        return np.array(values, dtype=dtype)
     except OverflowError as exc:
-        raise DataError(f"value outside the int64 range: {exc}") from exc
+        raise DataError(f"{name} outside the {np.dtype(dtype).name} range: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +107,9 @@ class SampleColumns:
     This is how telemetry travels from `simulate_tick` through the bus to
     `aggregate_hourly`; `rows()` builds LinkMetricSample objects only for
     callers that want them. Integer columns are int64 and latency is
-    float64, already quantized to 6 decimal places. A batch from
+    float64; the bus keeps only batches whose latencies are on the
+    6-decimal grid. `from_rows` refuses a field value of the wrong type
+    (a bool, float or str where an int belongs). A batch from
     `simulate_tick` is minute-major: all links of one minute, then the
     next minute's. The bus keeps the batches it is given, so columns are
     never written to once published.
@@ -129,10 +139,8 @@ class SampleColumns:
     def from_rows(cls, samples: list[LinkMetricSample]) -> "SampleColumns":
         def column(name: str) -> list:
             return list(map(attrgetter(name), samples))
-        return cls(_int64_column(column("ts")), _int64_column(column("link_id")),
-                   _int64_column(column("spine_id")),
-                   np.array(column("latency_us"), dtype=np.float64),
-                   _int64_column(column("fabric_bps")), _int64_column(column("edge_bps")))
+        return cls(*(_column(column(name), name, np.float64 if name == "latency_us" else np.int64)
+                     for name in LinkMetricSample.__slots__))
 
     @classmethod
     def concat(cls, parts: list["SampleColumns"]) -> "SampleColumns":
@@ -290,8 +298,8 @@ def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int,
     or demand summing past int64 (link and leaf sums would wrap), is a
     DataError."""
     n_leaf = topology.n_leaf
-    pairs = _int64_column([(src, dst, bps)
-                           for (src, dst), bps in sorted(demands.entries.items())]).reshape(-1, 3)
+    pairs = _column([v for (src, dst), bps in sorted(demands.entries.items())
+                     for v in (src, dst, bps)], "demand pairs").reshape(-1, 3)
     src, dst, demand = pairs.T
     bad = np.flatnonzero((src < 0) | (src >= n_leaf) | (dst < 0) | (dst >= n_leaf) | (src == dst))
     if len(bad):

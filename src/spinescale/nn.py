@@ -228,8 +228,9 @@ def lstm_layer_backward(d_hs: np.ndarray, cache: dict, params: LstmCellParams
         np.multiply(dc, i, out=dc_g)
         np.multiply(dh, tanh_c[t], out=dh_o)
         d_a[t] *= products
-        dc_next = dc * f
-        dh_next = d_a[t] @ U.T
+        if t:    # nothing reads the carries out of step 0
+            dc_next = dc * f
+            dh_next = d_a[t] @ U.T
     # back to batch-major, so each weight gradient sums over B*T in the same
     # order as a batch-major layer would
     d_a = np.ascontiguousarray(d_a.transpose(1, 0, 2))

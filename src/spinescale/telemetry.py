@@ -14,11 +14,13 @@ rejected):
 
     ts=<int> link=<int> spine=<int> latency_us=<fixed6> fabric_bps=<int> edge_bps=<int>
 
-latency_us uses fixed 6-decimal formatting; samples are quantized to that
-precision at construction, so decode(encode(x)) == x for every field.
-Every int is an int64. Decoding accepts only what the encoder writes
-(ASCII digits, no sign on zero, no leading zeros, no `_`, no `nan`), so
-any line that decodes re-encodes to itself.
+latency_us uses fixed 6-decimal formatting. Nothing quantizes a sample
+when it is built; `publish` refuses a batch the log could not give back
+exactly (an int field that is not ints within int64, a latency that is
+not finite and on the 6-decimal grid), so decode(encode(x)) == x for
+every field. Decoding accepts only what the encoder writes (ASCII digits,
+no sign on zero, no leading zeros, no `_`, no `nan`), so any line that
+decodes re-encodes to itself.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DataError, DecodeError, NotFoundError, PersistenceError
-from .fabric import LinkMetricSample, SampleColumns
+from .fabric import LinkMetricSample, SampleColumns, round6
 
 INT_PATTERN = r"0|-?[1-9][0-9]*"     # an int as str() writes it
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -54,8 +56,21 @@ _SAMPLE_LINES = re.compile(
     rf"fabric_bps={_FAST_INT} edge_bps={_FAST_INT}\n)*+".encode())
 _KEY_BYTES = b"abcdefghijklmnopqrstuvwxyz_=."   # what a valid line holds besides numbers
 _CHUNK_BYTES = 1 << 19   # ~6,000 lines: bounds the decoder's temporary objects
-# one row with the link fields filled in and %d / %.6f holes left for ts and latency
-_ROW_TEMPLATE = "ts=%%d link=%d spine=%d latency_us=%%.6f fabric_bps=%d edge_bps=%d\n"
+# Four bytes of line text per uint32 word, 0 bytes where a word has no
+# characters: a 3-digit group g in full, after a 0 byte, at index g; as the
+# top group of a number, without its leading zeros, at 1000 + g; a group
+# above the top one, so no text, at 2000 + g; the first and last groups of
+# a 6-digit fraction, ".ddd" and "ddd" then a 0 byte, at 3000 + g and
+# 4000 + g; then the words that start ts and latency values. The 0 bytes
+# are placed to run into each other, since the encoder drops them one run
+# at a time.
+_WORDS = np.frombuffer(b"".join([b"\0%03d" % g for g in range(1000)]
+                                + [(b"%d" % g).rjust(4, b"\0") for g in range(1000)]
+                                + [b"\0" * 4] * 1000
+                                + [b".%03d" % g for g in range(1000)]
+                                + [b"%03d\0" % g for g in range(1000)]
+                                + [b"ts=\0", b"ts=-", b"\0\0\0-"]), dtype=np.uint32)
+_NO_TEXT, _TS, _TS_MINUS, _MINUS = 2000, 5000, 5001, 5002
 
 
 def encode_sample(sample: LinkMetricSample) -> str:
@@ -65,35 +80,127 @@ def encode_sample(sample: LinkMetricSample) -> str:
             f"fabric_bps={sample.fabric_bps} edge_bps={sample.edge_bps}")
 
 
-def encode_columns(batch: SampleColumns) -> str:
-    """The batch as wire-format lines, each ending in a newline: equal to
-    joining encode_sample(row) + "\\n" over its rows.
+def encode_columns(batch: SampleColumns) -> bytes:
+    """The batch as wire-format lines, each ending in a newline: the UTF-8
+    of joining encode_sample(row) + "\\n" over its rows. Int columns must
+    be int64; a latency that is not finite and on the 6-decimal grid
+    (x == round(x, 6)), which no line carries exactly, is a DataError.
 
-    Rows are rendered in periods of L rows, L being the length of the first
-    run of equal `ts` (a simulated hour holds one run per minute). If the
-    batch is whole periods and the four link fields repeat with period L,
-    they are %-formatted once into a template of one period, and one more
-    %-format fills in `ts` and latency for every row. Otherwise L is the
-    whole batch. `ts` only picks L: the periodicity check alone decides
-    whether a template may be shared.
+    The rows are laid out as one [rows, words] block of uint32 words in
+    which every field has a slot of fixed width and 0 bytes stand where a
+    slot has no characters, so the lines are the block's bytes without
+    its 0 bytes. The link fields are %-formatted once per period of L
+    rows, L being the length of the first run of equal `ts` (a simulated
+    hour holds one run per minute), if the batch is whole periods over
+    which they repeat; else L is the whole batch, so `ts` only picks L.
+    `ts` and latency are written from _WORDS, 3 digits a word. Latency x
+    is written as k = rint(|x| * 10**6), which is exact for |x| < 10**9,
+    where k / 10**6 == |x| is the grid check; a batch holding a latency of
+    10 or more integer digits is written row by row by encode_sample.
     """
     n = len(batch)
     if not n:
-        return ""
+        return b""
+    latency = batch.latency_us
+    magnitude = np.abs(latency)
+    if not (magnitude < 1e9).all():
+        _check_latency(latency)
+        return "".join(encode_sample(s) + "\n" for s in batch.rows()).encode()
+    fixed = np.rint(magnitude * 1e6)
+    on_grid = fixed / 1e6 == magnitude
+    if not on_grid.all():
+        raise _off_grid(latency[np.argmin(on_grid)])
     links = [batch.link_id, batch.spine_id, batch.fabric_bps, batch.edge_bps]
     period = int(np.argmax(batch.ts != batch.ts[0])) or n    # row 0 never differs
     if n % period or not all((c.reshape(-1, period) == c[:period]).all() for c in links):
         period = n
-    template = (_ROW_TEMPLATE * period) % _cells([c[:period] for c in links])
-    return (template * (n // period)) % _cells([batch.ts, batch.latency_us])
+    link, spine, fabric, edge = (c[:period].tolist() for c in links)
+    heads = _text_words([b" link=%d spine=%d latency_us=" % p for p in zip(link, spine)])
+    tails = _text_words([b" fabric_bps=%d edge_bps=%d\n" % p for p in zip(fabric, edge)],
+                        right=True)     # so its 0 bytes run on from the fraction's last one
+    ts = _number_words(np.abs(batch.ts).view(np.uint64),     # |INT64_MIN| wraps to 2**63
+                       np.where(batch.ts < 0, _TS_MINUS, _TS))
+    value = _number_words(fixed.astype(np.uint64),
+                          np.where(np.signbit(latency), _MINUS, _NO_TEXT), fraction=2)
+    widths = [ts.shape[1], heads.shape[1], value.shape[1], tails.shape[1]]
+    block = np.empty((n // period, period, sum(widths)), dtype=np.uint32)
+    head_at, value_at, tail_at = np.cumsum(widths[:-1])
+    rows = block.reshape(n, -1)
+    rows[:, :head_at] = ts
+    block[:, :, head_at:value_at] = heads
+    rows[:, value_at:tail_at] = value
+    block[:, :, tail_at:] = tails
+    text = rows.view(np.uint8)
+    return text[text != 0].tobytes()
 
 
-def _cells(columns: list[np.ndarray]) -> tuple:
-    """The columns' values interleaved row by row, as Python scalars."""
-    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for i, column in enumerate(columns):
-        cells[:, i] = column
-    return tuple(cells.ravel().tolist())
+def _text_words(texts: list[bytes], right: bool = False) -> np.ndarray:
+    """[len(texts), words] uint32: each text padded with 0 bytes to as many
+    whole words as the longest needs, after it or, if `right`, before it."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    rows = np.array([t.rjust(width, b"\0") for t in texts] if right else texts, dtype=f"S{width}")
+    return rows.view(np.uint32).reshape(len(texts), -1)
+
+
+def _number_words(magnitude: np.ndarray, first: np.ndarray, fraction: int = 0) -> np.ndarray:
+    """[n, 1 + groups] uint32: the word at index `first` of _WORDS, then
+    each uint64 magnitude in decimal, 3 digits a word, in as many words as
+    the largest needs and at least fraction + 1. The lowest `fraction`
+    groups are digits after a point; the integer digits keep no leading
+    zero but the last, so 0 is "0"."""
+    groups = max(fraction + 1, -(-len(str(int(magnitude.max()))) // 3))
+    index = np.empty((len(magnitude), 1 + groups), dtype=np.intp)
+    index[:, 0] = first
+    rest = magnitude
+    for j in range(groups):             # column groups - j holds group j
+        above = rest // 1000            # quicker than np.divmod
+        group = index[:, groups - j]
+        group[:] = rest - above * 1000
+        rest = above
+        if j == groups - 1:             # the top group: no digits above it
+            group += 1000
+        elif j >= fraction:
+            group += 1000 * (magnitude < 1000 ** (j + 1))
+        if j > fraction:                # no digits left for this group: no text
+            group += 1000 * (magnitude < 1000 ** j)
+        if j == fraction - 1:
+            group += 3000
+        elif j == 0 and fraction:
+            group += 4000
+    return _WORDS[index]
+
+
+def _off_grid(latency: float) -> DataError:
+    return DataError(f"latency {float(latency)!r} is not finite and on the 6-decimal grid, "
+                     "so no log can carry it exactly")
+
+
+def _check_latency(latency: np.ndarray) -> None:
+    """DataError unless every latency is finite and equal to round(x, 6)."""
+    valid = np.isfinite(latency)
+    if valid.all():
+        valid = round6(latency) == latency
+    if not valid.all():
+        raise _off_grid(latency[np.argmin(valid)])
+
+
+def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColumns:
+    """The samples as columns of equal length, ints as int64 and latency as
+    float64; an int column that holds anything but ints within int64, or
+    a latency column that holds anything but numbers, is a DataError."""
+    if not isinstance(samples, SampleColumns):
+        return SampleColumns.from_rows(samples)
+    columns = dict(zip(LinkMetricSample.__slots__, map(np.asarray, samples.columns())))
+    for name, column in columns.items():
+        ints = name != "latency_us"
+        if (column.dtype.kind not in ("iu" if ints else "fiu") or column.ndim != 1
+                or column.shape != columns["ts"].shape):
+            raise DataError(f"{name} must be a column of {'ints' if ints else 'numbers'} as "
+                            f"long as ts, got {column.dtype} of shape {column.shape}")
+        if ints and column.dtype.kind == "u" and column.size and column.max() > INT64_MAX:
+            raise DataError(f"{name} outside the int64 range: {column.max()}")
+    return SampleColumns(*(c.astype(np.int64 if name != "latency_us" else np.float64, copy=False)
+                           for name, c in columns.items()))
 
 
 def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
@@ -288,17 +395,21 @@ class TopicBus:
         If the topic has a backing file the batch is written in one write
         before the in-memory append, so a failed write leaves no record of
         it, in memory or in the file.
-        Ints outside int64 and non-finite latencies, which no log can
-        replay, are a DataError.
+        A batch that no log could give back exactly is a DataError, raised
+        before anything of it is kept: an int field holding anything but
+        ints within int64 (a bool, float or str is not one), or a latency
+        that is not finite and on the 6-decimal grid (x == round(x, 6)).
+        Int columns are kept as int64 and latency as float64.
         """
         if not topic:
             raise NotFoundError("topic name must be non-empty")
-        batch = samples if isinstance(samples, SampleColumns) else SampleColumns.from_rows(samples)
-        if not np.isfinite(batch.latency_us).all():
-            raise DataError(f"non-finite latency published to {topic!r}")
+        batch = _wire_columns(samples)
+        log = self._topics.get(topic)
+        if log is not None and log.file is not None and len(batch):
+            log.file.append(encode_columns(batch))      # which checks the latencies
+        else:
+            _check_latency(batch.latency_us)
         log = self._topics.setdefault(topic, TopicLog())
-        if log.file is not None and len(batch):
-            log.file.append(encode_columns(batch).encode("utf-8"))
         log.append(batch)
         return len(log) - len(batch)
 

@@ -51,11 +51,20 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_simulate_duration_zero(config_path, tmp_path):
+def test_simulate_duration_below_one_exits_2_and_keeps_the_log(config_path, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli("simulate", "--config", config_path, "--duration-hours", 0,
+    assert run_cli("simulate", "--config", config_path, "--duration-hours", 1,
                    "--out", out) == 0
-    assert (out / "telemetry.log").read_text() == ""
+    log = (out / "telemetry.log").read_bytes()
+    capsys.readouterr()
+    for hours in (0, -5):
+        assert run_cli("simulate", "--config", config_path, "--duration-hours", hours,
+                       "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error [simulate]: --duration-hours")
+        assert (out / "telemetry.log").read_bytes() == log
+    assert run_cli("simulate", "--config", config_path, "--duration-hours", 0,
+                   "--out", tmp_path / "new") == 2
+    assert not (tmp_path / "new").exists()
 
 
 def test_simulate_record_count_3x5(tmp_path):

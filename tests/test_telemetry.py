@@ -3,16 +3,18 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import HalfWriteHandle
+from conftest import HalfWriteHandle, remove_action
 from spinescale import telemetry
-from spinescale.config import LatencyConfig, SimConfig, TopologyConfig
+from spinescale.config import LatencyConfig, SimConfig, TopologyConfig, TrafficConfig
 from spinescale.errors import (ConsistencyError, DataError, DecodeError, NotFoundError,
                                PersistenceError)
-from spinescale.fabric import LinkMetricSample, SampleColumns
+from spinescale.fabric import (LinkMetricSample, SampleColumns, apply_action, build_topology,
+                               generate_demands, hour_loads, simulate_tick)
 from spinescale.pipeline import simulate_hours, topology_from_config
 from spinescale.telemetry import (AppendLog, TopicBus, decode_sample, encode_columns,
                                   encode_sample)
@@ -465,7 +467,115 @@ def test_a_simulated_log_replays_without_the_per_line_decoder(tmp_path):
             mock.patch.object(telemetry, "_CHUNK_BYTES", 4096), TopicBus() as bus:
         assert bus.attach(TOPIC, path) == len(published) == 4 * 60 * 6
         replayed = bus.consume(TOPIC, columns=True)
-    assert encode_columns(replayed) == encode_columns(published) == path.read_text()
+    assert encode_columns(replayed) == encode_columns(published) == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the array encoder: what publish writes
+# ---------------------------------------------------------------------------
+
+NINE_DIGITS = [999999999.999999, -999999999.999999]    # the widest the array encoder writes
+TEN_DIGITS = [1e9, -1e9]                                 # written by encode_sample, row by row
+
+BENCH_SHAPED = {
+    "ingest-wide": ({"topology": {"n_leaf": 16, "n_spine": 8, "capacity_bps": 10_000_000_000,
+                                  "base_latency_us": 3.0, "min_spines": 2, "max_spines": 8},
+                     "latency": {"noise_us": 0.2},
+                     "traffic": {"base_bps": 1_000_000_000, "diurnal_amp_bps": 400_000_000,
+                                 "burst_rate_per_hour": 0.3, "burst_size_bps": 600_000_000,
+                                 "noise_bps": 50_000_000, "flows_per_pair": 2}}, [], 12),
+    "elastic-loop, spines 0 and 4 removed": (
+        {"topology": {"n_leaf": 3, "n_spine": 5, "capacity_bps": 10_000_000_000,
+                      "base_latency_us": 3.0, "min_spines": 3, "max_spines": 5,
+                      "spine_slots": [1, 3, 3, 3, 1]},
+         "latency": {"noise_us": 0.15},
+         "traffic": {"base_bps": 12_500_000_000, "diurnal_amp_bps": 1_250_000_000,
+                     "noise_bps": 150_000_000, "flows_per_pair": 16}}, [0, 4], 36),
+    "noise off": ({"topology": {"n_leaf": 4, "n_spine": 3, "capacity_bps": 1_000_000_000,
+                                "base_latency_us": 3.0},
+                   "latency": {"noise_us": 0.0},
+                   "traffic": {"base_bps": 400_000_000, "flows_per_pair": 4}}, [], 24),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_SHAPED)
+def test_publish_writes_the_lines_of_encode_sample(name, tmp_path):
+    sections, removed, hours = BENCH_SHAPED[name]
+    cfg = SimConfig(seed=131)
+    cfg.topology = TopologyConfig(**sections["topology"])
+    cfg.latency = LatencyConfig(**sections["latency"])
+    cfg.traffic = TrafficConfig(**sections["traffic"])
+    topology = topology_from_config(cfg)
+    for spine in removed:
+        topology = apply_action(topology, remove_action(spine))
+    path = tmp_path / "telemetry.log"
+    with mock.patch.object(telemetry, "encode_sample", side_effect=AssertionError), \
+            TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        simulate_hours(cfg, topology, bus, TOPIC, 0, hours, seed=17)
+        published = bus.consume(TOPIC, columns=True)
+    assert len(published) == hours * 60 * len(topology.links)
+    assert path.read_bytes() == "".join(encode_sample(s) + "\n"
+                                        for s in published.rows()).encode()
+
+
+@pytest.mark.parametrize("latency, per_row", [
+    (NINE_DIGITS[0], 0), (NINE_DIGITS[1], 0), (-0.0, 0), (123456.000001, 0),
+    (TEN_DIGITS[0], 3), (TEN_DIGITS[1], 3), (1e20, 3)])
+def test_only_a_latency_of_ten_digits_takes_the_row_encoder(latency, per_row, tmp_path):
+    batch = [sample(ts=0), sample(ts=1, latency=latency), sample(ts=2)]
+    with mock.patch.object(telemetry, "encode_sample", wraps=encode_sample) as row_encoder, \
+            TopicBus() as bus:
+        bus.attach(TOPIC, tmp_path / "telemetry.log")
+        bus.publish(TOPIC, batch)
+    assert row_encoder.call_count == per_row
+    assert (tmp_path / "telemetry.log").read_bytes() == \
+        "".join(encode_sample(s) + "\n" for s in batch).encode()
+
+
+def columns_with(**changed) -> SampleColumns:
+    return replace(SampleColumns.from_rows([sample(ts=0), sample(ts=1)]), **changed)
+
+
+@pytest.mark.parametrize("bad", [
+    [sample(ts=1.5)], [sample(ts=1.0)], [sample(ts="7")], [sample(link=True)],
+    [sample(fabric=2**63)], [sample(latency="6.25")], [sample(latency=True)],
+    [sample(latency=5.0000004)], [sample(latency=1e9 + 0.5e-6)], [sample(latency=1e-7)],
+    columns_with(ts=np.array([0, 2**63], dtype=np.uint64)),
+    columns_with(ts=np.array([0.0, 1.5])), columns_with(ts=np.array([0.0, 1.0])),
+    columns_with(spine_id=np.array([True, False])), columns_with(edge_bps=np.array(["1", "2"])),
+    columns_with(link_id=np.array([1, 2**64], dtype=object)),
+    columns_with(latency_us=np.array([6.25, 5.0000004])),
+    columns_with(latency_us=np.array(["6.25", "1.5"])),
+    columns_with(ts=np.array([0, 1, 2])), columns_with(ts=np.array([[0], [1]]))],
+    ids=lambda bad: repr(bad)[:60])
+def test_publish_rejects_what_the_log_cannot_give_back(bad, tmp_path):
+    path = tmp_path / "telemetry.log"
+    for backed in (True, False):
+        with TopicBus() as bus:
+            if backed:
+                bus.attach(TOPIC, path)
+            bus.publish(TOPIC, [sample(ts=0)])
+            with pytest.raises(DataError):
+                bus.publish(TOPIC, bad)
+            assert bus.length(TOPIC) == 1
+    assert path.read_bytes() == (encode_sample(sample(ts=0)) + "\n").encode()
+
+
+def test_publish_keeps_integer_columns_as_int64(tmp_path):
+    batch = columns_with(ts=np.array([0, 2**63 - 1], dtype=np.uint64),
+                         spine_id=np.array([1, 1], dtype=np.int32),
+                         latency_us=np.array([6, 7], dtype=np.int16))
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        bus.publish(TOPIC, batch)
+        kept = bus.consume(TOPIC, columns=True)
+    assert [c.dtype for c in kept.columns()] == [np.int64] * 3 + [np.float64] + [np.int64] * 2
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        assert bus.consume(TOPIC) == list(enumerate(kept.rows()))
+    assert kept.rows()[1] == sample(ts=2**63 - 1, latency=7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +584,7 @@ def test_a_simulated_log_replays_without_the_per_line_decoder(tmp_path):
 
 wide_ints = st.one_of(st.integers(-INT64_MAX - 1, INT64_MAX), st.integers(-10**4, 10**4))
 latencies = st.one_of(st.floats(-1e12, 1e12).map(lambda x: round(x, 6)),
-                      st.sampled_from([0.0, -0.0, -1e-6, 1e20]))
+                      st.sampled_from([0.0, -0.0, -1e-6, 1e20] + NINE_DIGITS + TEN_DIGITS))
 rows = st.lists(st.builds(LinkMetricSample, wide_ints, wide_ints, wide_ints, latencies,
                           wide_ints, wide_ints), max_size=40)
 
@@ -503,12 +613,28 @@ def periodic_rows(draw):
     return samples
 
 
+def two_hours_with_a_spine_removed() -> list[LinkMetricSample]:
+    """Two simulated hours of 3 minutes, the second without spine 1: the
+    link fields change between the hours."""
+    topology = build_topology(TopologyConfig(n_leaf=3, n_spine=3, capacity_bps=10**9,
+                                             base_latency_us=3.0, min_spines=2, max_spines=3))
+    traffic = TrafficConfig(base_bps=400_000_000, noise_bps=50_000_000, flows_per_pair=2)
+    samples = []
+    for hour, topo in enumerate([topology, apply_action(topology, remove_action(1))]):
+        loads = hour_loads(topo, generate_demands(traffic, 3, hour, 5), 5, flows_per_pair=2)
+        samples += simulate_tick(loads, 5, hour * 60, 0.2, minutes=3).rows()
+    return samples
+
+
 @FUZZ
 @given(st.one_of(rows, periodic_rows()))
+@example([sample(ts=ts, latency=x) for ts in (0, 1) for x in NINE_DIGITS + [-0.0, 0.0]])
+@example([sample(ts=ts, latency=x) for ts in (0, 1) for x in TEN_DIGITS + [-0.0, 0.0]])
+@example(two_hours_with_a_spine_removed())
 def test_batch_encoding_equals_row_encoding(samples):
     batch = SampleColumns.from_rows(samples)
     assert batch.rows() == samples
-    assert encode_columns(batch) == "".join(encode_sample(s) + "\n" for s in samples)
+    assert encode_columns(batch) == "".join(encode_sample(s) + "\n" for s in samples).encode()
 
 
 @FUZZ
