@@ -22,8 +22,9 @@ cfg.traffic = TrafficConfig(base_bps=6_500_000_000, diurnal_amp_bps=2_500_000_00
                             noise_bps=200_000_000, flows_per_pair=32)
 
 topology = topology_from_config(cfg)
+n_links = topology.n_leaf * len(topology.active_spine_ids)   # complete bipartite
 print(f"topology: {topology.n_leaf} leaves x {len(topology.active_spine_ids)} spines, "
-      f"{len(topology.links)} links")
+      f"{n_links} links")
 
 workdir = Path(tempfile.mkdtemp(prefix="spinescale-demo-"))
 log_path = workdir / "telemetry.log"
@@ -32,7 +33,7 @@ with TopicBus() as bus:
     bus.attach(METRICS_TOPIC, log_path)
     published = simulate_hours(cfg, topology, bus, METRICS_TOPIC,
                                start_hour=0, hours=24, seed=cfg.seed)
-print(f"published {published} samples (24 h x 60 min x {len(topology.links)} links)")
+print(f"published {published} samples (24 h x 60 min x {n_links} links)")
 print(f"log on disk: {log_path} ({log_path.stat().st_size / 1e6:.1f} MB)")
 
 # A fresh bus replays the persisted log exactly; consumers address records

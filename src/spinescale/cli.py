@@ -12,8 +12,12 @@ simulate -> train -> forecast -> decide writes the bytes a one-cycle `run` does:
     spinescale run          --config cfg.json --out out/
     spinescale export-plots --config cfg.json --out out/
 
-Training, policy and spine settings come only from the config file. A
-forecast reads the last max(lookback, 24) hours of each spine's telemetry.
+Training, policy and spine settings come only from the config file.
+`train` and `forecast` read the history the loop held after the log's last
+hour (`history_from_bus`): each spine of that hour, from the start of its
+last unbroken run of hours, so they also take the log of a run that removed
+or re-added spines. A forecast reads the last max(lookback, 24) hours of
+each spine's history.
 `decide` writes a fresh journal as cycle 0, with the cooldown elapsed.
 
 Artifacts: telemetry.log, model.ckpt, forecast.csv, journal.log, manifest.
@@ -30,7 +34,7 @@ from .errors import ConsistencyError, InvalidConfigError, SpinescaleError
 from .forecaster import (Forecast, forecast_horizon, load_checkpoint, load_forecast_csv,
                          save_checkpoint, save_forecast_csv)
 from .pipeline import (CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, METRICS_TOPIC,
-                       TELEMETRY_FILE, decide, run_closed_loop, series_from_bus, simulate_hours,
+                       TELEMETRY_FILE, decide, history_from_bus, run_closed_loop, simulate_hours,
                        topology_from_config, train_from_series)
 from .policy import REMOVE_SPINE, PolicyJournal, evaluate
 from .telemetry import TopicBus, write_atomic
@@ -80,7 +84,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     with _bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
-        series = series_from_bus(bus, METRICS_TOPIC)
+        series = history_from_bus(bus, METRICS_TOPIC)
     model, report = train_from_series(cfg, series, seed=cfg.seed, final_grad_check=True)
     path = out / CHECKPOINT_FILE
     save_checkpoint(model, path)
@@ -96,7 +100,7 @@ def cmd_forecast(args) -> int:
     out = _out_dir(args)
     model = load_checkpoint(args.checkpoint or out / CHECKPOINT_FILE)
     with _bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
-        series = series_from_bus(bus, METRICS_TOPIC)
+        series = history_from_bus(bus, METRICS_TOPIC)
     forecast = forecast_horizon(model, series, args.horizon)
     path = out / FORECAST_FILE
     save_forecast_csv(forecast, path)

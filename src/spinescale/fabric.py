@@ -1,7 +1,10 @@
 """Discrete-time leaf-spine fabric simulator.
 
 The fabric is a complete bipartite graph between leaf switches and the
-currently active spine switches. Each simulated hour (`hour_loads`):
+currently active spine switches. Link spine_id * n_leaf + leaf_id joins a
+leaf and a spine; ids are stable across activations so telemetry streams
+stay joinable, and `hour_loads` lists the active links in id order
+(spine-major, leaves ascending). Each simulated hour (`hour_loads`):
 
   1. the offered load for the hour is split into a fixed number of flows
      per leaf pair (integer bits/second each, so totals are exact),
@@ -60,15 +63,6 @@ RHO_MAX = 0.99
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Link:
-    """One leaf<->spine cable. id = spine_id * n_leaf + leaf_id, stable
-    across activations so telemetry streams stay joinable."""
-    id: int
-    leaf_id: int
-    spine_id: int
-
-
 @dataclass(frozen=True, slots=True)
 class LinkMetricSample:
     """One per-link observation for one simulated minute.
@@ -111,8 +105,8 @@ class SampleColumns:
     6-decimal grid. `from_rows` refuses a field value of the wrong type
     (a bool, float or str where an int belongs). A batch from
     `simulate_tick` is minute-major: all links of one minute, then the
-    next minute's. The bus keeps the batches it is given, so columns are
-    never written to once published.
+    next minute's. The bus keeps a published batch's columns read-only:
+    one the caller owns is frozen in place, a view is copied first.
     """
     ts: np.ndarray
     link_id: np.ndarray
@@ -179,12 +173,6 @@ class Topology:
     max_spines: int
     spine_slots: dict[int, int]   # ECMP hash slots per spine id
     active_spine_ids: list[int]   # ascending
-
-    @property
-    def links(self) -> list[Link]:
-        """Complete bipartite links of the active spines, sorted by link id."""
-        return [Link(id=s * self.n_leaf + l, leaf_id=l, spine_id=s)
-                for s in self.active_spine_ids for l in range(self.n_leaf)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +319,8 @@ def link_latency_us(base_latency_us: float, rho, queue_factor: float):
 
 @dataclass(frozen=True)
 class HourLoads:
-    """Hour-constant columns of the active links, in `Topology.links` order."""
+    """Hour-constant columns of the active links in link id order: link
+    spine_id * n_leaf + leaf_id, spine-major, leaves ascending."""
     link_id: np.ndarray
     spine_id: np.ndarray
     fabric_bps: np.ndarray     # capped at the link capacity
@@ -485,12 +474,13 @@ def uniform_rows(seeds: list[int], noise_us: float, n: int) -> np.ndarray:
 def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0,
                   minutes: int = 1) -> SampleColumns:
     """One sample per active link for each minute t ... t + minutes - 1, minute
-    by minute in `Topology.links` order: the hour's latency plus that
+    by minute in `hour`'s link id order: the hour's latency plus that
     minute's uniform noise, rounded to 6 places as round does. Minute m's
     noise is what default_rng(derive_seed(seed, f"latency-noise:{m}"))
     draws; `uniform_rows` computes all the minutes' noise as one block, so a
     run of minutes equals the single minutes concatenated. A noise_us whose
-    doubled width is not finite (NaN, inf, 1e308) is a DataError."""
+    doubled width is not finite (NaN, inf, 1e308) is a DataError. Every
+    column owns its data, so the bus keeps it without a copy."""
     if not noise_width_is_finite(noise_us):
         raise DataError(f"2 * noise_us must be finite, got noise_us={noise_us!r}")
     n = len(hour.latency_us)
@@ -498,7 +488,9 @@ def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0,
     if noise_us > 0:
         seeds = [derive_seed(seed, f"latency-noise:{m}") for m in range(t, t + minutes)]
         latency = latency + uniform_rows(seeds, noise_us, n)
+
+    def tile(column: np.ndarray) -> np.ndarray:     # owned, where np.tile's is a view
+        return np.broadcast_to(column, (minutes, n)).flatten()
     return SampleColumns(np.repeat(np.arange(t, t + minutes, dtype=np.int64), n),
-                         np.tile(hour.link_id, minutes), np.tile(hour.spine_id, minutes),
-                         round6(latency.ravel()), np.tile(hour.fabric_bps, minutes),
-                         np.tile(hour.edge_bps, minutes))
+                         tile(hour.link_id), tile(hour.spine_id), round6(latency.ravel()),
+                         tile(hour.fabric_bps), tile(hour.edge_bps))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import PolicyConfig, SimConfig, derive_seed, policy_from_config
 from .errors import InsufficientDataError
-from .fabric import (Topology, apply_action, build_topology, generate_demands, hour_loads,
-                     simulate_tick)
+from .fabric import (SampleColumns, Topology, apply_action, build_topology, generate_demands,
+                     hour_loads, simulate_tick)
 from .forecaster import (Forecast, LstmModel, TrainReport, digest_forecast, forecast_horizon,
                          init_model, save_checkpoint, save_forecast_csv, train)
 from .policy import PolicyAction, PolicyJournal, evaluate
@@ -62,6 +62,37 @@ def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str
 def series_from_bus(bus: TopicBus, topic: str, topology: Topology | None = None,
                     from_offset: int = 0) -> list[SwitchSeries]:
     return aggregate_hourly(bus.consume(topic, from_offset, columns=True), topology)
+
+
+def extend_history(history: dict[int, SwitchSeries], latest: list[SwitchSeries]
+                   ) -> dict[int, SwitchSeries]:
+    """Each spine's last unbroken run of hours once the hours of `latest`
+    are in, by spine id. A spine in `latest` extends its history if the
+    hours meet and starts over if they do not (first seen, or re-added
+    after a gap); a spine missing from `latest` is dropped."""
+    extended = {}
+    for s in latest:
+        prev = history.get(s.spine_id)
+        if prev is not None and prev.start_hour + len(prev) == s.start_hour:
+            s = SwitchSeries(s.spine_id, prev.start_hour, np.concatenate([prev.data, s.data]))
+        extended[s.spine_id] = s
+    return extended
+
+
+def history_from_bus(bus: TopicBus, topic: str) -> list[SwitchSeries]:
+    """The history `run_closed_loop` holds after the topic's last hour,
+    sorted by spine id: the topic's hours, ascending, folded through
+    extend_history one at a time. Unlike series_from_bus, a spine that
+    misses hours is no GapError: it is read from its return on, or not at
+    all if the last hour lacks it."""
+    samples = bus.consume(topic, columns=True)
+    hours = samples.ts // 60
+    order = np.argsort(hours, kind="stable")
+    history: dict[int, SwitchSeries] = {}
+    for rows in np.split(order, np.flatnonzero(np.diff(hours[order])) + 1):
+        hour = SampleColumns(*(c[rows] for c in samples.columns()))
+        history = extend_history(history, aggregate_hourly(hour))
+    return [history[sid] for sid in sorted(history)]
 
 
 def build_datasets(series_list: list[SwitchSeries], val_fraction: float,
@@ -143,16 +174,6 @@ class RunManifest:
         write_atomic(path, json.dumps(dataclasses.asdict(self), indent=2) + "\n")
 
 
-def _append_history(history: dict[int, SwitchSeries], series: SwitchSeries) -> None:
-    prev = history.get(series.spine_id)
-    if prev is not None and prev.start_hour + len(prev) == series.start_hour:
-        history[series.spine_id] = SwitchSeries(series.spine_id, prev.start_hour,
-                                                np.concatenate([prev.data, series.data]))
-    else:
-        # first sight of this spine, or non-contiguous (re-added): start over
-        history[series.spine_id] = series
-
-
 def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
                     config_path: str | None = None) -> RunManifest:
     """The full elastic loop: per decision cycle, simulate one window,
@@ -190,9 +211,8 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
             start_hour += run_cfg.hours_per_cycle
             manifest.stage_timings_s[f"cycle{cycle}.simulate"] = time.perf_counter() - t0
 
-            for s in series_from_bus(bus, METRICS_TOPIC, topology, offset_before):
-                _append_history(history, s)
-            history = {sid: s for sid, s in history.items() if sid in topology.active_spine_ids}
+            history = extend_history(history, series_from_bus(bus, METRICS_TOPIC, topology,
+                                                              offset_before))
 
             if model is None or run_cfg.retrain_each_cycle:
                 t0 = time.perf_counter()

@@ -96,7 +96,8 @@ def encode_columns(batch: SampleColumns) -> bytes:
     `ts` and latency are written from _WORDS, 3 digits a word. Latency x
     is written as k = rint(|x| * 10**6), which is exact for |x| < 10**9,
     where k / 10**6 == |x| is the grid check; a batch holding a latency of
-    10 or more integer digits is written row by row by encode_sample.
+    10 or more integer digits is checked by round6(x) == x and written row
+    by row by encode_sample.
     """
     n = len(batch)
     if not n:
@@ -104,7 +105,9 @@ def encode_columns(batch: SampleColumns) -> bytes:
     latency = batch.latency_us
     magnitude = np.abs(latency)
     if not (magnitude < 1e9).all():
-        _check_latency(latency)
+        on_grid = np.isfinite(latency) & (round6(latency) == latency)
+        if not on_grid.all():
+            raise _off_grid(latency[np.argmin(on_grid)])
         return "".join(encode_sample(s) + "\n" for s in batch.rows()).encode()
     fixed = np.rint(magnitude * 1e6)
     on_grid = fixed / 1e6 == magnitude
@@ -175,21 +178,22 @@ def _off_grid(latency: float) -> DataError:
                      "so no log can carry it exactly")
 
 
-def _check_latency(latency: np.ndarray) -> None:
-    """DataError unless every latency is finite and equal to round(x, 6)."""
-    valid = np.isfinite(latency)
-    if valid.all():
-        valid = round6(latency) == latency
-    if not valid.all():
-        raise _off_grid(latency[np.argmin(valid)])
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """The column, frozen in place if it owns its data; a view could still
+    be written through its owner, so it is copied first."""
+    if not column.flags.owndata:
+        column = column.copy()
+    column.flags.writeable = False
+    return column
 
 
 def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColumns:
-    """The samples as columns of equal length, ints as int64 and latency as
-    float64; an int column that holds anything but ints within int64, or
-    a latency column that holds anything but numbers, is a DataError."""
+    """The samples as read-only columns of equal length, ints as int64 and
+    latency as float64; an int column that holds anything but ints within
+    int64, or a latency column that holds anything but numbers, is a
+    DataError."""
     if not isinstance(samples, SampleColumns):
-        return SampleColumns.from_rows(samples)
+        samples = SampleColumns.from_rows(samples)
     columns = dict(zip(LinkMetricSample.__slots__, map(np.asarray, samples.columns())))
     for name, column in columns.items():
         ints = name != "latency_us"
@@ -199,7 +203,8 @@ def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColu
                             f"long as ts, got {column.dtype} of shape {column.shape}")
         if ints and column.dtype.kind == "u" and column.size and column.max() > INT64_MAX:
             raise DataError(f"{name} outside the int64 range: {column.max()}")
-    return SampleColumns(*(c.astype(np.int64 if name != "latency_us" else np.float64, copy=False)
+    return SampleColumns(*(_read_only(c.astype(np.int64 if name != "latency_us" else np.float64,
+                                               copy=False))
                            for name, c in columns.items()))
 
 
@@ -392,24 +397,25 @@ class TopicBus:
         """Append a batch of samples (the simulator publishes one hour per
         batch); returns the first one's offset.
 
-        If the topic has a backing file the batch is written in one write
-        before the in-memory append, so a failed write leaves no record of
-        it, in memory or in the file.
-        A batch that no log could give back exactly is a DataError, raised
-        before anything of it is kept: an int field holding anything but
-        ints within int64 (a bool, float or str is not one), or a latency
-        that is not finite and on the 6-decimal grid (x == round(x, 6)).
-        Int columns are kept as int64 and latency as float64.
+        Every batch is encoded by encode_columns, whether or not the topic
+        has a backing file, so a batch that no log could give back exactly
+        is a DataError on either kind of topic, raised before anything of it
+        is kept: an int field holding anything but ints within int64 (a
+        bool, float or str is not one), or a latency that is not finite and
+        on the 6-decimal grid (x == round(x, 6)). If the topic has a backing
+        file the lines are written in one write before the in-memory append,
+        so a failed write leaves no record of the batch, in memory or in the
+        file. Int columns are kept as int64 and latency as float64, all
+        read-only (see _wire_columns), so what `consume` returns is what
+        the file holds.
         """
         if not topic:
             raise NotFoundError("topic name must be non-empty")
         batch = _wire_columns(samples)
-        log = self._topics.get(topic)
-        if log is not None and log.file is not None and len(batch):
-            log.file.append(encode_columns(batch))      # which checks the latencies
-        else:
-            _check_latency(batch.latency_us)
+        lines = encode_columns(batch)
         log = self._topics.setdefault(topic, TopicLog())
+        if log.file is not None and lines:
+            log.file.append(lines)
         log.append(batch)
         return len(log) - len(batch)
 

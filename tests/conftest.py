@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinescale.config import TopologyConfig
-from spinescale.fabric import build_topology
+from spinescale.fabric import DemandMatrix, build_topology, hour_loads
 from spinescale.policy import ActionReason, PolicyAction
 
 
@@ -14,6 +14,14 @@ def remove_action(spine_id: int, cycle: int = 0) -> PolicyAction:
 def add_action(cycle: int = 0) -> PolicyAction:
     return PolicyAction(kind="add_spine", spine_id=None,
                         reason=ActionReason("test", 12.0, 0.0, 0), decision_cycle=cycle)
+
+
+def link_table(topology) -> list[tuple[int, int, int]]:
+    """(link id, leaf id, spine id) of each active link, in the order of
+    hour_loads' columns; the leaf id is link id - spine id * n_leaf."""
+    hour = hour_loads(topology, DemandMatrix(t=0, entries={}), seed=0)
+    return [(link, link - spine * topology.n_leaf, spine)
+            for link, spine in zip(hour.link_id.tolist(), hour.spine_id.tolist())]
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from spinescale.forecaster import (Forecast, init_model, load_checkpoint, load_f
                                    save_checkpoint, save_forecast_csv)
 from spinescale.policy import replay_journal
 from test_forecaster import MALFORMED_RECORDS, SMALL
-from test_pipeline import acting_cfg
+from test_pipeline import ACTING_ACTIONS, acting_cfg
 
 SMALL_CONFIG = {
     "seed": 9,
@@ -128,6 +128,20 @@ def test_stage_chain_writes_the_bytes_of_a_one_cycle_run(tmp_path, hours):
     assert replay_journal(chain / "journal.log")
     for name in ("telemetry.log", "model.ckpt", "forecast.csv", "journal.log"):
         assert (chain / name).read_bytes() == (loop / name).read_bytes(), name
+
+
+def test_train_and_forecast_take_the_log_of_a_run_that_acted(tmp_path):
+    path = tmp_path / "cfg.json"
+    save_config(acting_cfg(), path)
+    run = tmp_path / "run"
+    assert run_cli("run", "--config", path, "--out", run) == 0
+    assert [(e.cycle, e.kind, e.spine_id) for e in replay_journal(run / "journal.log")] == \
+        ACTING_ACTIONS
+    written = (run / "forecast.csv").read_bytes()
+    assert run_cli("forecast", "--out", run, "--horizon", 24) == 0
+    assert (run / "forecast.csv").read_bytes() == written
+    assert run_cli("train", "--config", path, "--telemetry", run / "telemetry.log",
+                   "--out", tmp_path / "retrained") == 0
 
 
 def test_decide_writes_expected_removals(empty_config, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add_action, remove_action
+from conftest import add_action, link_table, remove_action
 from spinescale.config import TopologyConfig, TrafficConfig
 from spinescale.errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundError,
                                PolicyViolationError)
@@ -32,23 +32,25 @@ def quiet_traffic(**overrides) -> TrafficConfig:
 # ---------------------------------------------------------------------------
 
 def test_build_topology_3x5(topo_3x5):
-    assert len(topo_3x5.links) == 15
+    links = link_table(topo_3x5)
+    assert len(links) == 15
     assert topo_3x5.active_spine_ids == [0, 1, 2, 3, 4]
     # complete bipartite: every active spine has one link per leaf
     for sid in topo_3x5.active_spine_ids:
-        leaves = sorted(lk.leaf_id for lk in topo_3x5.links if lk.spine_id == sid)
+        leaves = sorted(leaf for _, leaf, spine in links if spine == sid)
         assert leaves == [0, 1, 2]
 
 
 def test_build_topology_minimal():
     topo = build_topology(TopologyConfig(1, 1, CAP, 3.0, min_spines=1))
-    assert len(topo.links) == 1
-    assert topo.links[0].leaf_id == 0 and topo.links[0].spine_id == 0
+    links = link_table(topo)
+    assert len(links) == 1
+    assert links[0][1] == 0 and links[0][2] == 0
 
 
 def test_build_topology_two_leaves():
     topo = build_topology(TopologyConfig(2, 5, CAP, 3.0))
-    assert len(topo.links) == 10
+    assert len(link_table(topo)) == 10
     assert topo.active_spine_ids == [0, 1, 2, 3, 4]
 
 
@@ -416,19 +418,21 @@ def reference_tick(topology, demands, seed, t, flows_per_pair, queue_factor, noi
         edge[src] = edge.get(src, 0) + rate
         edge[dst] = edge.get(dst, 0) + rate
     noise = None
+    links = [(spine * topology.n_leaf + leaf, leaf, spine)
+             for spine in topology.active_spine_ids for leaf in range(topology.n_leaf)]
     if noise_us > 0:
         rng = np.random.default_rng(derive_seed(seed, f"latency-noise:{t}"))
-        noise = rng.uniform(-noise_us, noise_us, size=len(topology.links))
+        noise = rng.uniform(-noise_us, noise_us, size=len(links))
     samples = []
-    for idx, link in enumerate(topology.links):
-        load = carried.get(link.id, 0)
+    for idx, (link_id, leaf_id, spine_id) in enumerate(links):
+        load = carried.get(link_id, 0)
         latency = link_latency_us(topology.base_latency_us, load / topology.capacity_bps,
                                   queue_factor)
         if noise is not None:
             latency += float(noise[idx])
         samples.append(LinkMetricSample(
-            ts=int(t), link_id=link.id, spine_id=link.spine_id, latency_us=round(latency, 6),
-            fabric_bps=min(load, topology.capacity_bps), edge_bps=int(edge.get(link.leaf_id, 0))))
+            ts=int(t), link_id=link_id, spine_id=spine_id, latency_us=round(latency, 6),
+            fabric_bps=min(load, topology.capacity_bps), edge_bps=int(edge.get(leaf_id, 0))))
     return samples
 
 
@@ -475,7 +479,7 @@ def test_hour_loads_match_per_minute_reference():
 def test_remove_spine_deactivates_links_and_flows(topo_3x5):
     topo = apply_action(topo_3x5, remove_action(4))
     assert topo.active_spine_ids == [0, 1, 2, 3]
-    assert all(lk.spine_id != 4 for lk in topo.links)
+    assert all(spine != 4 for _, _, spine in link_table(topo))
     dm = DemandMatrix(t=0, entries={(0, 1): 9_999, (2, 0): 5_000})
     samples = simulate_tick(hour_loads(topo, dm, seed=0), seed=0, t=0).rows()
     assert all(s.spine_id != 4 for s in samples)
@@ -500,13 +504,14 @@ def test_add_then_remove_restores_active_set(topo_3x5):
     removed = apply_action(topo_3x5, remove_action(2))
     added = apply_action(removed, add_action())        # reactivates lowest inactive id
     assert added.active_spine_ids == topo_3x5.active_spine_ids
-    assert sorted(lk.id for lk in added.links) == sorted(lk.id for lk in topo_3x5.links)
+    assert sorted(link for link, _, _ in link_table(added)) == \
+        sorted(link for link, _, _ in link_table(topo_3x5))
 
 
 def test_add_mints_new_spine_when_none_inactive(topo_3x5):
     topo = apply_action(topo_3x5, add_action())
     assert topo.active_spine_ids == [0, 1, 2, 3, 4, 5]
-    assert len(topo.links) == 18
+    assert len(link_table(topo)) == 18
 
 
 def test_add_beyond_max_rejected():
@@ -527,4 +532,4 @@ def test_random_action_sequences_respect_bounds(topo_3x5):
         n = len(topo.active_spine_ids)
         assert topo.min_spines <= n <= topo.max_spines
         # complete bipartite over the active set at every step
-        assert len(topo.links) == n * topo.n_leaf
+        assert len(link_table(topo)) == n * topo.n_leaf

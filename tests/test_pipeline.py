@@ -4,15 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import HalfWriteHandle
+from conftest import HalfWriteHandle, add_action, remove_action
 from spinescale import pipeline
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
-from spinescale.errors import InsufficientDataError, InvalidConfigError, PersistenceError
+from spinescale.errors import GapError, InsufficientDataError, InvalidConfigError, PersistenceError
 from spinescale.forecaster import forecast_horizon
-from spinescale.pipeline import (METRICS_TOPIC, _append_history, build_datasets, recent_history,
-                                 run_closed_loop, series_from_bus, simulate_hours,
-                                 topology_from_config)
+from spinescale.fabric import apply_action
+from spinescale.pipeline import (METRICS_TOPIC, build_datasets, extend_history,
+                                 history_from_bus, recent_history, run_closed_loop,
+                                 series_from_bus, simulate_hours, topology_from_config)
 from spinescale.policy import replay_journal
 from spinescale.telemetry import TopicBus
 from spinescale.windows import SwitchSeries
@@ -121,14 +122,38 @@ def test_build_datasets_of_no_series_is_insufficient_data():
 
 
 def test_append_history_contiguous_merge_and_reset():
-    history = {}
-    _append_history(history, series(0, 0, [1, 2, 3]))
-    _append_history(history, series(0, 3, [4, 5]))
+    history = extend_history({}, [series(0, 0, [1, 2, 3]), series(1, 0, [7, 8, 9])])
+    history = extend_history(history, [series(0, 3, [4, 5])])
+    assert list(history) == [0]                     # spine 1 missing: dropped
     assert history[0].data[:, 0].tolist() == [1, 2, 3, 4, 5]
     assert history[0].start_hour == 0
-    _append_history(history, series(0, 10, [9]))    # gap: start over
+    history = extend_history(history, [series(0, 10, [9])])    # gap: start over
     assert history[0].data[:, 0].tolist() == [9]
     assert history[0].start_hour == 10
+
+
+def test_history_from_bus_is_the_history_the_loop_holds():
+    # spine 0 is removed for hours 3-4 and back for hours 5-6, as a loop
+    # that acted would publish it; the loop extends its history per cycle
+    cfg = small_cfg()
+    topo = topology_from_config(cfg)
+    removed = apply_action(topo, remove_action(0))
+    bus, loop = TopicBus(), {}
+    bus.publish(METRICS_TOPIC, [])
+    with pytest.raises(InsufficientDataError):
+        history_from_bus(bus, METRICS_TOPIC)
+    for start, hours, active in [(0, 3, topo), (3, 2, removed),
+                                 (5, 2, apply_action(removed, add_action()))]:
+        offset = bus.length(METRICS_TOPIC)
+        simulate_hours(cfg, active, bus, METRICS_TOPIC, start, hours, seed=1)
+        loop = extend_history(loop, series_from_bus(bus, METRICS_TOPIC, active, offset))
+        rebuilt = history_from_bus(bus, METRICS_TOPIC)
+        assert [(s.spine_id, s.start_hour, len(s)) for s in rebuilt] == \
+            [(sid, s.start_hour, len(s)) for sid, s in sorted(loop.items())]
+        assert all(np.array_equal(s.data, loop[s.spine_id].data) for s in rebuilt)
+    assert [(s.spine_id, s.start_hour) for s in rebuilt] == [(0, 5), (1, 0), (2, 0)]
+    with pytest.raises(GapError):       # the strict contract is unchanged
+        series_from_bus(bus, METRICS_TOPIC)
 
 
 def test_recent_history_trims_from_the_end():

@@ -514,7 +514,7 @@ def test_publish_writes_the_lines_of_encode_sample(name, tmp_path):
         bus.attach(TOPIC, path)
         simulate_hours(cfg, topology, bus, TOPIC, 0, hours, seed=17)
         published = bus.consume(TOPIC, columns=True)
-    assert len(published) == hours * 60 * len(topology.links)
+    assert len(published) == hours * 60 * topology.n_leaf * len(topology.active_spine_ids)
     assert path.read_bytes() == "".join(encode_sample(s) + "\n"
                                         for s in published.rows()).encode()
 
@@ -547,7 +547,8 @@ def columns_with(**changed) -> SampleColumns:
     columns_with(link_id=np.array([1, 2**64], dtype=object)),
     columns_with(latency_us=np.array([6.25, 5.0000004])),
     columns_with(latency_us=np.array(["6.25", "1.5"])),
-    columns_with(ts=np.array([0, 1, 2])), columns_with(ts=np.array([[0], [1]]))],
+    columns_with(ts=np.array([0, 1, 2])), columns_with(ts=np.array([[0], [1]])),
+    [sample(latency=float("nan"))], [sample(latency=float("-inf"))]],
     ids=lambda bad: repr(bad)[:60])
 def test_publish_rejects_what_the_log_cannot_give_back(bad, tmp_path):
     path = tmp_path / "telemetry.log"
@@ -576,6 +577,28 @@ def test_publish_keeps_integer_columns_as_int64(tmp_path):
         bus.attach(TOPIC, path)
         assert bus.consume(TOPIC) == list(enumerate(kept.rows()))
     assert kept.rows()[1] == sample(ts=2**63 - 1, latency=7.0)
+
+
+@pytest.mark.parametrize("backed", [True, False])
+def test_published_columns_are_read_only_and_apart_from_their_owners(backed, tmp_path):
+    ints = np.array([[0, 1], [3, 4], [1, 1], [5, 6], [7, 8]])
+    latency = np.array([3.5, 4.25])
+    batch = SampleColumns(*ints[:3], latency, *ints[3:])   # views of `ints`, `latency` itself
+    published = batch.rows()
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        if backed:
+            bus.attach(TOPIC, path)
+        bus.publish(TOPIC, batch)
+        with pytest.raises(ValueError):
+            batch.latency_us[0] = 99.0
+        ints[:] = 99
+        kept = bus.consume(TOPIC)
+    assert kept == list(enumerate(published))
+    if backed:
+        with TopicBus() as bus:
+            bus.attach(TOPIC, path)
+            assert bus.consume(TOPIC) == kept
 
 
 # ---------------------------------------------------------------------------

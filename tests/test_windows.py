@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import link_table
 from spinescale.errors import DataError, GapError, InsufficientDataError
 from spinescale.config import LatencyConfig, SimConfig, TopologyConfig, TrafficConfig
 from spinescale.fabric import LinkMetricSample, SampleColumns, build_topology
@@ -69,9 +70,8 @@ def test_grouping_two_spines_two_hours():
     topo = build_topology(TopologyConfig(2, 2, 1000, 1.0, min_spines=1))
     samples = []
     for m in range(120):
-        for link in topo.links:
-            samples.append(mk_sample(ts=m, link=link.id, spine=link.spine_id,
-                                     lat=1.0 + link.spine_id))
+        for link, _, spine in link_table(topo):
+            samples.append(mk_sample(ts=m, link=link, spine=spine, lat=1.0 + spine))
     out = aggregate_hourly(samples, topo)
     assert [s.spine_id for s in out] == [0, 1]
     assert all(len(s) == 2 for s in out)
@@ -93,8 +93,8 @@ def test_aggregate_permutation_invariant():
     samples = []
     rng = np.random.default_rng(0)
     for m in range(120):
-        for link in topo.links:
-            samples.append(mk_sample(ts=m, link=link.id, spine=link.spine_id,
+        for link, _, spine in link_table(topo):
+            samples.append(mk_sample(ts=m, link=link, spine=spine,
                                      lat=float(rng.uniform(1, 9)),
                                      fab=int(rng.integers(0, 1000))))
     a = aggregate_hourly(samples, topo)
