@@ -351,7 +351,7 @@ def load_config(path: str | Path) -> SimConfig:
     if unknown:
         raise InvalidConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
 
-    kwargs = {"seed": raw.get("seed", 7)}
+    kwargs = {"seed": raw["seed"]} if "seed" in raw else {}
     for name, cls in _SECTIONS.items():
         section = raw.get(name, {})
         if not isinstance(section, dict):

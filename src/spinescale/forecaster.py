@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -440,13 +441,35 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
 
 
 # ---------------------------------------------------------------------------
-# Forecast file (CSV artifact shared with the CLI)
+# Read-back artifacts: each loader reads what its saver writes, then refuses
+# the file unless re-encoding what it read gives back the file's bytes
 # ---------------------------------------------------------------------------
+
+def _read_text(path: Path, what: str) -> str:
+    """The file's bytes decoded as UTF-8, line ends untranslated; a missing
+    or non-UTF-8 file is a DecodeError naming it."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except FileNotFoundError as exc:
+        raise DecodeError(f"{what} not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{what} {path} is not UTF-8: {exc}") from exc
+
+
+def _require_reencodes(path: Path, what: str, text: str, saved: str) -> None:
+    """DecodeError naming the path and the first line where `text`, the
+    file, differs from `saved`, what the saver writes for what was read."""
+    if text != saved:
+        at = len(os.path.commonprefix([text, saved]))
+        line = text.count("\n", 0, at) + 1
+        raise DecodeError(f"{what} {path}: line {line} is not as its saver writes it: found "
+                          f"{text[at:at + 24]!r}, expected {saved[at:at + 24]!r}")
+
 
 FORECAST_HEADER = "hour,spine_id,predicted_latency_us"
 
 
-def save_forecast_csv(forecast: Forecast, path: str | Path) -> None:
+def _forecast_text(forecast: Forecast) -> str:
     """hour,spine_id,predicted_latency_us; horizon rows per spine, spine-major.
 
     Floats use repr so the file round-trips bit-exactly.
@@ -455,48 +478,38 @@ def save_forecast_csv(forecast: Forecast, path: str | Path) -> None:
     for sid in forecast.spine_ids():
         for hour, value in enumerate(forecast.per_spine[sid], start=1):
             lines.append(f"{hour},{sid},{float(value)!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a text artifact; a missing or non-UTF-8 file is a
-    DecodeError naming it."""
-    if not path.exists():
-        raise DecodeError(f"{what} not found: {path}")
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"{what} {path} is not UTF-8: {exc}") from exc
+def save_forecast_csv(forecast: Forecast, path: str | Path) -> None:
+    """Write _forecast_text(forecast) in one atomic step."""
+    write_atomic(path, _forecast_text(forecast))
 
 
 def load_forecast_csv(path: str | Path) -> Forecast:
+    """The forecast save_forecast_csv wrote. Each row after the header is
+    read as hour,spine,value; the spines must agree on the horizon, and the
+    file must be exactly _forecast_text of the forecast read. Anything else
+    (a blank line, a row out of order, a float not in repr form, CRLF line
+    ends) is a DecodeError naming the path. The file has no trailer, so a
+    copy cut short after a whole line still loads, as the forecast of the
+    lines it kept."""
     path = Path(path)
-    lines = _read_lines(path, "forecast file")
-    if not lines or lines[0] != FORECAST_HEADER:
-        raise DecodeError(f"forecast file {path}: bad or missing header")
+    text = _read_text(path, "forecast file")
     per_spine: dict[int, list[float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DecodeError(f"forecast file {path}: line {lineno} has {len(parts)} fields")
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
         try:
-            hour, sid, value = int(parts[0]), int(parts[1]), float(parts[2])
+            _, sid, value = line.split(",")
+            per_spine.setdefault(int(sid), []).append(float(value))
         except ValueError as exc:
             raise DecodeError(f"forecast file {path}: line {lineno}: {exc}") from exc
-        rows = per_spine.setdefault(sid, [])
-        if hour != len(rows) + 1:
-            raise DecodeError(f"forecast file {path}: line {lineno}: expected hour "
-                              f"{len(rows) + 1} for spine {sid}, got {hour}")
-        rows.append(value)
-    if not per_spine:
-        return Forecast(horizon=0, per_spine={})
     horizons = {len(rows) for rows in per_spine.values()}
-    if len(horizons) != 1:
+    if len(horizons) > 1:
         raise DecodeError(f"forecast file {path}: spines disagree on horizon: {sorted(horizons)}")
-    return Forecast(horizon=horizons.pop(),
-                    per_spine={sid: np.asarray(rows) for sid, rows in per_spine.items()})
+    forecast = Forecast(horizon=horizons.pop() if horizons else 0,
+                        per_spine={sid: np.asarray(rows) for sid, rows in per_spine.items()})
+    _require_reencodes(path, "forecast file", text, _forecast_text(forecast))
+    return forecast
 
 
 def digest_forecast(forecast: Forecast) -> str:
@@ -516,10 +529,10 @@ def digest_forecast(forecast: Forecast) -> str:
 _CKPT_MAGIC = "spinescale-checkpoint v1"
 
 
-def save_checkpoint(model: LstmModel, path: str | Path) -> None:
+def _checkpoint_text(model: LstmModel) -> str:
     """Single text document: hyperparameters, scaler stats, then every
-    weight array with explicit shape. Floats use repr, so load(save(m))
-    reproduces m exactly."""
+    weight array with explicit shape. Floats use repr, so the model read
+    back is this one exactly."""
     lines = [_CKPT_MAGIC]
     lines.append("hyper " + json.dumps(dataclasses.asdict(model.hyper), sort_keys=True))
     lines.append(f"dropout {model.hyper.dropout!r}")
@@ -531,81 +544,56 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
         lines.append(f"param {name} {dims}")
         lines.append(" ".join(repr(float(v)) for v in arr.reshape(-1)))
     lines.append("end")
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_checkpoint(model: LstmModel, path: str | Path) -> None:
+    """Write _checkpoint_text(model) in one atomic step."""
+    write_atomic(path, _checkpoint_text(model))
 
 
 def load_checkpoint(path: str | Path) -> LstmModel:
-    """The model save_checkpoint wrote. Every malformed record is a
-    DecodeError naming the path: hyperparameters that fail validation,
-    a repeated record, a dropout line that disagrees with them, a scaler
-    without both N_CHANNELS-value records, a non-finite scaler or parameter
-    value, or arrays other than parameter_shapes(hyper)."""
+    """The model save_checkpoint wrote. The records are read in the order
+    the saver writes them: the magic line, the hyperparameters (which must
+    pass validation), the dropout line (skipped), an optional scaler of
+    N_CHANNELS finite values per record, then one line of values per
+    parameter_shapes(hyper) entry, which must be finite. The file must then
+    be exactly _checkpoint_text of the model read, so a record repeated,
+    missing, reordered or cut short, a float not in repr form or a CRLF
+    line end is refused too. Each refusal is a DecodeError naming the path."""
     path = Path(path)
-    lines = _read_lines(path, "checkpoint")
-    if not lines or lines[0] != _CKPT_MAGIC:
+    text = _read_text(path, "checkpoint")
+    lines = text.splitlines()
+    if lines[:1] != [_CKPT_MAGIC]:
         raise DecodeError(f"checkpoint {path}: bad or missing magic line")
-
-    hyper: TrainingConfig | None = None
-    dropout: float | None = None
-    stats: dict[str, np.ndarray] = {}
-    arrays: dict[str, np.ndarray] = {}
-    seen: set[str] = set()
     i = 1
     try:
-        while i < len(lines):
-            line = lines[i]
-            if line == "end":
-                break
-            key, _, rest = line.partition(" ")
-            record = f"param {rest.split(' ', 1)[0]}" if key == "param" else key
-            if record in seen:
-                raise DecodeError(f"checkpoint {path}: line {i + 1}: a second {record!r} record")
-            seen.add(record)
-            if key == "hyper":
-                data = json.loads(rest)
-                if not isinstance(data, dict):
-                    raise ValueError("hyper is not a JSON object")
-                hyper = _build_section(TrainingConfig, data, "hyper")
-                hyper.validate()
-                hyper.validate_model()
-            elif key == "dropout":
-                dropout = float(rest)
-            elif key in ("scaler_min", "scaler_max"):
-                stats[key] = np.array([float(v) for v in rest.split()])
-            elif key == "param":
-                name, *dims = rest.split()
-                shape = tuple(int(d) for d in dims)
-                i += 1
-                if i >= len(lines):
-                    raise DecodeError(f"checkpoint {path}: missing values for param {name}")
-                arrays[name] = np.array([float(v) for v in lines[i].split()]).reshape(shape)
-            else:
-                raise DecodeError(f"checkpoint {path}: unrecognized line {i + 1}: {line!r}")
+        data = json.loads(lines[i].partition(" ")[2])
+        if not isinstance(data, dict):
+            raise ValueError("hyper is not a JSON object")
+        hyper = _build_section(TrainingConfig, data, "hyper")
+        hyper.validate()
+        hyper.validate_model()
+        i = 3                                   # past the dropout line: re-encoding checks it
+        scaler = None
+        if lines[i].startswith("scaler_min "):
+            stats = [np.array([float(v) for v in lines[k].split()[1:]]) for k in (i, i + 1)]
+            if any(v.shape != (N_CHANNELS,) or not np.isfinite(v).all() for v in stats):
+                raise ValueError(f"a scaler needs {N_CHANNELS} finite values per record")
+            scaler = Scaler(*stats)
+            i += 2
+        arrays = []
+        for shape in parameter_shapes(hyper).values():
             i += 1
-        else:
-            raise DecodeError(f"checkpoint {path}: missing 'end' line")
+            arrays.append(np.array([float(v) for v in lines[i].split()]).reshape(shape))
+            i += 1
     except (ValueError, InvalidConfigError) as exc:
         raise DecodeError(f"checkpoint {path}: line {i + 1}: {exc}") from exc
-
-    if hyper is None or dropout is None:
-        raise DecodeError(f"checkpoint {path}: missing hyper or dropout record")
-    if dropout != hyper.dropout:
-        raise DecodeError(f"checkpoint {path}: dropout {dropout!r} != hyper's {hyper.dropout!r}")
-    scaler = None
-    if stats:
-        if len(stats) != 2 or any(v.shape != (N_CHANNELS,) or not np.isfinite(v).all()
-                                  for v in stats.values()):
-            raise DecodeError(f"checkpoint {path}: a scaler needs both scaler_min and "
-                              f"scaler_max, {N_CHANNELS} finite values each")
-        scaler = Scaler(mins=stats["scaler_min"], maxs=stats["scaler_max"])
-    shapes = parameter_shapes(hyper)
-    found = {name: arr.shape for name, arr in arrays.items()}
-    if found != shapes:
-        diff = {name: (found.get(name), shapes.get(name)) for name in sorted(found.keys() | shapes)
-                if found.get(name) != shapes.get(name)}
-        raise DecodeError(f"checkpoint {path}: arrays do not fit the stored hyperparameters "
-                          f"(name: (stored shape, expected shape)): {diff}")
-    theta = np.concatenate([arrays[name].reshape(-1) for name in shapes])
+    except IndexError:
+        raise DecodeError(f"checkpoint {path}: cut short after line {len(lines)}") from None
+    theta = np.concatenate([arr.reshape(-1) for arr in arrays])
     if not np.isfinite(theta).all():
         raise DecodeError(f"checkpoint {path}: non-finite parameter values")
-    return LstmModel(theta, scaler, hyper)
+    model = LstmModel(theta, scaler, hyper)
+    _require_reencodes(path, "checkpoint", text, _checkpoint_text(model))
+    return model

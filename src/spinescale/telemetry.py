@@ -188,10 +188,10 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 
 def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColumns:
-    """The samples as read-only columns of equal length, ints as int64 and
-    latency as float64; an int column that holds anything but ints within
-    int64, or a latency column that holds anything but numbers, is a
-    DataError."""
+    """The samples as columns of equal length, ints as int64 and latency as
+    float64 (the caller's own array where it already is one); an int column
+    that holds anything but ints within int64, or a latency column that
+    holds anything but numbers, is a DataError."""
     if not isinstance(samples, SampleColumns):
         samples = SampleColumns.from_rows(samples)
     columns = dict(zip(LinkMetricSample.__slots__, map(np.asarray, samples.columns())))
@@ -203,8 +203,7 @@ def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColu
                             f"long as ts, got {column.dtype} of shape {column.shape}")
         if ints and column.dtype.kind == "u" and column.size and column.max() > INT64_MAX:
             raise DataError(f"{name} outside the int64 range: {column.max()}")
-    return SampleColumns(*(_read_only(c.astype(np.int64 if name != "latency_us" else np.float64,
-                                               copy=False))
+    return SampleColumns(*(c.astype(np.int64 if name != "latency_us" else np.float64, copy=False)
                            for name, c in columns.items()))
 
 
@@ -278,11 +277,12 @@ def decode_log(data: bytes) -> list[SampleColumns]:
 def write_atomic(path: str | Path, text: str) -> None:
     """Replace a whole file in one step through a sibling temp file, so a
     write that fails or a process that dies midway leaves the previous
-    file, never a prefix. No fsync, as for the logs: safe against a crash
-    of the process, not of the machine."""
+    file, never a prefix. Line ends are not translated, so the file's
+    bytes are the text's UTF-8 on every platform. No fsync, as for the
+    logs: safe against a crash of the process, not of the machine."""
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -406,8 +406,9 @@ class TopicBus:
         file the lines are written in one write before the in-memory append,
         so a failed write leaves no record of the batch, in memory or in the
         file. Int columns are kept as int64 and latency as float64, all
-        read-only (see _wire_columns), so what `consume` returns is what
-        the file holds.
+        read-only (see _read_only), so what `consume` returns is what the
+        file holds; a batch that is refused, or whose write fails, is left
+        as the caller gave it.
         """
         if not topic:
             raise NotFoundError("topic name must be non-empty")
@@ -416,7 +417,7 @@ class TopicBus:
         log = self._topics.setdefault(topic, TopicLog())
         if log.file is not None and lines:
             log.file.append(lines)
-        log.append(batch)
+        log.append(SampleColumns(*map(_read_only, batch.columns())))
         return len(log) - len(batch)
 
     def consume(self, topic: str, from_offset: int = 0, *,

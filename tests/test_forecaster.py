@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +554,58 @@ def test_checkpoint_corruption_detected(tmp_path, mutate):
         load_checkpoint(bad)
 
 
+def swap_dense_records(text):
+    lines = text.splitlines(keepends=True)
+    k = param_record(lines, "dense.w")
+    return "".join(lines[:k] + lines[k + 2:k + 4] + lines[k:k + 2] + lines[k + 4:])
+
+
+def pad_first_weight(text):
+    """conv.w's first value written with a trailing 0: the same float, but
+    not its repr."""
+    lines = text.splitlines(keepends=True)
+    k = param_record(lines, "conv.w") + 1
+    first, rest = lines[k].split(" ", 1)
+    assert "." in first and "e" not in first
+    return "".join(lines[:k] + [f"{first}0 {rest}"] + lines[k + 1:])
+
+
+# files no saver writes, each of which loaded before the loader re-encoded
+@pytest.mark.parametrize("mutate", [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text + "end\n",                  # a line after "end"
+    lambda text: text[:-1],                        # no final newline
+    pad_first_weight,
+    swap_dense_records,
+], ids=["crlf", "line-after-end", "no-final-newline", "weight-not-repr", "dense-swapped"])
+def test_checkpoint_that_does_not_reencode_to_its_bytes_is_refused(tmp_path, mutate):
+    model = init_model(SMALL, seed=3, scaler=Scaler(np.zeros(3), np.array([10.0, 5.0, 2.0])))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(mutate(path.read_bytes().decode()).encode())
+    assert bad.read_bytes() != path.read_bytes()
+    with pytest.raises(DecodeError, match=re.escape(str(bad))):
+        load_checkpoint(bad)
+
+
+TINY = TrainingConfig(lookback_hours=2, conv_width=1, conv_channels=1, hidden_size=1,
+                      dropout=0.0)
+
+
+def test_every_proper_prefix_of_a_checkpoint_is_refused(tmp_path):
+    model = init_model(TINY, seed=5, scaler=Scaler(np.zeros(3), np.array([10.0, 5.0, 2.0])))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    assert models_equal(load_checkpoint(path), model)
+    cut = tmp_path / "cut.ckpt"
+    for k in range(len(data)):
+        cut.write_bytes(data[:k])
+        with pytest.raises(DecodeError):
+            load_checkpoint(cut)
+
+
 # ---------------------------------------------------------------------------
 # forecast CSV + digest
 # ---------------------------------------------------------------------------
@@ -603,6 +656,55 @@ def test_forecast_csv_malformed(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(DecodeError):
         load_forecast_csv(path)
+
+
+TWO_SPINES = ("hour,spine_id,predicted_latency_us\n"
+              "1,0,3.1\n2,0,4.0\n1,1,5.0\n2,1,10.987654321\n")
+
+
+@pytest.mark.parametrize("text", [
+    TWO_SPINES.replace("1,1,", "\n1,1,"),                                   # a blank line
+    "hour,spine_id,predicted_latency_us\n1,0,3.1\n1,1,5.0\n2,0,4.0\n2,1,10.987654321\n",
+    "hour,spine_id,predicted_latency_us\n1,1,5.0\n2,1,10.987654321\n1,0,3.1\n2,0,4.0\n",
+    TWO_SPINES.replace("3.1", "3.10"),
+    TWO_SPINES.replace("\n", "\r\n"),
+], ids=["blank-line", "interleaved", "spines-out-of-order", "float-not-repr", "crlf"])
+def test_forecast_that_does_not_reencode_to_its_bytes_is_refused(tmp_path, text):
+    path = tmp_path / "forecast.csv"
+    save_forecast_csv(Forecast(horizon=2, per_spine={0: np.array([3.1, 4.0]),
+                                                     1: np.array([5.0, 10.987654321])}), path)
+    assert path.read_text() == TWO_SPINES
+    assert load_forecast_csv(path).horizon == 2
+    path.write_bytes(text.encode())
+    with pytest.raises(DecodeError, match=re.escape(str(path))):
+        load_forecast_csv(path)
+
+
+def test_a_forecast_prefix_loads_only_as_the_forecast_of_its_whole_lines(tmp_path):
+    """The file has no trailer, so a cut at a line end that leaves the
+    spines on equal horizons still loads; no cut number ever does."""
+    data = TWO_SPINES.encode()
+    path = tmp_path / "forecast.csv"
+    loaded_at = []
+    for k in range(len(data) + 1):
+        path.write_bytes(data[:k])
+        try:
+            forecast = load_forecast_csv(path)
+        except DecodeError:
+            continue
+        loaded_at.append(k)
+        assert data[:k].endswith(b"\n")
+        rows: dict[int, list[float]] = {}
+        for line in data[:k].decode().splitlines()[1:]:
+            _, sid, value = line.split(",")
+            rows.setdefault(int(sid), []).append(float(value))
+        assert forecast.per_spine.keys() == rows.keys()
+        for sid, values in rows.items():
+            assert forecast.per_spine[sid].tolist() == values
+            assert forecast.horizon == len(values)
+    line_ends = [k + 1 for k, byte in enumerate(data) if byte == ord("\n")]
+    # every whole-line cut but the one after "1,1,5.0", where the horizons differ
+    assert loaded_at == line_ends[:3] + line_ends[4:]
 
 
 def test_digest_sensitive_to_content():

@@ -601,6 +601,28 @@ def test_published_columns_are_read_only_and_apart_from_their_owners(backed, tmp
             assert bus.consume(TOPIC) == kept
 
 
+@pytest.mark.parametrize("backed", [True, False])
+def test_a_batch_the_bus_does_not_keep_leaves_the_callers_columns_writable(backed, tmp_path):
+    refused = columns_with(latency_us=np.array([6.25, 5.0000004]))
+    accepted = columns_with()
+    with TopicBus() as bus:
+        if backed:
+            bus.attach(TOPIC, tmp_path / "telemetry.log")
+        with pytest.raises(DataError):
+            bus.publish(TOPIC, refused)
+        assert all(c.flags.writeable for c in refused.columns())
+        if backed:
+            unwritten = columns_with()
+            real = bus._topics[TOPIC].file._handle
+            bus._topics[TOPIC].file._handle = HalfWriteHandle(real, raises=True)
+            with pytest.raises(PersistenceError):
+                bus.publish(TOPIC, unwritten)
+            bus._topics[TOPIC].file._handle = real
+            assert all(c.flags.writeable for c in unwritten.columns())
+        bus.publish(TOPIC, accepted)
+        assert not any(c.flags.writeable for c in accepted.columns())
+
+
 # ---------------------------------------------------------------------------
 # columns against rows
 # ---------------------------------------------------------------------------
