@@ -144,6 +144,15 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
 def forward_batch(model: LstmModel, windows: np.ndarray, train_mode: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict]:
     """Predictions [B] plus the cache backward_batch needs."""
+    cache: dict = {"windows": windows}
+    return _forward(model, windows, train_mode, rng, cache), cache
+
+
+def _forward(model: LstmModel, windows: np.ndarray, train_mode: bool,
+             rng: np.random.Generator | None, cache: dict | None) -> np.ndarray:
+    """Predictions [B], filling `cache`, if there is one, with what
+    backward_batch needs; without one, layer 1's cache (its gates) is freed
+    before layer 2 runs."""
     if windows.ndim != 3 or windows.shape[2] != N_CHANNELS:
         raise ShapeError(f"expected [B, lookback, {N_CHANNELS}] windows, got {windows.shape}")
     conv_out = conv1d_forward(windows, model.conv_w, model.conv_b)
@@ -156,15 +165,18 @@ def forward_batch(model: LstmModel, windows: np.ndarray, train_mode: bool = Fals
         mask = dropout_mask(hs1.shape, model.hyper.dropout, rng)
     else:
         mask = None
+    if cache is not None:
+        cache.update(conv_out=conv_out, cache1=cache1, mask=mask)
+    del cache1
     dropped = hs1 if mask is None else hs1 * mask
     hs2, cache2 = lstm_layer_forward(dropped, model.layer2)
     _check_finite(hs2, "lstm2")
     h_last = hs2[:, -1]
     preds = (h_last @ model.dense_w + model.dense_b).ravel()
     _check_finite(preds, "dense")
-    cache = {"windows": windows, "conv_out": conv_out, "cache1": cache1,
-             "mask": mask, "cache2": cache2, "h_last": h_last}
-    return preds, cache
+    if cache is not None:
+        cache.update(cache2=cache2, h_last=h_last)
+    return preds
 
 
 def backward_batch(model: LstmModel, cache: dict, d_preds: np.ndarray) -> dict[str, np.ndarray]:
@@ -221,8 +233,7 @@ def evaluate_mse(model: LstmModel, dataset: WindowedDataset, batch_size: int = 2
     total = 0.0
     for start in range(0, len(dataset), batch_size):
         chunk = slice(start, start + batch_size)
-        preds, _ = forward_batch(model, dataset.inputs[chunk])
-        diff = preds - dataset.targets[chunk]
+        diff = _forward(model, dataset.inputs[chunk], False, None, None) - dataset.targets[chunk]
         total += float(np.sum(diff * diff))
     return total / len(dataset)
 
@@ -488,19 +499,22 @@ def save_forecast_csv(forecast: Forecast, path: str | Path) -> None:
 
 def load_forecast_csv(path: str | Path) -> Forecast:
     """The forecast save_forecast_csv wrote. Each row after the header is
-    read as hour,spine,value; the spines must agree on the horizon, and the
-    file must be exactly _forecast_text of the forecast read. Anything else
-    (a blank line, a row out of order, a float not in repr form, CRLF line
-    ends) is a DecodeError naming the path. The file has no trailer, so a
-    copy cut short after a whole line still loads, as the forecast of the
-    lines it kept."""
+    read as hour,spine,value, the value finite (forecast_horizon writes no
+    other); the spines must agree on the horizon, and the file must be
+    exactly _forecast_text of the forecast read. Anything else (a blank
+    line, a row out of order, a float not in repr form, CRLF line ends, a
+    `nan` or `inf`) is a DecodeError naming the path. The file has no
+    trailer, so a copy cut short after a whole line still loads, as the
+    forecast of the lines it kept."""
     path = Path(path)
     text = _read_text(path, "forecast file")
     per_spine: dict[int, list[float]] = {}
     for lineno, line in enumerate(text.splitlines()[1:], start=2):
         try:
             _, sid, value = line.split(",")
-            per_spine.setdefault(int(sid), []).append(float(value))
+            if not math.isfinite(latency := float(value)):
+                raise ValueError(f"{value!r} is not a finite latency")
+            per_spine.setdefault(int(sid), []).append(latency)
         except ValueError as exc:
             raise DecodeError(f"forecast file {path}: line {lineno}: {exc}") from exc
     horizons = {len(rows) for rows in per_spine.values()}

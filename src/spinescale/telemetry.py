@@ -3,30 +3,29 @@
 Stands in for a networked broker: the simulator publishes metric samples
 to named topics, downstream consumers read them back by offset. One
 publisher, many readers; records are immutable once appended, so consume
-is safe from concurrent contexts and never blocks the publisher.
-
-Records are kept as the `SampleColumns` chunks they were published or
-replayed in; `consume` hands them over as columns, or builds
-LinkMetricSample rows when a caller asks for rows.
+is safe from concurrent contexts and never blocks the publisher. Records
+are kept as the `SampleColumns` chunks they were published or replayed
+in; `consume` hands them over as columns, or as LinkMetricSample rows.
 
 Wire format (UTF-8, one record per line, exact key order, unknown keys
-rejected):
+rejected), latency_us in fixed 6-decimal formatting:
 
     ts=<int> link=<int> spine=<int> latency_us=<fixed6> fabric_bps=<int> edge_bps=<int>
 
-latency_us uses fixed 6-decimal formatting. Nothing quantizes a sample
-when it is built; `publish` refuses a batch the log could not give back
-exactly (an int field that is not ints within int64, a latency that is
-not finite and on the 6-decimal grid), so decode(encode(x)) == x for
-every field. Decoding accepts only what the encoder writes (ASCII digits,
-no sign on zero, no leading zeros, no `_`, no `nan`), so any line that
-decodes re-encodes to itself.
+`publish` refuses a batch the log could not give back exactly (an int
+field that is not ints within int64, a latency that is not finite and on
+the 6-decimal grid), so decode(encode(x)) == x for every field. Replay
+takes a chunk of lines only if the columns it read re-encode to the
+chunk's bytes, and decode_sample, which names the offset of a line it
+refuses, takes only ASCII digits, no sign on zero, no leading zeros, no
+`_` and no `nan`; so any line that decodes re-encodes to itself.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,18 +43,8 @@ _FIXED6 = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
 _SAMPLE_LINE = re.compile(
     rf"ts=({_INT}) link=({_INT}) spine=({_INT}) latency_us=({_FIXED6}) "
     rf"fabric_bps=({_INT}) edge_bps=({_INT})\n?")
-# What the batched decoder takes: ints of at most 18 digits, which int64
-# holds whatever they are (np.fromstring saturates past int64 without a
-# word), and latencies of at most 9 integer digits, whose 15-digit
-# fixed-point value is exact as a float. The repeat is possessive: a
-# greedy one keeps a backtrack entry per line.
-_FAST_INT = r"(?:0|-?[1-9][0-9]{0,17})"
-_FAST_FIXED6 = r"-?(?:0|[1-9][0-9]{0,8})\.[0-9]{6}"
-_SAMPLE_LINES = re.compile(
-    rf"(?:ts={_FAST_INT} link={_FAST_INT} spine={_FAST_INT} latency_us={_FAST_FIXED6} "
-    rf"fabric_bps={_FAST_INT} edge_bps={_FAST_INT}\n)*+".encode())
 _KEY_BYTES = b"abcdefghijklmnopqrstuvwxyz_=."   # what a valid line holds besides numbers
-_CHUNK_BYTES = 1 << 19   # ~6,000 lines: bounds the decoder's temporary objects
+_CHUNK_BYTES = 1 << 17   # ~1,500 lines: small enough that re-encoding reuses its memory
 # Four bytes of line text per uint32 word, 0 bytes where a word has no
 # characters: a 3-digit group g in full, after a 0 byte, at index g; as the
 # top group of a number, without its leading zeros, at 1000 + g; a group
@@ -86,18 +75,14 @@ def encode_columns(batch: SampleColumns) -> bytes:
     be int64; a latency that is not finite and on the 6-decimal grid
     (x == round(x, 6)), which no line carries exactly, is a DataError.
 
-    The rows are laid out as one [rows, words] block of uint32 words in
-    which every field has a slot of fixed width and 0 bytes stand where a
-    slot has no characters, so the lines are the block's bytes without
-    its 0 bytes. The link fields are %-formatted once per period of L
-    rows, L being the length of the first run of equal `ts` (a simulated
-    hour holds one run per minute), if the batch is whole periods over
-    which they repeat; else L is the whole batch, so `ts` only picks L.
-    `ts` and latency are written from _WORDS, 3 digits a word. Latency x
-    is written as k = rint(|x| * 10**6), which is exact for |x| < 10**9,
-    where k / 10**6 == |x| is the grid check; a batch holding a latency of
-    10 or more integer digits is checked by round6(x) == x and written row
-    by row by encode_sample.
+    The rows are laid out as one [rows, words] block of uint32 words, each
+    field in a slot of fixed width with 0 bytes where it has no characters,
+    so the lines are the block's bytes without its 0 bytes. The link fields
+    are %-formatted once per period of each run (see _runs); `ts` and
+    latency are written from _WORDS, 3 digits a word. Latency x is written
+    as k = rint(|x| * 10**6), exact for |x| < 10**9, where k / 10**6 == |x|
+    is the grid check; a batch holding a latency of 10 or more integer
+    digits is checked by round6(x) == x and written by encode_sample.
     """
     n = len(batch)
     if not n:
@@ -114,10 +99,9 @@ def encode_columns(batch: SampleColumns) -> bytes:
     if not on_grid.all():
         raise _off_grid(latency[np.argmin(on_grid)])
     links = [batch.link_id, batch.spine_id, batch.fabric_bps, batch.edge_bps]
-    period = int(np.argmax(batch.ts != batch.ts[0])) or n    # row 0 never differs
-    if n % period or not all((c.reshape(-1, period) == c[:period]).all() for c in links):
-        period = n
-    link, spine, fabric, edge = (c[:period].tolist() for c in links)
+    runs = _runs(batch.ts, links)
+    template = np.concatenate([np.arange(start, start + period) for start, _, period in runs])
+    link, spine, fabric, edge = (c[template].tolist() for c in links)
     heads = _text_words([b" link=%d spine=%d latency_us=" % p for p in zip(link, spine)])
     tails = _text_words([b" fabric_bps=%d edge_bps=%d\n" % p for p in zip(fabric, edge)],
                         right=True)     # so its 0 bytes run on from the fraction's last one
@@ -126,15 +110,48 @@ def encode_columns(batch: SampleColumns) -> bytes:
     value = _number_words(fixed.astype(np.uint64),
                           np.where(np.signbit(latency), _MINUS, _NO_TEXT), fraction=2)
     widths = [ts.shape[1], heads.shape[1], value.shape[1], tails.shape[1]]
-    block = np.empty((n // period, period, sum(widths)), dtype=np.uint32)
+    rows = np.empty((n, sum(widths)), dtype=np.uint32)
     head_at, value_at, tail_at = np.cumsum(widths[:-1])
-    rows = block.reshape(n, -1)
     rows[:, :head_at] = ts
-    block[:, :, head_at:value_at] = heads
     rows[:, value_at:tail_at] = value
-    block[:, :, tail_at:] = tails
+    done = 0                            # rows of heads and tails written out
+    for start, stop, period in runs:
+        block = rows[start:stop].reshape(-1, period, rows.shape[1])
+        block[:, :, head_at:value_at] = heads[done:done + period]
+        block[:, :, tail_at:] = tails[done:done + period]
+        done += period
     text = rows.view(np.uint8)
     return text[text != 0].tobytes()
+
+
+def _runs(ts: np.ndarray, links: list[np.ndarray]) -> list[tuple[int, int, int]]:
+    """(start, stop, period) of runs of rows that cover the batch in order,
+    each run's link columns repeating with its period: a minute (a run of
+    equal `ts`) and each next minute that repeats the one before. Runs of
+    one period next to each other are one run, formatted row by row."""
+    n = len(ts)
+    period = int(np.argmax(ts != ts[0])) or n           # the first minute's length
+    if not n % period and all((c.reshape(-1, period) == c[:period]).all() for c in links):
+        return [(0, n, period)]                         # one run, as a simulated hour is
+    bounds = np.concatenate(([0], np.flatnonzero(ts[1:] != ts[:-1]) + 1, [n]))
+    lengths = np.diff(bounds)                           # of each minute
+    repeat = np.zeros(len(lengths), dtype=bool)         # minute m repeats minute m - 1
+    as_long = np.flatnonzero(lengths[1:] == lengths[:-1]) + 1   # as long as the one before
+    for period in set(lengths[as_long].tolist()):      # np.unique's first call takes ~10 ms
+        minutes = as_long[lengths[as_long] == period]
+        same = links[0][period:] == links[0][:-period]  # row i + period is like row i
+        for c in links[1:]:
+            same &= c[period:] == c[:-period]
+        unlike, starts = np.flatnonzero(~same), bounds[minutes]
+        repeat[minutes] = unlike.searchsorted(starts - period) == unlike.searchsorted(starts)
+    firsts, bounds = np.flatnonzero(~repeat).tolist() + [len(lengths)], bounds.tolist()
+    runs: list[tuple[int, int, int]] = []
+    for m, after in zip(firsts, firsts[1:]):
+        start, stop, period = bounds[m], bounds[after], bounds[m + 1] - bounds[m]
+        if period == stop - start and runs and runs[-1][2] == runs[-1][1] - runs[-1][0]:
+            start, period = runs[-1][0], stop - runs.pop()[0]   # one period after one
+        runs.append((start, stop, period))
+    return runs
 
 
 def _text_words(texts: list[bytes], right: bool = False) -> np.ndarray:
@@ -221,20 +238,31 @@ def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
     raise DecodeError(f"malformed record{where}: {line!r}")
 
 
-def _decode_chunk_fast(chunk: bytes, n_lines: int) -> SampleColumns | None:
-    """Columns of a chunk of whole lines if every line is a record within
-    the batched decoder's limits (see _SAMPLE_LINES) and no latency is
-    "-0.000000" (which only the per-line decoder keeps as -0.0); else None.
-    The keys and the "." are dropped, so the latency parses as its
-    fixed-point integer, and numpy's C parser reads all the numbers."""
-    if _SAMPLE_LINES.fullmatch(chunk) is None or b"latency_us=-0.000000" in chunk:
+def _decode_chunk(chunk: bytes) -> tuple[SampleColumns, int] | None:
+    """The columns of the chunk's lines before its last change of `ts` (all
+    of them if it has none), so that it re-encodes as few runs (see _runs),
+    and their length in bytes, if encode_columns writes them back as those
+    bytes; else None. The keys and "." are dropped, so latency reads as its
+    fixed-point integer, and numpy's C parser reads every number: text it
+    cannot read to the end raises (older numpy warns), as does a count that
+    is not 6 a line, and a value it saturates or reads from another
+    spelling (-0, 007, -0.000000) re-encodes to other bytes."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cells = np.fromstring(chunk.translate(None, _KEY_BYTES), dtype=np.int64,
+                                  sep=" ").reshape(-1, 6)
+        # the rows before the last minute, which may go on past the chunk (all if one)
+        cells = cells[:len(cells) - int(np.argmax(cells[::-1, 0] != cells[-1:, 0]))]
+        # below 10**15 units (< 2**53) the division rounds once, as float() of
+        # the text does; past that, a value float() would not give re-encodes
+        # to other bytes
+        columns = SampleColumns(cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] / 1e6,
+                                cells[:, 4], cells[:, 5])
+        lines = encode_columns(columns)
+    except (ValueError, DeprecationWarning, DataError):
         return None
-    cells = np.fromstring(chunk.translate(None, _KEY_BYTES), dtype=np.int64,
-                          sep=" ").reshape(n_lines, 6)
-    # exact: the fixed-point latency (below 10**15 < 2**53) and 1e6 are exact
-    # doubles, and the division rounds once, as float() of the text does
-    return SampleColumns(cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] / 1e6,
-                         cells[:, 4], cells[:, 5])
+    return (columns, len(lines)) if lines and chunk.startswith(lines) else None
 
 
 def split_lines(data: bytes, offset: int = 0) -> list[tuple[int, str]]:
@@ -250,27 +278,26 @@ def split_lines(data: bytes, offset: int = 0) -> list[tuple[int, str]]:
 
 
 def decode_log(data: bytes) -> list[SampleColumns]:
-    """Decode a log's complete lines in chunks of about _CHUNK_BYTES; a
-    torn last line is not a record.
-
-    A chunk the batched decoder cannot take whole (a blank or malformed
-    line, an int past 18 digits, a latency past 9 integer digits) is
-    decoded line by line with decode_sample, so both accept the same
-    lines and a DecodeError names the same offset: the line's index in
-    the file, blank lines included. Only a newline byte ends a line.
-    """
+    """Decode a log's complete lines in chunks of about _CHUNK_BYTES, each
+    cut at a change of `ts` (see _decode_chunk); a torn last line is not a
+    record. A chunk whose columns do not re-encode to its bytes (a blank
+    or malformed line, a value written another way) is decoded line by
+    line with decode_sample, so both accept the same lines and a
+    DecodeError names the same offset: the line's index in the file, blank
+    lines included. Only a newline byte ends a line."""
     chunks, pos, offset = [], 0, 0
     stop = data.rfind(b"\n") + 1
     while pos < stop:
-        end = data.find(b"\n", min(pos + _CHUNK_BYTES, stop) - 1) + 1
-        chunk = data[pos:end]
-        n_lines = chunk.count(b"\n")
-        columns = _decode_chunk_fast(chunk, n_lines)
-        if columns is None:
+        chunk = data[pos:data.find(b"\n", min(pos + _CHUNK_BYTES, stop) - 1) + 1]
+        decoded = _decode_chunk(chunk)
+        if decoded is None:
             columns = SampleColumns.from_rows([decode_sample(line, i)
                                                for i, line in split_lines(chunk, offset)])
+            decoded = columns, len(chunk)
+            offset += chunk.count(b"\n") - len(columns)    # the blank lines
+        columns, size = decoded
         chunks.append(columns)
-        pos, offset = end, offset + n_lines
+        pos, offset = pos + size, offset + len(columns)
     return chunks
 
 

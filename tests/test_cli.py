@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ def test_a_forecast_naming_a_spine_the_fabric_lacks_exits_2(empty_config, tmp_pa
                       out / "forecast.csv")
     assert run_cli(command, "--config", empty_config, "--out", out) == 2
     assert f"[{spine}]" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["forecast.csv"]
+
+
+@pytest.mark.parametrize("values", [("nan", "nan"), ("inf", "-inf")])
+def test_decide_on_a_non_finite_forecast_exits_2_naming_the_line(empty_config, tmp_path, capsys,
+                                                                 values):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "forecast.csv"
+    path.write_text("hour,spine_id,predicted_latency_us\n"
+                    + "".join(f"{hour},{spine},{value}\n"
+                              for spine, value in enumerate(values) for hour in (1, 2)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("decide", "--config", empty_config, "--out", out) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error [decide]: ") and f"{path}: line 2: '{values[0]}'" in err
     assert sorted(p.name for p in out.iterdir()) == ["forecast.csv"]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,29 @@ def test_forward_names_layer_on_non_finite():
     window = np.full((12, 3), np.nan)
     with pytest.raises(NumericError, match="conv"):
         forward(model, window)
+
+
+def peak_bytes(call) -> int:
+    """The most memory numpy and Python held at once during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_frees_layer_one_before_layer_two_runs():
+    # train-diurnal's shapes: 100 validation windows of 48 h, hidden 32
+    hyper = TrainingConfig(lookback_hours=48, conv_width=3, conv_channels=8, hidden_size=32)
+    model = init_model(hyper, seed=1)
+    ds = toy_dataset(n=100, lookback=48, seed=5)
+    preds, _ = forward_batch(model, ds.inputs)
+    diff = preds - ds.targets
+    assert forecaster.evaluate_mse(model, ds) == float(np.sum(diff * diff)) / len(ds)
+    gates = (48 - 3 + 1) * 100 * 4 * 32 * 8          # layer 1's [T, B, 4H] float64
+    with_caches = peak_bytes(lambda: forward_batch(model, ds.inputs))
+    assert peak_bytes(lambda: forecaster.evaluate_mse(model, ds)) < with_caches - 0.9 * gates
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +679,14 @@ def test_forecast_csv_malformed(tmp_path):
         load_forecast_csv(path)
     path.write_text("wrong,header\n")
     with pytest.raises(DecodeError):
+        load_forecast_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_forecast_of_a_non_finite_latency_is_refused_naming_its_line(tmp_path, value):
+    path = tmp_path / "forecast.csv"
+    path.write_text(f"hour,spine_id,predicted_latency_us\n1,0,3.0\n2,0,{value}\n")
+    with pytest.raises(DecodeError, match=rf"{re.escape(str(path))}: line 3: '{value}'"):
         load_forecast_csv(path)
 
 

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -431,26 +432,95 @@ def test_batched_replay_at_the_int64_limits(key, value, chunk_bytes):
     assert_replay_equals_line_by_line(f"{good}\n{line}\n{good}\n".encode(), chunk_bytes)
 
 
-def line_by_line_decodes(data: bytes, tmp_path) -> int:
-    """How many lines attach hands to decode_sample while replaying `data`."""
+def replay_counting_per_line(data: bytes, tmp_path) -> tuple[int, list | str]:
+    """How many lines attach hands to decode_sample while replaying `data`,
+    and the records it replays or the DecodeError it raises; no warning
+    may escape it."""
     path = tmp_path / "telemetry.log"
     path.write_bytes(data)
     with mock.patch.object(telemetry, "decode_sample", wraps=decode_sample) as per_line, \
-            TopicBus() as bus:
-        bus.attach(TOPIC, path)
-    return per_line.call_count
+            warnings.catch_warnings(record=True) as caught, TopicBus() as bus:
+        warnings.simplefilter("always")
+        try:
+            bus.attach(TOPIC, path)
+            got = [s for _, s in bus.consume(TOPIC)]
+        except DecodeError as exc:
+            got = str(exc)
+    assert caught == []
+    return per_line.call_count, got
 
 
-@pytest.mark.parametrize("key, value, per_line", [
-    ("ts", 10**18 - 1, 0), ("ts", -(10**18 - 1), 0), ("ts", 10**18, 3), ("ts", -10**18, 3),
-    ("fabric_bps", 10**18 - 1, 0), ("fabric_bps", 10**18, 3),
-    ("latency_us", "999999999.999999", 0), ("latency_us", "-999999999.999999", 0),
-    ("latency_us", "1000000000.000000", 3), ("latency_us", "-1000000000.000000", 3)])
-def test_the_batched_decoder_takes_18_digit_ints_and_9_digit_latencies(key, value, per_line,
-                                                                       tmp_path):
+@pytest.mark.parametrize("key, value, batched", [
+    # what numpy reads re-encodes to the line: the chunk is taken whole
+    ("ts", 10**18 - 1, True), ("ts", 10**18, True), ("ts", -10**18, True),
+    ("fabric_bps", 10**18, True), ("ts", INT64_MAX, True), ("edge_bps", -INT64_MAX - 1, True),
+    ("latency_us", "999999999.999999", True), ("latency_us", "1000000000.000000", True),
+    ("latency_us", "-1000000000.000000", True), ("latency_us", "12345678901.500000", True),
+    # what numpy reads re-encodes to other text: line by line, where
+    # decode_sample keeps -0.0 and refuses the rest at offset 1
+    ("latency_us", "-0.000000", False), ("ts", INT64_MAX + 1, False),
+    ("link", -INT64_MAX - 2, False), ("ts", "007", False), ("spine", "-0", False),
+    ("edge_bps", "+5", False), ("latency_us", "6.25", False), ("latency_us", "1e3", False),
+    ("latency_us", "123456789012.000001", False), ("latency_us", "-0.0000000", False)])
+def test_a_chunk_is_taken_whole_iff_what_it_reads_reencodes_to_its_bytes(key, value, batched,
+                                                                         tmp_path):
     good = encode_sample(sample())
-    line = with_value(good, key, value)
-    assert line_by_line_decodes(f"{good}\n{line}\n{good}\n".encode(), tmp_path) == per_line
+    data = f"{good}\n{with_value(good, key, value)}\n{good}\n".encode()
+    try:
+        want = replay_line_by_line(data)
+    except DecodeError as exc:
+        want = str(exc)
+        assert "offset 1:" in want
+    per_line, got = replay_counting_per_line(data, tmp_path)
+    assert got == want
+    assert (per_line == 0) == batched
+
+
+@pytest.mark.parametrize("key, value", [("ts", "5-5"), ("fabric_bps", "5\x006"),
+                                        ("link", "\u0663")])
+def test_text_numpy_cannot_read_to_its_end_takes_the_per_line_path(key, value, tmp_path):
+    good = encode_sample(sample())
+    data = f"{good}\n{with_value(good, key, value)}\n{good}\n".encode()
+    with pytest.raises(DecodeError, match="offset 1:") as want:
+        replay_line_by_line(data)
+    assert replay_counting_per_line(data, tmp_path) == (2, str(want.value))
+
+
+def spine_removed_log(tmp_path) -> tuple[Path, SampleColumns]:
+    """Four simulated hours of a 3x3 fabric, spine 1 removed after the
+    second: 9 links a minute, then 6."""
+    cfg = SimConfig(seed=7)
+    cfg.topology = TopologyConfig(n_leaf=3, n_spine=3, capacity_bps=1_000_000_000,
+                                  base_latency_us=3.0, min_spines=2, max_spines=3)
+    cfg.latency = LatencyConfig(noise_us=0.2)
+    topology = topology_from_config(cfg)
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        simulate_hours(cfg, topology, bus, TOPIC, 0, 2, seed=11)
+        simulate_hours(cfg, apply_action(topology, remove_action(1)), bus, TOPIC, 2, 2, seed=11)
+        return path, bus.consume(TOPIC, columns=True)
+
+
+@pytest.mark.parametrize("cut", ["inside a minute", "at a minute change", "across hours"])
+def test_replay_cuts_chunks_at_a_change_of_ts_and_re_encodes_them_whole(cut, tmp_path):
+    path, published = spine_removed_log(tmp_path)
+    data = path.read_bytes()
+    chunk_bytes = {"inside a minute": len(encode_columns(published.slice(0, 9))) * 5 // 2,
+                   "at a minute change": len(encode_columns(published.slice(0, 27))),
+                   "across hours": len(data) * 3 // 8}[cut]
+    assert_replay_equals_line_by_line(data, chunk_bytes)
+    with mock.patch.object(telemetry, "decode_sample", side_effect=AssertionError), \
+            mock.patch.object(telemetry, "encode_sample", side_effect=AssertionError), \
+            mock.patch.object(telemetry, "_CHUNK_BYTES", chunk_bytes), TopicBus() as bus:
+        assert bus.attach(TOPIC, path) == len(published) == 2 * 60 * 9 + 2 * 60 * 6
+        chunks = bus._topics[TOPIC].chunks
+        assert encode_columns(bus.consume(TOPIC, columns=True)) == data
+    assert len(chunks) > 2
+    assert all(a.ts[-1] != b.ts[0] for a, b in zip(chunks, chunks[1:]))     # whole minutes
+    for chunk in chunks:       # each run's link fields are formatted once a minute's links
+        links = [chunk.link_id, chunk.spine_id, chunk.fabric_bps, chunk.edge_bps]
+        assert {period for _, _, period in telemetry._runs(chunk.ts, links)} <= {9, 6}
 
 
 def test_a_simulated_log_replays_without_the_per_line_decoder(tmp_path):
@@ -680,6 +750,21 @@ def test_batch_encoding_equals_row_encoding(samples):
     batch = SampleColumns.from_rows(samples)
     assert batch.rows() == samples
     assert encode_columns(batch) == "".join(encode_sample(s) + "\n" for s in samples).encode()
+
+
+@FUZZ
+@given(st.lists(periodic_rows(), min_size=2, max_size=4).map(lambda runs: sum(runs, [])))
+def test_a_batch_of_several_runs_encodes_as_its_rows(samples):
+    assert encode_columns(SampleColumns.from_rows(samples)) == \
+        "".join(encode_sample(s) + "\n" for s in samples).encode()
+
+
+def test_runs_take_in_repeated_minutes_and_merge_minutes_that_repeat_nothing():
+    ts = np.array([0, 1, 2, 3, 3, 4, 4, 5, 5])
+    link = np.array([7, 8, 9, 1, 2, 1, 2, 3, 4])
+    zero = np.zeros(9, dtype=np.int64)
+    assert telemetry._runs(ts, [link, zero, zero, zero]) == [(0, 3, 3), (3, 7, 2), (7, 9, 2)]
+    assert telemetry._runs(ts[3:7], [link[3:7], zero[:4], zero[:4], zero[:4]]) == [(0, 4, 2)]
 
 
 @FUZZ
