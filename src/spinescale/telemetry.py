@@ -28,6 +28,7 @@ import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -78,7 +79,8 @@ def encode_columns(batch: SampleColumns) -> bytes:
     The rows are laid out as one [rows, words] block of uint32 words, each
     field in a slot of fixed width with 0 bytes where it has no characters,
     so the lines are the block's bytes without its 0 bytes. The link fields
-    are %-formatted once per period of each run (see _runs); `ts` and
+    are %-formatted once per period of each run (see _runs), unless a
+    recent period had the same link columns (see _link_words); `ts` and
     latency are written from _WORDS, 3 digits a word. Latency x is written
     as k = rint(|x| * 10**6), exact for |x| < 10**9, where k / 10**6 == |x|
     is the grid check; a batch holding a latency of 10 or more integer
@@ -100,26 +102,24 @@ def encode_columns(batch: SampleColumns) -> bytes:
         raise _off_grid(latency[np.argmin(on_grid)])
     links = [batch.link_id, batch.spine_id, batch.fabric_bps, batch.edge_bps]
     runs = _runs(batch.ts, links)
-    template = np.concatenate([np.arange(start, start + period) for start, _, period in runs])
-    link, spine, fabric, edge = (c[template].tolist() for c in links)
-    heads = _text_words([b" link=%d spine=%d latency_us=" % p for p in zip(link, spine)])
-    tails = _text_words([b" fabric_bps=%d edge_bps=%d\n" % p for p in zip(fabric, edge)],
-                        right=True)     # so its 0 bytes run on from the fraction's last one
+    words = [_link_words(np.array([c[start:start + period] for c in links], np.int64).tobytes())
+             for start, _, period in runs]
     ts = _number_words(np.abs(batch.ts).view(np.uint64),     # |INT64_MIN| wraps to 2**63
                        np.where(batch.ts < 0, _TS_MINUS, _TS))
     value = _number_words(fixed.astype(np.uint64),
                           np.where(np.signbit(latency), _MINUS, _NO_TEXT), fraction=2)
-    widths = [ts.shape[1], heads.shape[1], value.shape[1], tails.shape[1]]
+    widths = [ts.shape[1], max(h.shape[1] for h, _ in words), value.shape[1],
+              max(t.shape[1] for _, t in words)]
     rows = np.empty((n, sum(widths)), dtype=np.uint32)
     head_at, value_at, tail_at = np.cumsum(widths[:-1])
     rows[:, :head_at] = ts
     rows[:, value_at:tail_at] = value
-    done = 0                            # rows of heads and tails written out
-    for start, stop, period in runs:
+    for (start, stop, period), (heads, tails) in zip(runs, words):
         block = rows[start:stop].reshape(-1, period, rows.shape[1])
-        block[:, :, head_at:value_at] = heads[done:done + period]
-        block[:, :, tail_at:] = tails[done:done + period]
-        done += period
+        head_end, tail_start = head_at + heads.shape[1], rows.shape[1] - tails.shape[1]
+        block[:, :, head_at:head_end] = heads
+        block[:, :, head_end:value_at] = block[:, :, tail_at:tail_start] = 0   # a narrower run
+        block[:, :, tail_start:] = tails
     text = rows.view(np.uint8)
     return text[text != 0].tobytes()
 
@@ -152,6 +152,22 @@ def _runs(ts: np.ndarray, links: list[np.ndarray]) -> list[tuple[int, int, int]]
             start, period = runs[-1][0], stop - runs.pop()[0]   # one period after one
         runs.append((start, stop, period))
     return runs
+
+
+@lru_cache(maxsize=4)
+def _link_words(table: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only [period, words] uint32 words of one period's link text, its
+    int64 link, spine, fabric and edge columns being `table`'s bytes: heads
+    " link=… spine=… latency_us=", and tails " fabric_bps=… edge_bps=…\\n"
+    aligned right, so their 0 bytes run on from the fraction's last one.
+    Kept for the last few periods, so replay formats an hour's once, not
+    once per chunk."""
+    link, spine, fabric, edge = np.frombuffer(table, dtype=np.int64).reshape(4, -1).tolist()
+    heads = _text_words([b" link=%d spine=%d latency_us=" % p for p in zip(link, spine)])
+    tails = _text_words([b" fabric_bps=%d edge_bps=%d\n" % p for p in zip(fabric, edge)],
+                        right=True)
+    heads.flags.writeable = tails.flags.writeable = False
+    return heads, tails
 
 
 def _text_words(texts: list[bytes], right: bool = False) -> np.ndarray:

@@ -67,9 +67,15 @@ def aggregate_hourly(samples: SampleColumns | list[LinkMetricSample],
     if not n:
         raise InsufficientDataError("no samples to aggregate")
     # canonical accumulation order so the result is bit-identical for any
-    # input permutation; bincount adds in that order, starting from 0.0
-    order = np.lexsort((samples.link_id, samples.ts, samples.spine_id))
-    spine, hour = samples.spine_id[order], samples.ts[order] // 60
+    # input permutation; bincount adds in that order, starting from 0.0.
+    # Rows already in (ts, link) order, as the bus holds them, need only
+    # a stable sort by spine for the same permutation
+    ts, link = samples.ts, samples.link_id
+    if ((ts[1:] > ts[:-1]) | ((ts[1:] == ts[:-1]) & (link[1:] >= link[:-1]))).all():
+        order = np.argsort(samples.spine_id, kind="stable")
+    else:
+        order = np.lexsort((link, ts, samples.spine_id))
+    spine, hour = samples.spine_id[order], ts[order] // 60
     first = np.ones(n, dtype=bool)          # first sample of each (spine, hour) group
     first[1:] = (spine[1:] != spine[:-1]) | (hour[1:] != hour[:-1])
     group = np.cumsum(first) - 1
@@ -80,7 +86,9 @@ def aggregate_hourly(samples: SampleColumns | list[LinkMetricSample],
     group_spine, group_hour = spine[first], hour[first]
     h_min = int(hour.min())
     n_hours = int(hour.max()) - h_min + 1
-    active = topology.active_spine_ids if topology is not None else np.unique(spine).tolist()
+    # the distinct spines, in order; np.unique's first call in a process takes ~10 ms
+    active = (topology.active_spine_ids if topology is not None
+              else list(dict.fromkeys(group_spine.tolist())))
 
     series: list[SwitchSeries] = []
     for spine_id in active:

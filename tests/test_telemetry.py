@@ -523,6 +523,66 @@ def test_replay_cuts_chunks_at_a_change_of_ts_and_re_encodes_them_whole(cut, tmp
         assert {period for _, _, period in telemetry._runs(chunk.ts, links)} <= {9, 6}
 
 
+def link_tables(chunks: list[SampleColumns]) -> list[bytes]:
+    """The link columns of one period of each run of each chunk, as the
+    bytes that key the link text encode_columns keeps."""
+    tables = []
+    for chunk in chunks:
+        links = [chunk.link_id, chunk.spine_id, chunk.fabric_bps, chunk.edge_bps]
+        tables += [np.array([c[start:start + period] for c in links]).tobytes()
+                   for start, _, period in telemetry._runs(chunk.ts, links)]
+    return tables
+
+
+def replay_building_link_text(path: Path, chunk_bytes: int) -> tuple[int, list[SampleColumns]]:
+    """How many link tables a cold replay of `path` formats, and the chunks
+    it replays; no line may go to the per-line decoder."""
+    telemetry._link_words.cache_clear()
+    with mock.patch.object(telemetry, "decode_sample", side_effect=AssertionError), \
+            mock.patch.object(telemetry, "_CHUNK_BYTES", chunk_bytes), TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        return telemetry._link_words.cache_info().misses, bus._topics[TOPIC].chunks
+
+
+@pytest.mark.parametrize("chunk_bytes", [8000, 40000, 1 << 19])
+def test_an_hour_of_the_same_links_at_other_speeds_gets_its_own_link_text(chunk_bytes,
+                                                                          tmp_path):
+    """The second hour has the first's link and spine ids, with fabric
+    speeds of more digits and edge speeds of fewer: its link text is not
+    the first hour's."""
+    cfg = SimConfig(seed=7)
+    cfg.topology = TopologyConfig(n_leaf=3, n_spine=3, capacity_bps=1_000_000_000,
+                                  base_latency_us=3.0)
+    with TopicBus() as bus:
+        simulate_hours(cfg, topology_from_config(cfg), bus, TOPIC, 0, 1, seed=11)
+        first = bus.consume(TOPIC, columns=True)
+    second = replace(first, ts=first.ts + 60, fabric_bps=first.fabric_bps * 1000 + 1,
+                     edge_bps=first.edge_bps // 1000)
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        bus.publish(TOPIC, first)
+        bus.publish(TOPIC, second)
+    data = path.read_bytes()
+    assert_replay_equals_line_by_line(data, chunk_bytes)
+    built, chunks = replay_building_link_text(path, chunk_bytes)
+    assert built == len(set(link_tables(chunks))) == 2
+    assert encode_columns(SampleColumns.concat(chunks)) == data
+
+
+@pytest.mark.parametrize("cut", ["inside a minute", "at a minute change", "across hours"])
+def test_replay_formats_each_link_table_once_however_chunks_cut(cut, tmp_path):
+    path, published = spine_removed_log(tmp_path)
+    data = path.read_bytes()
+    chunk_bytes = {"inside a minute": len(encode_columns(published.slice(0, 9))) * 5 // 2,
+                   "at a minute change": len(encode_columns(published.slice(0, 27))),
+                   "across hours": len(data) * 3 // 8}[cut]
+    built, chunks = replay_building_link_text(path, chunk_bytes)
+    tables = link_tables(chunks)
+    assert built == len(set(tables)) < len(tables)
+    assert encode_columns(SampleColumns.concat(chunks)) == data
+
+
 def test_a_simulated_log_replays_without_the_per_line_decoder(tmp_path):
     cfg = SimConfig(seed=7)
     cfg.topology = TopologyConfig(n_leaf=3, n_spine=2, capacity_bps=1_000_000_000,
@@ -568,8 +628,8 @@ BENCH_SHAPED = {
 }
 
 
-@pytest.mark.parametrize("name", BENCH_SHAPED)
-def test_publish_writes_the_lines_of_encode_sample(name, tmp_path):
+def bench_shaped(name: str) -> tuple[SimConfig, object, int]:
+    """The config, topology and hours of BENCH_SHAPED[name]."""
     sections, removed, hours = BENCH_SHAPED[name]
     cfg = SimConfig(seed=131)
     cfg.topology = TopologyConfig(**sections["topology"])
@@ -578,6 +638,12 @@ def test_publish_writes_the_lines_of_encode_sample(name, tmp_path):
     topology = topology_from_config(cfg)
     for spine in removed:
         topology = apply_action(topology, remove_action(spine))
+    return cfg, topology, hours
+
+
+@pytest.mark.parametrize("name", BENCH_SHAPED)
+def test_publish_writes_the_lines_of_encode_sample(name, tmp_path):
+    cfg, topology, hours = bench_shaped(name)
     path = tmp_path / "telemetry.log"
     with mock.patch.object(telemetry, "encode_sample", side_effect=AssertionError), \
             TopicBus() as bus:
@@ -587,6 +653,17 @@ def test_publish_writes_the_lines_of_encode_sample(name, tmp_path):
     assert len(published) == hours * 60 * topology.n_leaf * len(topology.active_spine_ids)
     assert path.read_bytes() == "".join(encode_sample(s) + "\n"
                                         for s in published.rows()).encode()
+
+
+def test_replay_of_an_ingest_shaped_log_formats_each_hours_link_text_once(tmp_path):
+    cfg, topology, hours = bench_shaped("ingest-wide")
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach(TOPIC, path)
+        simulate_hours(cfg, topology, bus, TOPIC, 0, hours, seed=17)
+    with mock.patch.object(telemetry, "_text_words", wraps=telemetry._text_words) as text:
+        built, chunks = replay_building_link_text(path, telemetry._CHUNK_BYTES)
+    assert text.call_count == 2 * built <= 2 * hours < len(chunks)    # heads and tails
 
 
 @pytest.mark.parametrize("latency, per_row", [

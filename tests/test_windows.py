@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -171,15 +173,29 @@ def test_aggregate_matches_dict_loop_reference(seed):
             want = reference_aggregate(data, topology)
             assert_same_series(aggregate_hourly(data, topology), want)
             assert_same_series(aggregate_hourly(SampleColumns.from_rows(data), topology), want)
-    assert_same_series(aggregate_hourly(bus_columns, topo), reference_aggregate(samples, topo))
+    # a bus holds each minute's links in id order: no lexsort, and without a
+    # topology no np.unique, whose first call in a process is slow
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError), \
+            mock.patch.object(np, "unique", side_effect=AssertionError):
+        for topology in (topo, None):
+            assert_same_series(aggregate_hourly(bus_columns, topology),
+                               reference_aggregate(samples, topology))
     # random values, duplicate keys and spines of unequal link counts, any order
     random = [mk_sample(ts=int(rng.integers(-120, 180)), link=int(rng.integers(0, 4)),
                         spine=int(rng.integers(0, 3)), lat=float(rng.uniform(0, 50)),
                         fab=int(rng.integers(0, 10**10)), edg=int(rng.integers(0, 10**10)))
               for _ in range(3000)]
-    assert_same_series(aggregate_hourly(random), reference_aggregate(random))
-    assert_same_series(aggregate_hourly(SampleColumns.from_rows(random)),
-                       reference_aggregate(random))
+    # sorted by (ts, link), ties in their drawn order, so an order other than
+    # the canonical one would change bits: the presorted path; then with
+    # links reversed within a minute, which must be lexsorted
+    by_ts_and_link = sorted(random, key=lambda s: (s.ts, s.link_id))
+    links_reversed = sorted(random, key=lambda s: (s.ts, -s.link_id))
+    for data, lexsorts in ((random, 1), (by_ts_and_link, 0), (links_reversed, 1)):
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            assert_same_series(aggregate_hourly(data), reference_aggregate(data))
+            assert_same_series(aggregate_hourly(SampleColumns.from_rows(data)),
+                               reference_aggregate(data))
+        assert lexsort.call_count == 2 * lexsorts
 
 
 @pytest.mark.parametrize("drop", [
