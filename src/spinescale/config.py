@@ -45,6 +45,8 @@ Config file schema (JSON, one file drives every stage)
 
 Unknown keys are rejected so typos fail loudly instead of silently using
 defaults. All sections are optional; omitted fields take the defaults above.
+Two rules keep every simulated latency in the telemetry wire domain, [0, 1e9)
+us: noise_us < base_latency_us, and worst_latency_us(...) < 1e9.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from pathlib import Path
 from .errors import InvalidConfigError
 
 _MASK64 = (1 << 64) - 1
+RHO_MAX = 0.99                  # the utilization the latency curve is clamped at
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -71,13 +74,14 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") & _MASK64
 
 
-def noise_width_is_finite(noise_us) -> bool:
-    """Whether uniform(-noise_us, noise_us) spans a finite float64 width,
-    2 * noise_us, as numpy's uniform requires."""
+def worst_latency_us(base_latency_us, queue_factor, noise_us) -> float:
+    """The largest latency simulate_tick can write, rounded as it rounds:
+    link_latency_us at rho = RHO_MAX plus noise_us; inf past float64."""
     try:
-        return math.isfinite(2.0 * float(noise_us))
-    except OverflowError:               # an int past the float64 range
-        return False
+        curve = 1.0 + float(queue_factor) * RHO_MAX / (1.0 - RHO_MAX)
+        return round(float(base_latency_us) * curve + float(noise_us), 6)
+    except OverflowError:
+        return math.inf
 
 
 def _is_int(value) -> bool:
@@ -149,8 +153,6 @@ class LatencyConfig:
             raise InvalidConfigError(f"queue_factor must be >= 0, got {self.queue_factor}")
         if self.noise_us < 0:
             raise InvalidConfigError(f"noise_us must be >= 0, got {self.noise_us}")
-        if not noise_width_is_finite(self.noise_us):
-            raise InvalidConfigError(f"2 * noise_us must be finite, got noise_us={self.noise_us}")
 
 
 @dataclass
@@ -297,6 +299,12 @@ class SimConfig:
         self.policy.validate()
         self.run.validate()
         tr = self.training
+        base, lat = self.topology.base_latency_us, self.latency
+        if lat.noise_us >= base:
+            raise InvalidConfigError(f"noise_us={lat.noise_us} lets a latency fall below 0")
+        if not worst_latency_us(base, lat.queue_factor, lat.noise_us) < 1e9:
+            raise InvalidConfigError(f"base_latency_us={base} and queue_factor="
+                                     f"{lat.queue_factor} let a latency reach 1e9")
         if self.run.hours_per_cycle < tr.lookback_hours + tr.horizon_steps:
             raise InvalidConfigError(
                 f"hours_per_cycle={self.run.hours_per_cycle} must cover lookback "

@@ -49,14 +49,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import _MASK64, TopologyConfig, TrafficConfig, derive_seed, noise_width_is_finite
+from .config import _MASK64, RHO_MAX, TopologyConfig, TrafficConfig, derive_seed
 from .errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundError,
                      PolicyViolationError)
 
 if TYPE_CHECKING:
     from .policy import PolicyAction
-
-RHO_MAX = 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +99,13 @@ class SampleColumns:
     This is how telemetry travels from `simulate_tick` through the bus to
     `aggregate_hourly`; `rows()` builds LinkMetricSample objects only for
     callers that want them. Integer columns are int64 and latency is
-    float64; the bus keeps only batches whose latencies are on the
-    6-decimal grid. `from_rows` refuses a field value of the wrong type
-    (a bool, float or str where an int belongs). A batch from
-    `simulate_tick` is minute-major: all links of one minute, then the
-    next minute's. The bus keeps a published batch's columns read-only:
-    one the caller owns is frozen in place, a view is copied first.
+    float64; the bus keeps only batches whose latencies are in the wire
+    domain: on the 6-decimal grid in [0, 10**9), sign bit clear.
+    `from_rows` refuses a field value of the wrong type (a bool, float or
+    str where an int belongs). A batch from `simulate_tick` is
+    minute-major: all links of one minute, then the next minute's. The
+    bus keeps a published batch's columns read-only: one the caller owns
+    is frozen in place, a view is copied first.
     """
     ts: np.ndarray
     link_id: np.ndarray
@@ -446,6 +445,15 @@ def _pcg64_jumps(n: int) -> tuple[np.ndarray, ...]:
     for arr in jumps:
         arr.flags.writeable = False
     return jumps
+
+
+def noise_width_is_finite(noise_us) -> bool:
+    """Whether uniform(-noise_us, noise_us) spans a finite float64 width,
+    2 * noise_us, as numpy's uniform requires."""
+    try:
+        return math.isfinite(2.0 * float(noise_us))
+    except OverflowError:               # an int past the float64 range
+        return False
 
 
 def uniform_rows(seeds: list[int], noise_us: float, n: int) -> np.ndarray:

@@ -12,13 +12,14 @@ rejected), latency_us in fixed 6-decimal formatting:
 
     ts=<int> link=<int> spine=<int> latency_us=<fixed6> fabric_bps=<int> edge_bps=<int>
 
-`publish` refuses a batch the log could not give back exactly (an int
-field that is not ints within int64, a latency that is not finite and on
-the 6-decimal grid), so decode(encode(x)) == x for every field. Replay
-takes a chunk of lines only if the columns it read re-encode to the
-chunk's bytes, and decode_sample, which names the offset of a line it
-refuses, takes only ASCII digits, no sign on zero, no leading zeros, no
-`_` and no `nan`; so any line that decodes re-encodes to itself.
+The wire domain is what any valid config can simulate: ints within
+int64, and a latency on the 6-decimal grid in [0, 10**9), sign bit clear.
+`publish` refuses a batch outside it, so decode(encode(x)) == x. Replay
+loads a chunk of lines only if the columns it read re-encode to its
+bytes, and refuses the log otherwise; decode_sample, which names the
+offset of a line it refuses, takes only ASCII digits, no sign on zero or
+latency, no leading zeros, no `_` and no `nan`, so a line it decodes
+re-encodes to itself.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConsistencyError, DataError, DecodeError, NotFoundError, PersistenceError
-from .fabric import LinkMetricSample, SampleColumns, round6
+from .fabric import LinkMetricSample, SampleColumns
 
 INT_PATTERN = r"0|-?[1-9][0-9]*"     # an int as str() writes it
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 _INT = r"(?:0|-?[1-9][0-9]{0,18})"  # at most int64's 19 digits; the range is checked after
-_FIXED6 = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
+_FIXED6 = r"(?:0|[1-9][0-9]{0,8})\.[0-9]{6}"   # the wire domain: 0 <= latency < 10**9
 _SAMPLE_LINE = re.compile(
     rf"ts=({_INT}) link=({_INT}) spine=({_INT}) latency_us=({_FIXED6}) "
     rf"fabric_bps=({_INT}) edge_bps=({_INT})\n?")
@@ -51,7 +52,7 @@ _CHUNK_BYTES = 1 << 17   # ~1,500 lines: small enough that re-encoding reuses it
 # top group of a number, without its leading zeros, at 1000 + g; a group
 # above the top one, so no text, at 2000 + g; the first and last groups of
 # a 6-digit fraction, ".ddd" and "ddd" then a 0 byte, at 3000 + g and
-# 4000 + g; then the words that start ts and latency values. The 0 bytes
+# 4000 + g; then the words that start a ts value. The 0 bytes
 # are placed to run into each other, since the encoder drops them one run
 # at a time.
 _WORDS = np.frombuffer(b"".join([b"\0%03d" % g for g in range(1000)]
@@ -59,8 +60,8 @@ _WORDS = np.frombuffer(b"".join([b"\0%03d" % g for g in range(1000)]
                                 + [b"\0" * 4] * 1000
                                 + [b".%03d" % g for g in range(1000)]
                                 + [b"%03d\0" % g for g in range(1000)]
-                                + [b"ts=\0", b"ts=-", b"\0\0\0-"]), dtype=np.uint32)
-_NO_TEXT, _TS, _TS_MINUS, _MINUS = 2000, 5000, 5001, 5002
+                                + [b"ts=\0", b"ts=-"]), dtype=np.uint32)
+_NO_TEXT, _TS, _TS_MINUS = 2000, 5000, 5001
 
 
 def encode_sample(sample: LinkMetricSample) -> str:
@@ -73,8 +74,8 @@ def encode_sample(sample: LinkMetricSample) -> str:
 def encode_columns(batch: SampleColumns) -> bytes:
     """The batch as wire-format lines, each ending in a newline: the UTF-8
     of joining encode_sample(row) + "\\n" over its rows. Int columns must
-    be int64; a latency that is not finite and on the 6-decimal grid
-    (x == round(x, 6)), which no line carries exactly, is a DataError.
+    be int64; a latency outside the wire domain (on the 6-decimal grid,
+    below 10**9 and with its sign bit clear) is a DataError.
 
     The rows are laid out as one [rows, words] block of uint32 words, each
     field in a slot of fixed width with 0 bytes where it has no characters,
@@ -82,32 +83,26 @@ def encode_columns(batch: SampleColumns) -> bytes:
     are %-formatted once per period of each run (see _runs), unless a
     recent period had the same link columns (see _link_words); `ts` and
     latency are written from _WORDS, 3 digits a word. Latency x is written
-    as k = rint(|x| * 10**6), exact for |x| < 10**9, where k / 10**6 == |x|
-    is the grid check; a batch holding a latency of 10 or more integer
-    digits is checked by round6(x) == x and written by encode_sample.
+    as k = rint(x * 10**6), exact for x < 10**9, where k / 10**6 == x is
+    the grid check.
     """
     n = len(batch)
     if not n:
         return b""
     latency = batch.latency_us
-    magnitude = np.abs(latency)
-    if not (magnitude < 1e9).all():
-        on_grid = np.isfinite(latency) & (round6(latency) == latency)
-        if not on_grid.all():
-            raise _off_grid(latency[np.argmin(on_grid)])
-        return "".join(encode_sample(s) + "\n" for s in batch.rows()).encode()
-    fixed = np.rint(magnitude * 1e6)
-    on_grid = fixed / 1e6 == magnitude
+    with np.errstate(over="ignore"):       # past 1.8e302 the product is inf: refused
+        fixed = np.rint(latency * 1e6)
+    on_grid = (fixed / 1e6 == latency) & (latency < 1e9) & ~np.signbit(latency)
     if not on_grid.all():
-        raise _off_grid(latency[np.argmin(on_grid)])
+        raise DataError(f"latency {float(latency[np.argmin(on_grid)])!r} is not on the "
+                        "6-decimal grid in [0, 1e9), so no log carries it")
     links = [batch.link_id, batch.spine_id, batch.fabric_bps, batch.edge_bps]
     runs = _runs(batch.ts, links)
     words = [_link_words(np.array([c[start:start + period] for c in links], np.int64).tobytes())
              for start, _, period in runs]
     ts = _number_words(np.abs(batch.ts).view(np.uint64),     # |INT64_MIN| wraps to 2**63
                        np.where(batch.ts < 0, _TS_MINUS, _TS))
-    value = _number_words(fixed.astype(np.uint64),
-                          np.where(np.signbit(latency), _MINUS, _NO_TEXT), fraction=2)
+    value = _number_words(fixed.astype(np.uint64), _NO_TEXT, fraction=2)
     widths = [ts.shape[1], max(h.shape[1] for h, _ in words), value.shape[1],
               max(t.shape[1] for _, t in words)]
     rows = np.empty((n, sum(widths)), dtype=np.uint32)
@@ -178,7 +173,8 @@ def _text_words(texts: list[bytes], right: bool = False) -> np.ndarray:
     return rows.view(np.uint32).reshape(len(texts), -1)
 
 
-def _number_words(magnitude: np.ndarray, first: np.ndarray, fraction: int = 0) -> np.ndarray:
+def _number_words(magnitude: np.ndarray, first: np.ndarray | int,
+                  fraction: int = 0) -> np.ndarray:
     """[n, 1 + groups] uint32: the word at index `first` of _WORDS, then
     each uint64 magnitude in decimal, 3 digits a word, in as many words as
     the largest needs and at least fraction + 1. The lowest `fraction`
@@ -204,11 +200,6 @@ def _number_words(magnitude: np.ndarray, first: np.ndarray, fraction: int = 0) -
         elif j == 0 and fraction:
             group += 4000
     return _WORDS[index]
-
-
-def _off_grid(latency: float) -> DataError:
-    return DataError(f"latency {float(latency)!r} is not finite and on the 6-decimal grid, "
-                     "so no log can carry it exactly")
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -241,15 +232,14 @@ def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColu
 
 
 def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
-    """Parse one wire-format line; raises DecodeError naming the offset."""
+    """Parse one wire-format line; raises DecodeError naming the offset.
+    Its latency has at most 15 significant digits, which a float keeps."""
     match = _SAMPLE_LINE.fullmatch(line)
     if match is not None:
         ts, link, spine, latency, fabric, edge = match.groups()
-        value = float(latency)
         ints = [int(ts), int(link), int(spine), int(fabric), int(edge)]
-        # past 15 digits a decimal may not survive the float
-        if f"{value:.6f}" == latency and all(INT64_MIN <= v <= INT64_MAX for v in ints):
-            return LinkMetricSample(*ints[:3], value, *ints[3:])
+        if all(INT64_MIN <= v <= INT64_MAX for v in ints):
+            return LinkMetricSample(*ints[:3], float(latency), *ints[3:])
     where = f" at offset {offset}" if offset is not None else ""
     raise DecodeError(f"malformed record{where}: {line!r}")
 
@@ -261,8 +251,9 @@ def _decode_chunk(chunk: bytes) -> tuple[SampleColumns, int] | None:
     bytes; else None. The keys and "." are dropped, so latency reads as its
     fixed-point integer, and numpy's C parser reads every number: text it
     cannot read to the end raises (older numpy warns), as does a count that
-    is not 6 a line, and a value it saturates or reads from another
-    spelling (-0, 007, -0.000000) re-encodes to other bytes."""
+    is not 6 a line; a value it saturates, reads from another spelling
+    (-0, 007, -0.000000) or finds outside the wire domain does not
+    re-encode to the chunk's bytes."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -271,8 +262,7 @@ def _decode_chunk(chunk: bytes) -> tuple[SampleColumns, int] | None:
         # the rows before the last minute, which may go on past the chunk (all if one)
         cells = cells[:len(cells) - int(np.argmax(cells[::-1, 0] != cells[-1:, 0]))]
         # below 10**15 units (< 2**53) the division rounds once, as float() of
-        # the text does; past that, a value float() would not give re-encodes
-        # to other bytes
+        # the text does; encode_columns refuses a latency past that
         columns = SampleColumns(cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3] / 1e6,
                                 cells[:, 4], cells[:, 5])
         lines = encode_columns(columns)
@@ -281,36 +271,34 @@ def _decode_chunk(chunk: bytes) -> tuple[SampleColumns, int] | None:
     return (columns, len(lines)) if lines and chunk.startswith(lines) else None
 
 
-def split_lines(data: bytes, offset: int = 0) -> list[tuple[int, str]]:
-    """(offset, text) of each non-blank line of `data` that a newline byte
-    ends, its first line being at `offset`. Blank lines count in the
-    offsets; a line that is not UTF-8 is a DecodeError naming its offset."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = offset + data.count(b"\n", 0, exc.start)
-        raise DecodeError(f"line at offset {bad} is not UTF-8") from exc
-    return [(offset + i, line) for i, line in enumerate(text.split("\n")[:-1]) if line.strip()]
+def split_lines(data: bytes, offset: int = 0) -> Iterator[tuple[int, str]]:
+    """(offset, text) of each line of `data` that a newline byte ends, its
+    first line being at `offset`, one at a time, so a caller that refuses
+    a line refuses it before a later line is read; a line that is not
+    UTF-8 is a DecodeError naming its offset."""
+    for i, line in enumerate(data.split(b"\n")[:-1], start=offset):
+        try:
+            yield i, line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"line at offset {i} is not UTF-8") from exc
 
 
 def decode_log(data: bytes) -> list[SampleColumns]:
     """Decode a log's complete lines in chunks of about _CHUNK_BYTES, each
     cut at a change of `ts` (see _decode_chunk); a torn last line is not a
-    record. A chunk whose columns do not re-encode to its bytes (a blank
-    or malformed line, a value written another way) is decoded line by
-    line with decode_sample, so both accept the same lines and a
-    DecodeError names the same offset: the line's index in the file, blank
-    lines included. Only a newline byte ends a line."""
+    record. A chunk loads whole or the log is refused: if its columns do
+    not re-encode to its bytes, decode_sample names the offset of its
+    first line outside the wire format (a blank line is one). Only a
+    newline byte ends a line, and a record's offset is its line's index."""
     chunks, pos, offset = [], 0, 0
     stop = data.rfind(b"\n") + 1
     while pos < stop:
         chunk = data[pos:data.find(b"\n", min(pos + _CHUNK_BYTES, stop) - 1) + 1]
         decoded = _decode_chunk(chunk)
         if decoded is None:
-            columns = SampleColumns.from_rows([decode_sample(line, i)
-                                               for i, line in split_lines(chunk, offset)])
-            decoded = columns, len(chunk)
-            offset += chunk.count(b"\n") - len(columns)    # the blank lines
+            for i, line in split_lines(chunk, offset):
+                decode_sample(line, i)
+            raise DecodeError(f"lines from offset {offset} do not re-encode to their bytes")
         columns, size = decoded
         chunks.append(columns)
         pos, offset = pos + size, offset + len(columns)
@@ -444,14 +432,13 @@ class TopicBus:
         has a backing file, so a batch that no log could give back exactly
         is a DataError on either kind of topic, raised before anything of it
         is kept: an int field holding anything but ints within int64 (a
-        bool, float or str is not one), or a latency that is not finite and
-        on the 6-decimal grid (x == round(x, 6)). If the topic has a backing
-        file the lines are written in one write before the in-memory append,
-        so a failed write leaves no record of the batch, in memory or in the
-        file. Int columns are kept as int64 and latency as float64, all
-        read-only (see _read_only), so what `consume` returns is what the
-        file holds; a batch that is refused, or whose write fails, is left
-        as the caller gave it.
+        bool, float or str is not one), or a latency outside the wire
+        domain. If the topic has a backing file the lines are written in one
+        write before the in-memory append, so a failed write leaves no
+        record of the batch, in memory or in the file. Int columns are kept
+        as int64 and latency as float64, all read-only (see _read_only), so
+        what `consume` returns is what the file holds; a batch that is
+        refused, or whose write fails, is left as the caller gave it.
         """
         if not topic:
             raise NotFoundError("topic name must be non-empty")

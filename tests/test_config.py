@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
-from spinescale.config import SimConfig, derive_seed, load_config, save_config
+from spinescale.config import (RHO_MAX, LatencyConfig, SimConfig, TopologyConfig, TrafficConfig,
+                               derive_seed, load_config, save_config)
 from spinescale.errors import InvalidConfigError
+from spinescale.fabric import link_latency_us, round6
+from spinescale.pipeline import simulate_hours, topology_from_config
+from spinescale.telemetry import TopicBus
 
 
 def test_defaults_validate():
@@ -56,7 +61,7 @@ def test_invalid_values_rejected(tmp_path):
         # a float64 holds no speed past 2**53 exactly
         ("topology", {"capacity_bps": 2**53 + 1}),
         ("latency", {"noise_us": -1}),
-        # numpy's uniform needs a finite width, 2 * noise_us
+        # a noise_us at or past base_latency_us could make a latency negative
         ("latency", {"noise_us": 1e308}),
         ("latency", {"noise_us": 10**400}),
         ("traffic", {"flows_per_pair": 0}),
@@ -133,3 +138,55 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(7, "simulate") != derive_seed(7, "train")
     assert derive_seed(7, "simulate") != derive_seed(8, "simulate")
     assert 0 <= derive_seed(0, "x") < 2 ** 64
+
+
+def worst_simulated_latency(queue_factor: float) -> float:
+    """The latency curve at RHO_MAX as the simulator computes it, base 3.0,
+    plus a noise of 0.2 at its bound, rounded as simulate_tick rounds."""
+    return float(round6(link_latency_us(3.0, np.array([RHO_MAX]), queue_factor) + 0.2)[0])
+
+
+def largest_queue_factor_below_1e9() -> float:
+    """By bisection over the floats: the largest queue_factor whose worst
+    simulated latency stays below 1e9 us."""
+    low, high = 0.0, 1e9
+    while np.nextafter(low, high) < high:
+        mid = max(low + (high - low) / 2, float(np.nextafter(low, high)))
+        low, high = (mid, high) if worst_simulated_latency(mid) < 1e9 else (low, mid)
+    return low
+
+
+def test_a_latency_that_could_leave_the_wire_domain_is_refused_at_load(tmp_path):
+    # the telemetry log carries latencies in [0, 1e9) us: the noise may not
+    # take one below 0, nor the queueing curve one to 1e9
+    largest = largest_queue_factor_below_1e9()
+    past = float(np.nextafter(largest, np.inf))
+    assert worst_simulated_latency(past) == 1e9
+    path = tmp_path / "config.json"
+    for latency, accepted in [({"noise_us": 3.0}, False), ({"noise_us": 2.999999}, True),
+                              ({"queue_factor": largest, "noise_us": 0.2}, True),
+                              ({"queue_factor": past, "noise_us": 0.2}, False)]:
+        path.write_text(json.dumps({"topology": {"base_latency_us": 3.0}, "latency": latency}))
+        if accepted:
+            assert load_config(path).latency == LatencyConfig(**latency)
+        else:
+            with pytest.raises(InvalidConfigError, match="latency"):
+                load_config(path)
+
+
+def test_the_largest_accepted_queue_factor_simulates_a_log_that_replays(tmp_path):
+    cfg = SimConfig(seed=3)
+    cfg.topology = TopologyConfig(n_leaf=2, n_spine=2, capacity_bps=1_000_000_000,
+                                  base_latency_us=3.0, min_spines=1, max_spines=2)
+    cfg.latency = LatencyConfig(queue_factor=largest_queue_factor_below_1e9(), noise_us=0.2)
+    cfg.traffic = TrafficConfig(base_bps=5_000_000_000, diurnal_amp_bps=0, flows_per_pair=2)
+    cfg.validate()
+    path = tmp_path / "telemetry.log"
+    with TopicBus() as bus:
+        bus.attach("fabric.metrics", path)
+        simulate_hours(cfg, topology_from_config(cfg), bus, "fabric.metrics", 0, 1, seed=5)
+        published = bus.consume("fabric.metrics")
+    assert 1e9 - 1 < max(s.latency_us for _, s in published) < 1e9     # saturated links
+    with TopicBus() as bus:
+        assert bus.attach("fabric.metrics", path) == len(published) == 60 * 4
+        assert bus.consume("fabric.metrics") == published

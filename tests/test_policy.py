@@ -250,16 +250,26 @@ def test_journal_replay_reconstructs_sequence(tmp_path):
 
 
 def test_journal_append_returns_the_offset_replay_gives(tmp_path):
-    # replay numbers entries by line index, blank lines included
+    # replay numbers entries by line index; a blank line is refused at its offset
     path = tmp_path / "journal.log"
     with PolicyJournal(path) as journal:
         assert journal.append(one_action(), cfg(), "aaaa00000000") == 0
-    with path.open("a") as fh:
-        fh.write("\n")
     with PolicyJournal(path) as journal:
-        assert journal.append(one_action(), cfg(), "bbbb00000000") == 2
-        assert [e.offset for e in journal.entries] == [0, 2]
-    assert [e.offset for e in replay_journal(path)] == [0, 2]
+        assert journal.append(one_action(), cfg(), "bbbb00000000") == 1
+        assert [e.offset for e in journal.entries] == [0, 1]
+    assert [e.offset for e in replay_journal(path)] == [0, 1]
+    good = path.read_bytes()
+    for blank in (b"\n", b" \n", b"\t\n", b"\r\n"):
+        path.write_bytes(good + blank + good)
+        with pytest.raises(DecodeError, match="journal offset 2:"):
+            replay_journal(path)
+    # a line that is not UTF-8 is refused at its offset, after any bad line before it
+    path.write_bytes(good + b"\xff\n" + good)
+    with pytest.raises(DecodeError, match="offset 2 is not UTF-8"):
+        replay_journal(path)
+    path.write_bytes(good + b"cycle=x\n\xff\n")
+    with pytest.raises(DecodeError, match="journal offset 2: malformed"):
+        replay_journal(path)
 
 
 def test_journal_three_cycles_in_order(tmp_path):

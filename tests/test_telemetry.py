@@ -1,3 +1,5 @@
+import math
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -215,14 +217,36 @@ def test_append_log_closes_its_file_if_replay_fails(tmp_path):
 # ---------------------------------------------------------------------------
 
 wire_ints = st.integers(-10**18, 10**18)
+# the wire domain's latencies: the 6-decimal grid in [0, 10**9), sign bit clear
+wire_latencies = st.integers(0, 10**15 - 1).map(lambda k: k / 10**6)
+
+
+def in_wire_domain(latency: float) -> bool:
+    return 0 <= latency < 1e9 and math.copysign(1.0, latency) > 0 and round(latency, 6) == latency
 
 
 @FUZZ
 @given(ts=wire_ints, link=wire_ints, spine=wire_ints, fabric=wire_ints, edge=wire_ints,
-       latency=st.floats(-1e9, 1e9).map(lambda x: round(x, 6)))
+       latency=wire_latencies)
 def test_decode_roundtrips_any_valid_record(ts, link, spine, fabric, edge, latency):
     s = sample(ts=ts, link=link, spine=spine, latency=latency, fabric=fabric, edge=edge)
     assert decode_sample(encode_sample(s)) == s
+
+
+@FUZZ
+@given(st.one_of(st.floats(), st.floats(0, 2e9)).filter(lambda x: not in_wire_domain(x)))
+@example(-0.0)
+@example(1e9)
+@example(-1e-6)
+def test_a_latency_outside_the_wire_domain_is_refused(latency):
+    with TopicBus() as bus, pytest.raises(DataError):
+        bus.publish(TOPIC, [sample(latency=latency)])
+    try:
+        decoded = decode_sample(with_value(GOOD_LINE, "latency_us", f"{latency:.6f}"))
+    except DecodeError:
+        return
+    # no line spells an off-grid latency: its text is the grid value it rounds to
+    assert 0 <= latency < 1e9 and decoded.latency_us == round(latency, 6) != latency
 
 
 # lines made of the wire keys (and a stray one) with arbitrary values
@@ -266,14 +290,26 @@ def test_attach_rejects_carriage_returns_between_records(first, second, bad_offs
         TopicBus().attach(TOPIC, path)
 
 
-def test_attach_skips_blank_lines_and_counts_them_in_offsets(tmp_path):
+def test_attach_refuses_a_blank_line_at_its_offset(tmp_path):
     good = encode_sample(sample())
     path = tmp_path / "telemetry.log"
-    path.write_text(f"\n{good}\n  \n\t\n{good}\n")
-    with TopicBus() as bus:
-        assert bus.attach(TOPIC, path) == 2
-    path.write_text(f"\n{good}\n  \n{good}\nts=1 garbage\n")
-    with pytest.raises(DecodeError, match="offset 4"):
+    for blank in ("", "  ", "\t", "\r", "\u3000"):
+        path.write_bytes(f"{good}\n{blank}\n{good}\n".encode())
+        with pytest.raises(DecodeError, match="offset 1:"):
+            TopicBus().attach(TOPIC, path)
+    path.write_text(f"{good}\n{good}\nts=1 garbage\n\n")
+    with pytest.raises(DecodeError, match="offset 2:"):
+        TopicBus().attach(TOPIC, path)
+
+
+def test_a_refusal_names_the_first_bad_line_before_a_later_one_that_is_not_utf8(tmp_path):
+    good = encode_sample(sample()).encode()
+    path = tmp_path / "telemetry.log"
+    path.write_bytes(good + b"\nts=1 garbage\n\xff\n" + good + b"\n")
+    with pytest.raises(DecodeError, match="offset 1:"):
+        TopicBus().attach(TOPIC, path)
+    path.write_bytes(good + b"\n" + good.replace(b"ts=0", b"ts=\xff") + b"\n")
+    with pytest.raises(DecodeError, match="offset 1 is not UTF-8"):
         TopicBus().attach(TOPIC, path)
 
 
@@ -374,12 +410,11 @@ log_texts = st.tuples(
 
 
 def replay_line_by_line(data: bytes) -> list[LinkMetricSample]:
-    """decode_sample on each complete line, blank lines skipped: the oracle
-    for TopicBus.attach."""
+    """decode_sample on each complete line, a blank one too: the oracle for
+    TopicBus.attach."""
     lines = data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]
-    return [decode_sample(text, offset)
-            for offset, text in enumerate(line.decode("utf-8", "replace") for line in lines)
-            if text.strip()]
+    return [decode_sample(line.decode("utf-8", "replace"), offset)
+            for offset, line in enumerate(lines)]
 
 
 def assert_replay_equals_line_by_line(data: bytes, chunk_bytes: int) -> None:
@@ -412,6 +447,56 @@ def test_batched_replay_equals_line_by_line_decode(log):
     lines, torn, chunk_bytes = log
     assert_replay_equals_line_by_line(
         "".join(line + "\n" for line in lines).encode() + torn.encode(), chunk_bytes)
+
+
+def edit_base_lines() -> list[bytes]:
+    """Five minutes of four links, as encode_columns writes them: ints and
+    latencies at the edges of the wire domain, for byte edits to cross."""
+    links = [(3, 1, 5_000_000_000, 0), (-1, 0, INT64_MAX, -INT64_MAX - 1),
+             (7, 2, 0, 10**18), (0, 0, 1, 1)]
+    latencies = [0.0, 1e-6, 999999999.999999, 6.25, 3.000001]
+    rows = [LinkMetricSample(ts, link, spine, latencies[(ts + i) % 5], fabric, edge)
+            for ts in range(-2, 3) for i, (link, spine, fabric, edge) in enumerate(links)]
+    return encode_columns(SampleColumns.from_rows(rows)).split(b"\n")[:-1]
+
+
+EDIT_BASE = edit_base_lines()
+# what a byte edit writes: signs, points, zeros, exponents, blanks, an Arabic-Indic digit
+EDIT_SYMBOLS = [s.encode() for s in ("-", ".", "0", "+", "e", " ", "\t", "\r", "\u0663")]
+byte_edits = st.lists(st.tuples(st.integers(0, len(EDIT_BASE) - 1), st.integers(0, 120),
+                                st.sampled_from(["replace", "insert", "delete"]),
+                                st.sampled_from(EDIT_SYMBOLS)), min_size=1, max_size=2)
+
+
+@FUZZ
+@given(byte_edits, st.sampled_from([100, 250, 500]))
+def test_attach_loads_a_log_iff_decode_sample_takes_every_line(edits, chunk_bytes):
+    """One or two byte edits to the lines of a log that spans several
+    chunks: attach loads it iff decode_sample takes every line, loads the
+    records decode_sample reads, and otherwise names the offset of the
+    first line decode_sample refuses."""
+    lines = list(EDIT_BASE)
+    for row, at, kind, symbol in edits:
+        line = lines[row]
+        at %= len(line) + 1
+        cut = at + (kind != "insert")
+        lines[row] = line[:at] + (b"" if kind == "delete" else symbol) + line[cut:]
+    data = b"".join(line + b"\n" for line in lines)
+    assert len(data) > 2 * chunk_bytes
+    try:
+        want, refused_at = replay_line_by_line(data), None
+    except DecodeError as exc:      # a split UTF-8 symbol is refused by another message
+        want, refused_at = None, re.search(r"offset (\d+)", str(exc))[0]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(telemetry, "_CHUNK_BYTES", chunk_bytes), TopicBus() as bus:
+        path = Path(tmp) / "telemetry.log"
+        path.write_bytes(data)
+        if refused_at is not None:
+            with pytest.raises(DecodeError, match=f"{refused_at}[: ]"):
+                bus.attach(TOPIC, path)
+            return
+        assert bus.attach(TOPIC, path) == len(want)
+        assert [s for _, s in bus.consume(TOPIC)] == want
 
 
 @pytest.mark.parametrize("chunk_bytes", [64, 1 << 19])
@@ -454,10 +539,11 @@ def replay_counting_per_line(data: bytes, tmp_path) -> tuple[int, list | str]:
     # what numpy reads re-encodes to the line: the chunk is taken whole
     ("ts", 10**18 - 1, True), ("ts", 10**18, True), ("ts", -10**18, True),
     ("fabric_bps", 10**18, True), ("ts", INT64_MAX, True), ("edge_bps", -INT64_MAX - 1, True),
-    ("latency_us", "999999999.999999", True), ("latency_us", "1000000000.000000", True),
-    ("latency_us", "-1000000000.000000", True), ("latency_us", "12345678901.500000", True),
-    # what numpy reads re-encodes to other text: line by line, where
-    # decode_sample keeps -0.0 and refuses the rest at offset 1
+    ("latency_us", "999999999.999999", True), ("latency_us", "0.000000", True),
+    # what numpy reads re-encodes to other text or to none (a latency outside
+    # the wire domain): the log is refused, and decode_sample names offset 1
+    ("latency_us", "1000000000.000000", False), ("latency_us", "-1000000000.000000", False),
+    ("latency_us", "12345678901.500000", False),
     ("latency_us", "-0.000000", False), ("ts", INT64_MAX + 1, False),
     ("link", -INT64_MAX - 2, False), ("ts", "007", False), ("spine", "-0", False),
     ("edge_bps", "+5", False), ("latency_us", "6.25", False), ("latency_us", "1e3", False),
@@ -604,8 +690,7 @@ def test_a_simulated_log_replays_without_the_per_line_decoder(tmp_path):
 # the array encoder: what publish writes
 # ---------------------------------------------------------------------------
 
-NINE_DIGITS = [999999999.999999, -999999999.999999]    # the widest the array encoder writes
-TEN_DIGITS = [1e9, -1e9]                                 # written by encode_sample, row by row
+NINE_DIGITS = 999999999.999999      # the widest latency on the wire
 
 BENCH_SHAPED = {
     "ingest-wide": ({"topology": {"n_leaf": 16, "n_spine": 8, "capacity_bps": 10_000_000_000,
@@ -666,18 +751,32 @@ def test_replay_of_an_ingest_shaped_log_formats_each_hours_link_text_once(tmp_pa
     assert text.call_count == 2 * built <= 2 * hours < len(chunks)    # heads and tails
 
 
-@pytest.mark.parametrize("latency, per_row", [
-    (NINE_DIGITS[0], 0), (NINE_DIGITS[1], 0), (-0.0, 0), (123456.000001, 0),
-    (TEN_DIGITS[0], 3), (TEN_DIGITS[1], 3), (1e20, 3)])
-def test_only_a_latency_of_ten_digits_takes_the_row_encoder(latency, per_row, tmp_path):
+@pytest.mark.parametrize("latency, kept", [
+    (NINE_DIGITS, True), (0.0, True), (1e-6, True), (123456.000001, True),
+    (-NINE_DIGITS, False), (-0.0, False), (1e9, False), (-1e9, False), (1e20, False)])
+def test_publish_writes_a_latency_of_nine_digits_and_refuses_ten_or_a_sign(latency, kept,
+                                                                           tmp_path):
+    """The array encoder writes every latency of the wire domain, no row
+    by row; what it refuses leaves the file empty. What it writes replays
+    bit for bit."""
     batch = [sample(ts=0), sample(ts=1, latency=latency), sample(ts=2)]
-    with mock.patch.object(telemetry, "encode_sample", wraps=encode_sample) as row_encoder, \
+    path = tmp_path / "telemetry.log"
+    with mock.patch.object(telemetry, "encode_sample", side_effect=AssertionError), \
             TopicBus() as bus:
-        bus.attach(TOPIC, tmp_path / "telemetry.log")
-        bus.publish(TOPIC, batch)
-    assert row_encoder.call_count == per_row
-    assert (tmp_path / "telemetry.log").read_bytes() == \
-        "".join(encode_sample(s) + "\n" for s in batch).encode()
+        bus.attach(TOPIC, path)
+        if kept:
+            bus.publish(TOPIC, batch)
+        else:
+            with pytest.raises(DataError):
+                bus.publish(TOPIC, batch)
+    if not kept:
+        assert path.read_bytes() == b""
+        return
+    assert path.read_bytes() == "".join(encode_sample(s) + "\n" for s in batch).encode()
+    with TopicBus() as bus:
+        assert bus.attach(TOPIC, path) == 3
+        replayed = bus.consume(TOPIC, columns=True).latency_us
+    assert replayed.tobytes() == np.array([6.25, latency, 6.25]).tobytes()
 
 
 def columns_with(**changed) -> SampleColumns:
@@ -695,10 +794,15 @@ def columns_with(**changed) -> SampleColumns:
     columns_with(latency_us=np.array([6.25, 5.0000004])),
     columns_with(latency_us=np.array(["6.25", "1.5"])),
     columns_with(ts=np.array([0, 1, 2])), columns_with(ts=np.array([[0], [1]])),
-    [sample(latency=float("nan"))], [sample(latency=float("-inf"))]],
+    [sample(latency=float("nan"))], [sample(latency=float("-inf"))],
+    # outside the wire domain: a sign, or 10 integer digits
+    [sample(latency=-0.0)], [sample(latency=-1e-6)], [sample(latency=-5.0)],
+    [sample(latency=1e9)], [sample(latency=1e20)], [sample(latency=float("inf"))],
+    columns_with(latency_us=np.array([6.25, -0.0]))],
     ids=lambda bad: repr(bad)[:60])
 def test_publish_rejects_what_the_log_cannot_give_back(bad, tmp_path):
     path = tmp_path / "telemetry.log"
+    before = callers_state(bad)
     for backed in (True, False):
         with TopicBus() as bus:
             if backed:
@@ -708,6 +812,15 @@ def test_publish_rejects_what_the_log_cannot_give_back(bad, tmp_path):
                 bus.publish(TOPIC, bad)
             assert bus.length(TOPIC) == 1
     assert path.read_bytes() == (encode_sample(sample(ts=0)) + "\n").encode()
+    assert callers_state(bad) == before
+
+
+def callers_state(batch) -> list:
+    """What a refused publish leaves as it was: the rows, or each column's
+    type, shape, bytes and writability."""
+    if isinstance(batch, SampleColumns):
+        return [(c.dtype, c.shape, c.tobytes(), c.flags.writeable) for c in batch.columns()]
+    return list(batch)
 
 
 def test_publish_keeps_integer_columns_as_int64(tmp_path):
@@ -775,8 +888,8 @@ def test_a_batch_the_bus_does_not_keep_leaves_the_callers_columns_writable(backe
 # ---------------------------------------------------------------------------
 
 wide_ints = st.one_of(st.integers(-INT64_MAX - 1, INT64_MAX), st.integers(-10**4, 10**4))
-latencies = st.one_of(st.floats(-1e12, 1e12).map(lambda x: round(x, 6)),
-                      st.sampled_from([0.0, -0.0, -1e-6, 1e20] + NINE_DIGITS + TEN_DIGITS))
+latencies = st.one_of(wire_latencies, st.floats(0, 1e4).map(lambda x: round(x, 6)),
+                      st.sampled_from([0.0, 1e-6, NINE_DIGITS]))
 rows = st.lists(st.builds(LinkMetricSample, wide_ints, wide_ints, wide_ints, latencies,
                           wide_ints, wide_ints), max_size=40)
 
@@ -820,8 +933,7 @@ def two_hours_with_a_spine_removed() -> list[LinkMetricSample]:
 
 @FUZZ
 @given(st.one_of(rows, periodic_rows()))
-@example([sample(ts=ts, latency=x) for ts in (0, 1) for x in NINE_DIGITS + [-0.0, 0.0]])
-@example([sample(ts=ts, latency=x) for ts in (0, 1) for x in TEN_DIGITS + [-0.0, 0.0]])
+@example([sample(ts=ts, latency=x) for ts in (0, 1) for x in [NINE_DIGITS, 1e-6, 0.0]])
 @example(two_hours_with_a_spine_removed())
 def test_batch_encoding_equals_row_encoding(samples):
     batch = SampleColumns.from_rows(samples)
