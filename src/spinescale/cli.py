@@ -110,16 +110,17 @@ def cmd_forecast(args) -> int:
 
 def _decision_inputs(args) -> tuple[PolicyConfig, Path, Forecast]:
     """Policy, output directory and forecast for decide and export-plots; the
-    forecast's spines are the active set, so each must be a configured spine."""
+    forecast's spines are the active set, so each must be an id that adding
+    spines can reach: 0..max_spines - 1."""
     cfg = load_config(args.config)
     policy_cfg = policy_from_config(cfg)
     out = _out_dir(args)
     forecast = load_forecast_csv(args.forecast or out / FORECAST_FILE)
-    n_spine = cfg.topology.n_spine
-    unknown = [sid for sid in forecast.spine_ids() if not 0 <= sid < n_spine]
+    max_spines = cfg.topology.max_spines
+    unknown = [sid for sid in forecast.spine_ids() if not 0 <= sid < max_spines]
     if unknown:
-        raise ConsistencyError(f"forecast names spine(s) {unknown}, but the configured "
-                               f"fabric has spines 0..{n_spine - 1}")
+        raise ConsistencyError(f"forecast names spine(s) {unknown}, but topology.max_spines "
+                               f"{max_spines} allows spines 0..{max_spines - 1}")
     return policy_cfg, out, forecast
 
 

@@ -10,7 +10,6 @@ keep the loop auditable and non-flapping.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from .config import PolicyConfig
 from .errors import ConsistencyError, DecodeError, NotFoundError
 from .forecaster import Forecast
-from .telemetry import INT_PATTERN, AppendLog, split_lines
+from .telemetry import AppendLog, split_lines
 
 ADD_SPINE = "add_spine"
 REMOVE_SPINE = "remove_spine"
@@ -125,50 +124,41 @@ class JournalEntry:
 
 
 def encode_journal_line(action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> str:
-    spine = "-" if action.spine_id is None else str(action.spine_id)
-    return (f"cycle={action.decision_cycle} kind={action.kind} spine={spine} "
-            f"reason={action.reason.detail} "
-            f"remove_thr={float(config.remove_threshold_us)!r} "
-            f"add_thr={float(config.add_threshold_us)!r} "
-            f"mean_pred={float(action.reason.statistic_us)!r} digest={forecast_digest}")
+    """One action as its journal line (no trailing newline)."""
+    return _journal_line(action.decision_cycle, action.kind, action.spine_id,
+                         action.reason.detail, float(config.remove_threshold_us),
+                         float(config.add_threshold_us), float(action.reason.statistic_us),
+                         forecast_digest)
 
 
-_JOURNAL_LINE = re.compile(
-    rf"cycle=({INT_PATTERN}) kind=({ADD_SPINE}|{REMOVE_SPINE}) spine=(-|{INT_PATTERN}) "
-    r"reason=([^ \n]*) remove_thr=(\S+) add_thr=(\S+) mean_pred=(\S+) digest=([0-9a-f]+)\n?")
-
-
-def _exact_float(text: str) -> float:
-    """A float field as the encoder writes it: the value's repr, not nan."""
-    value = float(text)
-    if value != value or repr(value) != text:
-        raise ValueError(f"{text!r} is not the repr of a number")
-    return value
+def _journal_line(cycle, kind, spine_id, reason, remove_thr, add_thr, mean_pred, digest) -> str:
+    """The journal's line format, its one statement: a JournalEntry's
+    fields after the offset, each float as its repr."""
+    spine = "-" if spine_id is None else spine_id
+    return (f"cycle={cycle} kind={kind} spine={spine} reason={reason} "
+            f"remove_thr={remove_thr!r} add_thr={add_thr!r} mean_pred={mean_pred!r} "
+            f"digest={digest}")
 
 
 def decode_journal_line(line: str, offset: int) -> JournalEntry:
-    """Parse one journal line. Accepts only what encode_journal_line
-    writes, so any line that decodes re-encodes to itself."""
-    match = _JOURNAL_LINE.fullmatch(line)
-    if match is None:
-        raise DecodeError(f"journal offset {offset}: malformed line {line!r}")
-    cycle, kind, spine, reason, remove_thr, add_thr, mean_pred, digest = match.groups()
-    if spine == "-" and kind != ADD_SPINE:
-        raise DecodeError(f"journal offset {offset}: {kind} without a spine id")
+    """The entry whose _journal_line is `line`, a trailing newline aside, if
+    it holds what re-encoding cannot see: one of the two kinds, a spine
+    unless it adds one, no newline in its reason, a non-empty lowercase-hex
+    digest and no nan; else a DecodeError naming the offset."""
+    text = line.removesuffix("\n")
     try:
-        return JournalEntry(
-            offset=offset,
-            cycle=int(cycle),
-            kind=kind,
-            spine_id=None if spine == "-" else int(spine),
-            reason=reason,
-            remove_threshold_us=_exact_float(remove_thr),
-            add_threshold_us=_exact_float(add_thr),
-            mean_pred_us=_exact_float(mean_pred),
-            forecast_digest=digest,
-        )
-    except ValueError as exc:
-        raise DecodeError(f"journal offset {offset}: {exc}") from exc
+        cycle, kind, spine, reason, remove_thr, add_thr, mean_pred, digest = [
+            f.partition("=")[2] for f in text.split(" ")]
+        fields = (int(cycle), kind, None if spine == "-" else int(spine), reason,
+                  float(remove_thr), float(add_thr), float(mean_pred), digest)
+    except ValueError:      # not eight fields, or a value int() or float() cannot read
+        fields = None
+    if (fields is not None and _journal_line(*fields) == text
+            and kind in (ADD_SPINE, REMOVE_SPINE) and (spine != "-" or kind == ADD_SPINE)
+            and "\n" not in reason and digest and not digest.strip("0123456789abcdef")
+            and all(value == value for value in fields[4:7])):
+        return JournalEntry(offset, *fields)
+    raise DecodeError(f"journal offset {offset}: malformed line {line!r}")
 
 
 class PolicyJournal:

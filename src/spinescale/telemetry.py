@@ -17,15 +17,14 @@ int64, and a latency on the 6-decimal grid in [0, 10**9), sign bit clear.
 `publish` refuses a batch outside it, so decode(encode(x)) == x. Replay
 loads a chunk of lines only if the columns it read re-encode to its
 bytes, and refuses the log otherwise; decode_sample, which names the
-offset of a line it refuses, takes only ASCII digits, no sign on zero or
-latency, no leading zeros, no `_` and no `nan`, so a line it decodes
-re-encodes to itself.
+offset of a line it refuses, takes one line by the same rule. So the
+writers are the format's one statement.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -38,13 +37,7 @@ import numpy as np
 from .errors import ConsistencyError, DataError, DecodeError, NotFoundError, PersistenceError
 from .fabric import LinkMetricSample, SampleColumns
 
-INT_PATTERN = r"0|-?[1-9][0-9]*"     # an int as str() writes it
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
-_INT = r"(?:0|-?[1-9][0-9]{0,18})"  # at most int64's 19 digits; the range is checked after
-_FIXED6 = r"(?:0|[1-9][0-9]{0,8})\.[0-9]{6}"   # the wire domain: 0 <= latency < 10**9
-_SAMPLE_LINE = re.compile(
-    rf"ts=({_INT}) link=({_INT}) spine=({_INT}) latency_us=({_FIXED6}) "
-    rf"fabric_bps=({_INT}) edge_bps=({_INT})\n?")
 _KEY_BYTES = b"abcdefghijklmnopqrstuvwxyz_=."   # what a valid line holds besides numbers
 _CHUNK_BYTES = 1 << 17   # ~1,500 lines: small enough that re-encoding reuses its memory
 # Four bytes of line text per uint32 word, 0 bytes where a word has no
@@ -65,7 +58,8 @@ _NO_TEXT, _TS, _TS_MINUS = 2000, 5000, 5001
 
 
 def encode_sample(sample: LinkMetricSample) -> str:
-    """One sample as one wire-format line (no trailing newline)."""
+    """One sample as one wire-format line (no trailing newline): the wire
+    format's one statement, which decode_sample reads back."""
     return (f"ts={sample.ts} link={sample.link_id} spine={sample.spine_id} "
             f"latency_us={sample.latency_us:.6f} "
             f"fabric_bps={sample.fabric_bps} edge_bps={sample.edge_bps}")
@@ -232,14 +226,23 @@ def _wire_columns(samples: SampleColumns | list[LinkMetricSample]) -> SampleColu
 
 
 def decode_sample(line: str, offset: int | None = None) -> LinkMetricSample:
-    """Parse one wire-format line; raises DecodeError naming the offset.
-    Its latency has at most 15 significant digits, which a float keeps."""
-    match = _SAMPLE_LINE.fullmatch(line)
-    if match is not None:
-        ts, link, spine, latency, fabric, edge = match.groups()
-        ints = [int(ts), int(link), int(spine), int(fabric), int(edge)]
-        if all(INT64_MIN <= v <= INT64_MAX for v in ints):
-            return LinkMetricSample(*ints[:3], float(latency), *ints[3:])
+    """The sample whose encode_sample is `line`, a trailing newline aside,
+    if it is in the wire domain; else a DecodeError naming the offset.
+    Re-encoding refuses what int() and float() read from other spellings
+    (`+5`, `1_0`, `-0`, `٣`, `6.25`), but not ints past int64, or -0.0, a
+    negative, inf or nan, which `.6f` writes back as they are."""
+    text = line.removesuffix("\n")
+    try:
+        # keys and values alternate once each "=" is a space; re-encoding checks the keys
+        ts, link, spine, latency, fabric, edge = text.replace("=", " ").split(" ")[1::2]
+        ints = int(ts), int(link), int(spine), int(fabric), int(edge)
+        sample = LinkMetricSample(*ints[:3], float(latency), *ints[3:])
+    except ValueError:      # not six fields, or a value int() or float() cannot read
+        sample = None
+    if (sample is not None and encode_sample(sample) == text
+            and INT64_MIN <= min(ints) and max(ints) <= INT64_MAX
+            and sample.latency_us < 1e9 and math.copysign(1.0, sample.latency_us) > 0):
+        return sample
     where = f" at offset {offset}" if offset is not None else ""
     raise DecodeError(f"malformed record{where}: {line!r}")
 

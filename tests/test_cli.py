@@ -279,7 +279,7 @@ def test_forecast_on_a_malformed_checkpoint_exits_2(tmp_path, capsys, mutate):
 
 
 @pytest.mark.parametrize("command", ["decide", "export-plots"])
-@pytest.mark.parametrize("spine", [7, 5, -1])
+@pytest.mark.parametrize("spine", [8, -1])
 def test_a_forecast_naming_a_spine_the_fabric_lacks_exits_2(empty_config, tmp_path, capsys,
                                                             command, spine):
     out = tmp_path / "out"
@@ -290,6 +290,27 @@ def test_a_forecast_naming_a_spine_the_fabric_lacks_exits_2(empty_config, tmp_pa
     assert run_cli(command, "--config", empty_config, "--out", out) == 2
     assert f"[{spine}]" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["forecast.csv"]
+
+
+def test_decide_and_export_plots_take_the_forecast_of_a_run_that_added_spines(tmp_path):
+    # two spines configured, room for four: each cycle adds the lowest free
+    # id, so the last cycle forecasts spine 2, which n_spine does not name
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
+        SMALL_CONFIG,
+        topology=dict(SMALL_CONFIG["topology"], n_spine=2, min_spines=1, max_spines=4),
+        policy={"remove_threshold_us": 0.001, "add_threshold_us": 0.002,
+                "cooldown_cycles": 0})))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", path, "--out", out) == 0
+    assert [(e.cycle, e.kind) for e in replay_journal(out / "journal.log")] == \
+        [(0, "add_spine"), (1, "add_spine")]
+    assert load_forecast_csv(out / "forecast.csv").spine_ids() == [0, 1, 2]
+    assert run_cli("decide", "--config", path, "--out", out) == 0
+    assert [(e.kind, e.spine_id) for e in replay_journal(out / "journal.log")] == \
+        [("add_spine", None)]
+    assert run_cli("export-plots", "--config", path, "--out", out) == 0
+    assert load_forecast_csv(out / "plot_latency.csv").spine_ids() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("values", [("nan", "nan"), ("inf", "-inf")])
