@@ -4,26 +4,31 @@ The fabric is a complete bipartite graph between leaf switches and the
 currently active spine switches. Link spine_id * n_leaf + leaf_id joins a
 leaf and a spine; ids are stable across activations so telemetry streams
 stay joinable, and `hour_loads` lists the active links in id order
-(spine-major, leaves ascending). Each simulated hour (`hour_loads`):
+(spine-major, leaves ascending). The unit of work is a block of
+consecutive hours on one active set (`hour_loads` of their demands):
 
-  1. the offered load for the hour is split into a fixed number of flows
-     per leaf pair (integer bits/second each, so totals are exact),
-  2. every flow is hashed onto an active spine (ECMP over hash slots), all
-     at once as one int64 array (`build_flows`); a pair that is not two
-     distinct leaves, or demand summing past int64, is a DataError,
-  3. per-link metrics are derived from the carried upstream load with a
-     queueing-shaped latency curve:
+  1. each hour's offered load is split into a fixed number of flows per
+     leaf pair (integer bits/second each, so totals are exact),
+  2. every flow is hashed onto an active spine (ECMP over hash slots) once
+     per block, since its spine depends only on its id and the active
+     set, all at once as one int64 array (`build_flows`); a pair that is
+     not two distinct leaves, or an hour's demand summing past int64, is
+     a DataError,
+  3. per-link metrics of every hour are derived from the carried upstream
+     load with a queueing-shaped latency curve:
 
          latency = base * (1 + k * rho / (1 - rho)) + noise,
          rho     = min(carried / capacity, 0.99)
 
 with the noise drawn anew each simulated minute ("tick"). `simulate_tick`
-turns an hour's loads into the samples of a run of minutes, a whole hour
-in one call. Minute t's noise is what
+turns a block's loads into the samples of its minutes in one call. Minute
+t's noise is what
 `np.random.default_rng(derive_seed(seed, f"latency-noise:{t}")).uniform`
 draws, but no generator is built: `uniform_rows` runs numpy's
-SeedSequence hashing, PCG64 seeding and XSL-RR output for all the hour's
-minutes and links as uint32/uint64 array arithmetic, bit for bit.
+SeedSequence hashing, PCG64 seeding and XSL-RR output for all the block's
+minutes and links as uint32/uint64 array arithmetic, bit for bit. Loads
+are exact int64 sums and every later step is elementwise, so a block's
+samples are its hours' samples computed one hour at a time.
 
 Link load accounting is upstream only (leaf -> spine): a flow contributes
 its rate to the link leaving its source leaf, so summing fabric_speed over
@@ -34,7 +39,7 @@ shows up in the destination leaf's edge_speed instead.
 bits per second, so its samples are what the telemetry wire format carries
 exactly; building a sample quantizes nothing, and the bus refuses one that
 the wire format could not give back. Samples are carried as
-columns (`SampleColumns`), not as one object per link: an hour's link
+columns (`SampleColumns`), not as one object per link: each hour's link
 columns are computed once and tiled over its minutes, minute-major, and
 each minute adds only its `ts` and noisy latency.
 """
@@ -191,7 +196,7 @@ def build_topology(cfg: TopologyConfig) -> Topology:
 def apply_action(topology: Topology, action: "PolicyAction") -> Topology:
     """Apply an add/remove decision, returning a new topology.
 
-    Flow placement is stateless (re-hashed over the active set every hour),
+    Flow placement is stateless (re-hashed over the active set every block),
     so changing the active set re-places every flow automatically. An added
     spine takes the lowest id not active: a removed spine comes back with
     its hash slots, and a new id gets one slot.
@@ -275,27 +280,34 @@ def ecmp_assign(flow_id: int, active_spines: list[int], seed: int) -> int:
     return active_spines[h % len(active_spines)]
 
 
-def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int,
-                seed: int) -> np.ndarray:
+def build_flows(demands: DemandMatrix | list[DemandMatrix], topology: Topology,
+                flows_per_pair: int, seed: int) -> np.ndarray:
     """Split each pair's demand into flows_per_pair integer-rate flows and
-    place each as ecmp_assign would over the active hash slots. Flow ids
-    are stable across hours so a flow's spine only changes when the active
-    set changes. Returns one int64 row (src, dst, rate, spine) per flow of
-    nonzero rate, pairs ascending. A pair that is not two distinct leaves,
-    or demand summing past int64 (link and leaf sums would wrap), is a
-    DataError."""
+    place each as ecmp_assign would over the active hash slots. `demands`
+    is one hour's matrix or a block of hours' matrices (a pair missing from
+    an hour demands 0 in it). Flow ids are stable across hours, so a flow's
+    spine depends only on its id and the active set, and each flow of a
+    block is placed once. Returns one int64 row (src, dst, rate in each
+    hour of the block..., spine) per flow whose rate is nonzero in some
+    hour, pairs ascending; for one matrix that is (src, dst, rate, spine).
+    A pair that is not two distinct leaves, or an hour's demand summing
+    past int64 (link and leaf sums would wrap), is a DataError."""
+    hours = [demands] if isinstance(demands, DemandMatrix) else demands
     n_leaf = topology.n_leaf
-    pairs = _column([v for (src, dst), bps in sorted(demands.entries.items())
-                     for v in (src, dst, bps)], "demand pairs").reshape(-1, 3)
-    src, dst, demand = pairs.T
+    keys = sorted(set().union(*(d.entries for d in hours)))
+    pairs = _column([v for pair in keys for v in pair], "demand pairs").reshape(-1, 2)
+    demand = _column([d.entries.get(pair, 0) for pair in keys for d in hours],
+                     "demands").reshape(len(keys), len(hours))
+    src, dst = pairs.T
     bad = np.flatnonzero((src < 0) | (src >= n_leaf) | (dst < 0) | (dst >= n_leaf) | (src == dst))
     if len(bad):
-        raise DataError(f"demand pair {pairs[bad[0], :2].tolist()} is not two distinct leaves")
-    if sum(demand.tolist()) > np.iinfo(np.int64).max:
-        raise DataError("the hour's demand sums past the int64 range")
+        raise DataError(f"demand pair {pairs[bad[0]].tolist()} is not two distinct leaves")
+    for d, column in zip(hours, demand.T.tolist()):
+        if sum(column) > np.iinfo(np.int64).max:
+            raise DataError(f"hour {d.t}'s demand sums past the int64 range")
     q, r = np.divmod(demand, flows_per_pair)
-    rate = q[:, None] + (np.arange(flows_per_pair) < r[:, None])
-    pair, k = np.nonzero(rate)
+    rate = q[:, None] + (np.arange(flows_per_pair)[:, None] < r[:, None])   # [pair, k, hour]
+    pair, k = np.nonzero(rate.any(axis=2))
     flow_id = (src[pair] * n_leaf + dst[pair]) * flows_per_pair + k
     active = topology.active_spine_ids
     ring = np.repeat(np.array(active, dtype=np.int64), [topology.spine_slots[s] for s in active])
@@ -303,7 +315,7 @@ def build_flows(demands: DemandMatrix, topology: Topology, flows_per_pair: int,
         raise NoCapacityError("no active spine to place the flow on")
     h = _splitmix64(_splitmix64(np.array([seed & _MASK64], dtype=np.uint64))
                     ^ flow_id.astype(np.uint64))
-    return np.stack([src[pair], dst[pair], rate[pair, k], ring[h % len(ring)]], axis=1)
+    return np.column_stack([src[pair], dst[pair], rate[pair, k], ring[h % len(ring)]])
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +330,11 @@ def link_latency_us(base_latency_us: float, rho, queue_factor: float):
 
 @dataclass(frozen=True)
 class HourLoads:
-    """Hour-constant columns of the active links in link id order: link
-    spine_id * n_leaf + leaf_id, spine-major, leaves ascending."""
+    """Hour-constant columns of a block of hours' active links, in link id
+    order: link spine_id * n_leaf + leaf_id, spine-major, leaves ascending.
+    link_id and spine_id hold one entry per link; the loads and latencies
+    hold one row of links per hour of the block, [hours, links], or are a
+    single hour's [links] if `hour_loads` was given one matrix."""
     link_id: np.ndarray
     spine_id: np.ndarray
     fabric_bps: np.ndarray     # capped at the link capacity
@@ -327,27 +342,35 @@ class HourLoads:
     latency_us: np.ndarray     # noise-free, not yet rounded
 
 
-def hour_loads(topology: Topology, demands: DemandMatrix, seed: int,
+def hour_loads(topology: Topology, demands: DemandMatrix | list[DemandMatrix], seed: int,
                flows_per_pair: int = 8, queue_factor: float = 1.0) -> HourLoads:
-    """Place the hour's flows once and derive every active link's load.
+    """Place the flows of one hour's demands, or of a block of hours', once
+    (`build_flows`) and derive every active link's load in each hour. The
+    sums are int64 and exact in any order, since no hour's demand sums
+    past int64; one `link_latency_us` call gives every hour's latencies.
+    An empty block is an InvalidConfigError.
 
     Overload never raises: utilization is clamped at RHO_MAX, which shows
     up as high latency, and fabric_bps is capped at the link capacity.
     """
-    src, dst, rate, spine = build_flows(demands, topology, flows_per_pair, seed).T
+    if not isinstance(demands, DemandMatrix) and not demands:
+        raise InvalidConfigError("a block needs the demands of at least one hour")
+    flows = build_flows(demands, topology, flows_per_pair, seed)
+    src, dst, rate, spine = flows[:, 0], flows[:, 1], flows[:, 2:-1], flows[:, -1]
     n_leaf = topology.n_leaf
     active = np.array(topology.active_spine_ids, dtype=np.int64)
-    carried = np.zeros((len(active), n_leaf), dtype=np.int64)
-    np.add.at(carried, (np.searchsorted(active, spine), src), rate)
-    edge = np.zeros(n_leaf, dtype=np.int64)
+    carried = np.zeros((len(active) * n_leaf, rate.shape[1]), dtype=np.int64)   # [link, hour]
+    np.add.at(carried, np.searchsorted(active, spine) * n_leaf + src, rate)
+    edge = np.zeros((n_leaf, rate.shape[1]), dtype=np.int64)
     np.add.at(edge, src, rate)
     np.add.at(edge, dst, rate)
-    loads = carried.ravel()
+    loads, edge = carried.T, np.tile(edge.T, len(active))
+    if isinstance(demands, DemandMatrix):
+        loads, edge = loads[0], edge[0]
     # Python's exact load / cap: cap <= 2**53, and a load past it clamps either way
     cap = topology.capacity_bps
     return HourLoads((active[:, None] * n_leaf + np.arange(n_leaf)).ravel(),
-                     np.repeat(active, n_leaf), np.minimum(loads, cap),
-                     np.tile(edge, len(active)),
+                     np.repeat(active, n_leaf), np.minimum(loads, cap), edge,
                      link_latency_us(topology.base_latency_us, loads / cap, queue_factor))
 
 
@@ -479,26 +502,32 @@ def uniform_rows(seeds: list[int], noise_us: float, n: int) -> np.ndarray:
     return low + (float(noise_us) - low) * ((x >> 11).astype(np.float64) * 2.0**-53)
 
 
-def simulate_tick(hour: HourLoads, seed: int, t: int, noise_us: float = 0.0,
+def simulate_tick(loads: HourLoads, seed: int, t: int, noise_us: float = 0.0,
                   minutes: int = 1) -> SampleColumns:
-    """One sample per active link for each minute t ... t + minutes - 1, minute
-    by minute in `hour`'s link id order: the hour's latency plus that
-    minute's uniform noise, rounded to 6 places as round does. Minute m's
-    noise is what default_rng(derive_seed(seed, f"latency-noise:{m}"))
-    draws; `uniform_rows` computes all the minutes' noise as one block, so a
-    run of minutes equals the single minutes concatenated. A noise_us whose
+    """One sample per active link for each minute t ... t + minutes - 1,
+    minute by minute in `loads`' link id order: the hour's latency plus
+    that minute's uniform noise, rounded to 6 places as round does. The
+    block's hours take the minutes in turn, minutes / hours each (so
+    `minutes` is a multiple of their count; a single hour takes them all).
+    Minute m's noise is what default_rng(derive_seed(seed,
+    f"latency-noise:{m}")) draws; `uniform_rows` computes all the minutes'
+    noise as one block and `round6` rounds it in one pass, so a run of
+    minutes equals the single minutes concatenated. A noise_us whose
     doubled width is not finite (NaN, inf, 1e308) is a DataError. Every
     column owns its data, so the bus keeps it without a copy."""
     if not noise_width_is_finite(noise_us):
         raise DataError(f"2 * noise_us must be finite, got noise_us={noise_us!r}")
-    n = len(hour.latency_us)
-    latency = np.broadcast_to(hour.latency_us, (minutes, n))
+    hours, n = np.atleast_2d(loads.latency_us).shape
+    if minutes % hours:
+        raise InvalidConfigError(f"{minutes} minutes do not split evenly over {hours} hours")
+
+    def tile(column: np.ndarray) -> np.ndarray:     # each hour's row over its minutes, owned
+        rows = np.atleast_2d(column)[:, None]
+        return np.broadcast_to(rows, (hours, minutes // hours, n)).flatten()
+    latency = tile(loads.latency_us)
     if noise_us > 0:
         seeds = [derive_seed(seed, f"latency-noise:{m}") for m in range(t, t + minutes)]
-        latency = latency + uniform_rows(seeds, noise_us, n)
-
-    def tile(column: np.ndarray) -> np.ndarray:     # owned, where np.tile's is a view
-        return np.broadcast_to(column, (minutes, n)).flatten()
+        latency += uniform_rows(seeds, noise_us, n).ravel()
     return SampleColumns(np.repeat(np.arange(t, t + minutes, dtype=np.int64), n),
-                         tile(hour.link_id), tile(hour.spine_id), round6(latency.ravel()),
-                         tile(hour.fabric_bps), tile(hour.edge_bps))
+                         tile(loads.link_id), tile(loads.spine_id), round6(latency),
+                         tile(loads.fabric_bps), tile(loads.edge_bps))

@@ -376,6 +376,13 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     per-hour operation order, and a BLAS row rounds the same in any product
     of two or more rows; with one spine or m = 1 the per-hour calls made
     1-row products (BLAS's matrix-vector path), so the last bits can differ.
+
+    Each new conv column is checked for finiteness when it is computed, and
+    window w's layer-1 then layer-2 states when it predicts, before its
+    dense output: h = o * tanh(c) is never +-inf, and a NaN in a row stays
+    NaN at every later step of that row, so a window's last states show
+    whether any of its steps held a non-finite value, and the layer named
+    is the one forward_batch would name.
     """
     if horizon < 1:
         raise InvalidConfigError(f"horizon must be >= 1, got {horizon}")
@@ -424,16 +431,19 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
             z += b2
             z += h2[rows] @ U2
             _finish_step(z, c2[rows], offset2, scale2, c2[rows], h2[rows])
-            _check_finite(h2[rows], "lstm2")
         if t >= m and (t - m) % 2 == 0:        # window w has run its last step
             w = (t - m) // 2
-            preds = (h2[w * S:(w + 1) * S] @ model.dense_w + model.dense_b).ravel()
+            window = slice(w * S, (w + 1) * S)
+            _check_finite(h1[window], "lstm1")
+            _check_finite(h2[window], "lstm2")
+            preds = (h2[window] @ model.dense_w + model.dense_b).ravel()
             _check_finite(preds, "dense")
             buf[:, n + w, 0] = preds
             if w + 1 < horizon:                # conv position m + w now has its input
                 # as [S, 3] products: conv1d_forward on it would make 1-row ones
-                col = np.broadcast_to(model.conv_b, (S, model.conv_b.size)).copy()
-                for dt in range(width):
+                col = buf[:, m + w] @ model.conv_w[0]
+                col += model.conv_b                # b + p: IEEE addition commutes
+                for dt in range(1, width):
                     col += buf[:, m + w + dt] @ model.conv_w[dt]
                 _check_finite(col, "conv")
                 np.matmul(col, W1, out=x1[m + w])
@@ -445,7 +455,6 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
             z_windows = z.reshape(hi - lo + 1, S, -1)
             z_windows += x1[t - hi:t - lo + 1][::-1]    # window w is at position t - w
             _finish_step(z, c1[rows], offset1, scale1, c1[rows], h1[rows])
-            _check_finite(h1[rows], "lstm1")
     return Forecast(horizon=horizon, per_spine={
         series.spine_id: np.maximum(model.scaler.invert_latency(row[n:, 0]), 0.0)
         for series, row in zip(histories, buf)})

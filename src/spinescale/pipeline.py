@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PolicyConfig, SimConfig, derive_seed, policy_from_config
-from .errors import InsufficientDataError
+from .errors import DataError, InsufficientDataError, InvalidConfigError
 from .fabric import (SampleColumns, Topology, apply_action, build_topology, generate_demands,
                      hour_loads, simulate_tick)
 from .forecaster import (Forecast, LstmModel, TrainReport, digest_forecast, forecast_horizon,
@@ -42,20 +42,50 @@ def topology_from_config(cfg: SimConfig) -> Topology:
     return build_topology(cfg.topology)
 
 
+# The most samples one block of hours computes at once (a block is at least
+# one hour). At 2**15 an elastic-loop cycle, 36 h of 15 links, is one block,
+# and a block's arrays in flight stay under 4 MiB however many hours a call runs.
+_BLOCK_SAMPLES = 2**15
+
+
 def simulate_hours(cfg: SimConfig, topology: Topology, bus: TopicBus, topic: str,
                    start_hour: int, hours: int, seed: int) -> int:
-    """Run the fabric for `hours` simulated hours of 1-minute ticks. Each
-    hour is simulated in one `simulate_tick` call and published in one
-    batch, so the log only ever holds whole hours. Returns the number of
-    samples published."""
+    """Run the fabric for `hours` simulated hours of 1-minute ticks and
+    publish each hour as one batch, so the log only ever holds whole
+    hours. Returns the number of samples published; a negative `hours` is
+    an InvalidConfigError, raised before anything is published.
+
+    The hours are simulated in blocks of consecutive hours of at most
+    _BLOCK_SAMPLES samples: per block, each hour's `generate_demands`,
+    one `hour_loads` (each flow placed once) and one `simulate_tick` for
+    all its minutes, whose hours are then published one by one. If some
+    hour's demands cannot be routed (a DataError), the block is redone an
+    hour at a time, so the hours before that one are published before it
+    raises."""
+    if hours < 0:
+        raise InvalidConfigError(f"hours must be >= 0, got {hours}")
+    hour_samples = 60 * len(topology.active_spine_ids) * topology.n_leaf
+    block = max(1, _BLOCK_SAMPLES // max(hour_samples, 1))
+    first, stop = start_hour, start_hour + hours
     published = 0
-    for hour in range(start_hour, start_hour + hours):
-        demands = generate_demands(cfg.traffic, topology.n_leaf, hour, seed)
-        loads = hour_loads(topology, demands, seed, flows_per_pair=cfg.traffic.flows_per_pair,
-                           queue_factor=cfg.latency.queue_factor)
-        samples = simulate_tick(loads, seed, hour * 60, cfg.latency.noise_us, minutes=60)
-        bus.publish(topic, samples)
+    while first < stop:
+        last = min(first + block, stop)
+        demands = [generate_demands(cfg.traffic, topology.n_leaf, hour, seed)
+                   for hour in range(first, last)]
+        try:
+            loads = hour_loads(topology, demands, seed, flows_per_pair=cfg.traffic.flows_per_pair,
+                               queue_factor=cfg.latency.queue_factor)
+        except DataError:
+            if block == 1:
+                raise
+            block = 1
+            continue
+        samples = simulate_tick(loads, seed, first * 60, cfg.latency.noise_us,
+                                minutes=60 * (last - first))
+        for i in range(last - first):
+            bus.publish(topic, samples.slice(i * hour_samples, (i + 1) * hour_samples))
         published += len(samples)
+        first = last
     return published
 
 

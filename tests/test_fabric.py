@@ -472,6 +472,60 @@ def test_hour_loads_match_per_minute_reference():
     assert overloaded > 0
 
 
+def test_a_block_of_hours_is_its_hours_placed_and_loaded_one_by_one():
+    rng = np.random.default_rng(25)
+    for trial in range(40):
+        n_leaf, n_spine = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        topo = build_topology(TopologyConfig(
+            n_leaf, n_spine, CAP, 3.0, min_spines=1,
+            spine_slots=[int(k) for k in rng.integers(1, 4, size=n_spine)]))
+        fpp, seed = int(rng.integers(1, 10)), int(rng.integers(1 << 40))
+        # pairs come and go between hours, and some demands are below fpp or 0
+        block = [DemandMatrix(t=t, entries={
+            (src, dst): int(rng.choice([0, rng.integers(1, 10), rng.integers(1, 3 * CAP)]))
+            for src in range(n_leaf) for dst in range(n_leaf)
+            if src != dst and rng.random() < 0.8}) for t in range(int(rng.integers(1, 6)))]
+        flows = build_flows(block, topo, fpp, seed)
+        assert flows.dtype == np.int64 and flows.shape[1] == 3 + len(block)
+        assert (flows[:, 2:-1] != 0).any(axis=1).all()
+        for h, demands in enumerate(block):
+            placed = flows[flows[:, 2 + h] != 0][:, [0, 1, 2 + h, -1]]
+            assert placed.tolist() == build_flows(demands, topo, fpp, seed).tolist()
+        loads = hour_loads(topo, block, seed, flows_per_pair=fpp, queue_factor=1.5)
+        for h, demands in enumerate(block):
+            hour = hour_loads(topo, demands, seed, flows_per_pair=fpp, queue_factor=1.5)
+            for name in ("fabric_bps", "edge_bps", "latency_us"):
+                got, want = getattr(loads, name)[h], getattr(hour, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert np.array_equal(loads.link_id, hour.link_id)
+            assert np.array_equal(loads.spine_id, hour.spine_id)
+        for noise_us in (0.0, 0.2):
+            got = simulate_tick(loads, seed, 60 * trial, noise_us, minutes=60 * len(block))
+            want = SampleColumns.concat([
+                simulate_tick(hour_loads(topo, d, seed, flows_per_pair=fpp, queue_factor=1.5),
+                              seed, 60 * (trial + h), noise_us, minutes=60)
+                for h, d in enumerate(block)])
+            for a, b in zip(got.columns(), want.columns()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_block_names_the_hour_whose_demand_sums_past_int64(topo_3x5):
+    fine = DemandMatrix(t=4, entries={(0, 1): 2**62})
+    past = DemandMatrix(t=5, entries={(0, 1): 2**62, (0, 2): 2**62})
+    with pytest.raises(DataError, match="hour 5's demand sums past the int64 range"):
+        hour_loads(topo_3x5, [fine, past], seed=0)
+
+
+def test_a_block_of_no_hours_or_uneven_minutes_is_refused(topo_3x5):
+    with pytest.raises(InvalidConfigError, match="at least one hour"):
+        hour_loads(topo_3x5, [], seed=0)
+    idle = DemandMatrix(t=0, entries={})
+    loads = hour_loads(topo_3x5, [idle, idle], seed=0)
+    with pytest.raises(InvalidConfigError, match="do not split evenly"):
+        simulate_tick(loads, seed=0, t=0, minutes=61)
+    assert len(simulate_tick(loads, seed=0, t=0, minutes=2)) == 2 * 15
+
+
 # ---------------------------------------------------------------------------
 # apply_action
 # ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HalfWriteHandle, add_action, remove_action
-from spinescale import pipeline
+from oracle_simulate import reference_simulate_hours
+from spinescale import fabric, pipeline
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
-from spinescale.errors import GapError, InsufficientDataError, InvalidConfigError, PersistenceError
+from spinescale.errors import (DataError, GapError, InsufficientDataError, InvalidConfigError,
+                               PersistenceError)
 from spinescale.forecaster import forecast_horizon
-from spinescale.fabric import apply_action
-from spinescale.pipeline import (METRICS_TOPIC, build_datasets, extend_history,
+from spinescale.fabric import SampleColumns, apply_action, build_flows, simulate_tick
+from spinescale.pipeline import (_BLOCK_SAMPLES, METRICS_TOPIC, build_datasets, extend_history,
                                  history_from_bus, recent_history, run_closed_loop,
                                  series_from_bus, simulate_hours, topology_from_config)
 from spinescale.policy import replay_journal
@@ -82,6 +88,154 @@ def test_failed_write_mid_simulation_leaves_whole_hours(tmp_path):
             simulate_hours(cfg, topo, bus, METRICS_TOPIC, hours, 4 - hours, seed=1)
         assert path.read_bytes() == (tmp_path / "whole.log").read_bytes()
 
+
+# ---------------------------------------------------------------------------
+# simulate_hours in blocks of hours, against the per-hour oracle
+# ---------------------------------------------------------------------------
+
+def block_hours(topology) -> int:
+    """The hours in one of simulate_hours' blocks on `topology`."""
+    return _BLOCK_SAMPLES // (60 * len(topology.active_spine_ids) * topology.n_leaf)
+
+
+def simulated(simulate, cfg, topology, runs, directory) -> tuple[bytes, SampleColumns]:
+    """The log bytes and consumed columns of `simulate` over each
+    (start_hour, hours) of `runs` in turn, on one file-backed bus."""
+    path = directory / f"{len(list(directory.iterdir()))}.log"
+    with TopicBus() as bus:
+        bus.attach(METRICS_TOPIC, path)
+        for start_hour, hours in runs:
+            simulate(cfg, topology, bus, METRICS_TOPIC, start_hour, hours, seed=3)
+        columns = bus.consume(METRICS_TOPIC, columns=True)
+    return path.read_bytes(), columns
+
+
+def assert_same_columns(got: SampleColumns, want: SampleColumns) -> None:
+    for a, b in zip(got.columns(), want.columns()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def simulations(draw):
+    """A config, a topology (maybe less a spine) and a (start_hour, hours)
+    whose hours reach past one block, or stop at, or short of, its end."""
+    n_leaf, n_spine = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    bursts = draw(st.booleans())
+    cfg = SimConfig(seed=5)
+    cfg.topology = TopologyConfig(
+        n_leaf=n_leaf, n_spine=n_spine, capacity_bps=10_000_000_000, base_latency_us=3.0,
+        min_spines=1, max_spines=5,
+        spine_slots=draw(st.lists(st.integers(1, 3), min_size=n_spine, max_size=n_spine)))
+    cfg.latency = LatencyConfig(queue_factor=1.0, noise_us=draw(st.sampled_from([0.0, 0.2])))
+    cfg.traffic = TrafficConfig(base_bps=draw(st.integers(0, 8_000_000_000)),
+                                diurnal_amp_bps=2_000_000_000,
+                                burst_rate_per_hour=1.5 if bursts else 0.0,
+                                burst_size_bps=3e9 if bursts else 0.0,
+                                noise_bps=draw(st.sampled_from([0, 200_000_000])),
+                                flows_per_pair=draw(st.integers(1, 12)))
+    topology = topology_from_config(cfg)
+    removed = draw(st.none() | st.integers(0, n_spine - 1))
+    if removed is not None:
+        topology = apply_action(topology, remove_action(removed))
+    block = block_hours(topology)
+    hours = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 5]))
+    return cfg, topology, draw(st.integers(0, 500)), hours
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(simulations())
+def test_block_simulation_publishes_the_per_hour_oracle_byte_for_byte(case):
+    cfg, topology, start_hour, hours = case
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        got = simulated(simulate_hours, cfg, topology, [(start_hour, hours)], directory)
+        want = simulated(reference_simulate_hours, cfg, topology, [(start_hour, hours)],
+                         directory)
+    assert got[0] == want[0]
+    assert_same_columns(got[1], want[1])
+    assert len(got[1]) == hours * 60 * len(topology.active_spine_ids) * topology.n_leaf
+
+
+@pytest.mark.parametrize("n_leaf, n_spine, hours", [(2, 3, 200), (2, 3, 182), (16, 8, 9),
+                                                    (3, 5, 36), (2, 2, 1)])
+def test_each_block_is_one_placement_and_one_tick_call_within_the_bound(monkeypatch, n_leaf,
+                                                                         n_spine, hours):
+    cfg = small_cfg()
+    cfg.topology = TopologyConfig(n_leaf=n_leaf, n_spine=n_spine, min_spines=1, max_spines=8)
+    cfg.latency = LatencyConfig(noise_us=0.1)
+    topology = topology_from_config(cfg)
+    ticks, placements = [], []
+
+    def traced_tick(*args, **kwargs):
+        samples = simulate_tick(*args, **kwargs)
+        ticks.append((args[2], kwargs["minutes"], len(samples)))
+        return samples
+
+    def traced_flows(*args, **kwargs):
+        placements.append(build_flows(*args, **kwargs))
+        return placements[-1]
+
+    monkeypatch.setattr(pipeline, "simulate_tick", traced_tick)
+    monkeypatch.setattr(fabric, "build_flows", traced_flows)
+    published = simulate_hours(cfg, topology, TopicBus(), METRICS_TOPIC, 7, hours, seed=1)
+    block = block_hours(topology)
+    assert [minutes for _, minutes, _ in ticks] == \
+        [60 * min(block, hours - start) for start in range(0, hours, block)]
+    assert [t for t, _, _ in ticks] == [60 * (7 + start) for start in range(0, hours, block)]
+    assert all(n <= _BLOCK_SAMPLES for _, _, n in ticks)
+    assert sum(n for _, _, n in ticks) == published == hours * 60 * n_spine * n_leaf
+    assert len(placements) == len(ticks)      # each block's flows placed once
+    assert all(flows.shape[1] == 3 + minutes // 60
+               for flows, (_, minutes, _) in zip(placements, ticks))
+
+
+def test_a_call_split_inside_a_block_publishes_the_bytes_of_one_call(tmp_path):
+    cfg = small_cfg()
+    cfg.latency = LatencyConfig(noise_us=0.05)
+    topology = topology_from_config(cfg)
+    block = block_hours(topology)
+    first = 40                             # ends inside the first block
+    assert 0 < first < block < first + 150
+    whole = simulated(simulate_hours, cfg, topology, [(5, first + 150)], tmp_path)
+    split = simulated(simulate_hours, cfg, topology, [(5, first), (5 + first, 150)], tmp_path)
+    assert split[0] == whole[0]
+    assert_same_columns(split[1], whole[1])
+
+
+def test_an_hour_whose_demand_sums_past_int64_raises_after_the_hours_before_it(tmp_path):
+    # six pairs of 1.5e18 + 1e17 * sin(2 pi t / 24): hours 0 and 1 sum below
+    # 2**63, hour 2 (6 * 1.55e18) past it; all ten hours fit one block
+    cfg = SimConfig(seed=5)
+    cfg.topology = TopologyConfig(n_leaf=3, n_spine=5)
+    cfg.traffic = TrafficConfig(base_bps=1.5e18, diurnal_amp_bps=1e17, flows_per_pair=4)
+    cfg.latency = LatencyConfig(noise_us=0.2)
+    topology = topology_from_config(cfg)
+    assert block_hours(topology) > 10
+    logs = []
+    for simulate in (simulate_hours, reference_simulate_hours):
+        path = tmp_path / f"{simulate.__name__}.log"
+        with TopicBus() as bus:
+            bus.attach(METRICS_TOPIC, path)
+            with pytest.raises(DataError, match="hour 2's demand sums past the int64 range"):
+                simulate(cfg, topology, bus, METRICS_TOPIC, 0, 10, seed=1)
+            assert bus.length(METRICS_TOPIC) == 2 * 60 * 15
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("start_hour, hours, match", [(0, -2, "hours must be >= 0"),
+                                                      (-1, 3, "hour must be >= 0")])
+def test_a_negative_hour_count_or_start_hour_is_refused_before_anything_is_published(
+        tmp_path, start_hour, hours, match):
+    cfg = small_cfg()
+    topology = topology_from_config(cfg)
+    with TopicBus() as bus:
+        bus.attach(METRICS_TOPIC, tmp_path / "t.log")
+        with pytest.raises(InvalidConfigError, match=match):
+            simulate_hours(cfg, topology, bus, METRICS_TOPIC, start_hour, hours, seed=1)
+        assert simulate_hours(cfg, topology, bus, METRICS_TOPIC, 4, 0, seed=1) == 0
+        assert bus.length(METRICS_TOPIC) == 0
+    assert (tmp_path / "t.log").read_bytes() == b""
 
 def test_series_from_bus_offset_window():
     cfg = small_cfg()
