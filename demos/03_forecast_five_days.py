@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-# Recursive 120-hour (5-day) latency forecast for every spine, exported as a
-# plot-ready CSV. If matplotlib is installed, also renders the curves.
+# 120-hour (5-day) latency forecast for every spine: the first day recursive,
+# then repeated. Exported as a plot-ready CSV. If matplotlib is installed,
+# also renders the curves.
 
 import tempfile
 import time

@@ -9,10 +9,11 @@ Training minimizes MSE on normalized latency with Adam and full
 backpropagation through time; all arithmetic is float64 so gradient
 checks against central differences are meaningful at 1e-4.
 
-Multi-step forecasts are recursive: each predicted latency is appended to
-the latency channel, while the speed channels are extended seasonal-naively
-(the value from 24 hours earlier). `forecast_horizon` does not call the
-model once per horizon hour; it steps every horizon window through both
+Multi-step forecasts are recursive over one day: each predicted latency is
+appended to the latency channel, while the speed channels are extended
+seasonal-naively (the value from 24 hours earlier). Past the first day the
+forecast repeats that day, as the speed channels do. `forecast_horizon` does
+not call the model once per hour; it steps the day's windows through both
 LSTM layers along one diagonal (wavefront) schedule, with the same result.
 """
 
@@ -348,10 +349,10 @@ def gradient_check(model: LstmModel, inputs: np.ndarray, targets: np.ndarray,
 # Recursive multi-step forecasting
 # ---------------------------------------------------------------------------
 
-def _diagonal(t: int, m: int, horizon: int) -> tuple[int, int]:
+def _diagonal(t: int, m: int, windows: int) -> tuple[int, int]:
     """First and last window w with 0 <= t - 2w < m: the windows whose step
     t - 2w a layer runs at wavefront tick t (empty when first > last)."""
-    return max(0, (t - m + 2) // 2), min(horizon - 1, t // 2)
+    return max(0, (t - m + 2) // 2), min(windows - 1, t // 2)
 
 
 def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: int) -> Forecast:
@@ -364,8 +365,12 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     hours of each history are read, so a longer history gives the same
     forecast bit for bit.
 
-    The result is that of one eval-mode forward_batch call per horizon
-    hour, computed as one wavefront. Window w (predicting hour w) reads
+    The simulator's traffic has one period, the day, so only the first
+    min(horizon, SEASONAL_LAG_HOURS) hours are predicted and hour
+    SEASONAL_LAG_HOURS + i repeats hour i, as the speed channels do; past
+    the day every input latency would be a prediction, and errors compound.
+    Those hours are those of one eval-mode forward_batch call per hour,
+    computed as one wavefront. Window w (predicting hour w) reads
     conv positions w .. w+m-1 (m LSTM steps), so each position's conv
     output and layer-1 input projection is computed once, position m + w
     as soon as window w's prediction is in. Layer 1 runs window w's step j
@@ -395,18 +400,19 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
         if len(series) < n:
             raise InsufficientHistoryError(
                 f"spine {series.spine_id}: history {len(series)} h < lookback {n} h")
-    # per spine: the last lookback hours, then the horizon, whose speed
-    # channels never depend on the forecast and are filled in up front
+    # per spine: the last lookback hours, then the hours predicted, whose
+    # speed channels never depend on the forecast and are filled in up front
     S = len(histories)
-    buf = np.empty((S, n + horizon, N_CHANNELS))
+    day = min(horizon, SEASONAL_LAG_HOURS)     # hours predicted; later hours repeat them
+    buf = np.empty((S, n + day, N_CHANNELS))
     for row, series in zip(buf, histories):
         norm = model.scaler.transform(series.data[-max(n, SEASONAL_LAG_HOURS):])
         speeds = list(norm[:, 1:])
-        for _ in range(horizon):
+        for _ in range(day):
             speeds.append(speeds[-SEASONAL_LAG_HOURS] if len(speeds) >= SEASONAL_LAG_HOURS
                           else speeds[-1])
         row[:n, 0] = norm[-n:, 0]
-        row[:, 1:] = speeds[-(n + horizon):]
+        row[:, 1:] = speeds[-(n + day):]
 
     width = model.conv_w.shape[0]
     m = n - width + 1
@@ -414,17 +420,17 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
     W2, U2, b2, offset2, scale2 = _fuse_for_forward(model.layer2)
     # layer-1 input projection per conv position, time-major [position, S, 4H];
     # the first window's positions come from one conv call, as in forward_batch
-    x1 = np.empty((m + horizon - 1, S, W1.shape[1]))
+    x1 = np.empty((m + day - 1, S, W1.shape[1]))
     conv_out = conv1d_forward(buf[:, :n], model.conv_w, model.conv_b)
     _check_finite(conv_out, "conv")
     np.matmul(conv_out, W1, out=x1[:m].transpose(1, 0, 2))
     x1[:m] += b1
     # per-window states, window-major: window w's spines are rows w*S .. w*S+S-1
-    h1, c1 = np.zeros((2, horizon * S, model.layer1.hidden_size))
-    h2, c2 = np.zeros((2, horizon * S, model.layer2.hidden_size))
-    for t in range(2 * horizon + m - 1):
+    h1, c1 = np.zeros((2, day * S, model.layer1.hidden_size))
+    h2, c2 = np.zeros((2, day * S, model.layer2.hidden_size))
+    for t in range(2 * day + m - 1):
         # layer 2 first: it reads layer 1's outputs of tick t - 1
-        lo, hi = _diagonal(t - 1, m, horizon)
+        lo, hi = _diagonal(t - 1, m, day)
         if lo <= hi:
             rows = slice(lo * S, (hi + 1) * S)
             z = h1[rows] @ W2
@@ -439,7 +445,7 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
             preds = (h2[window] @ model.dense_w + model.dense_b).ravel()
             _check_finite(preds, "dense")
             buf[:, n + w, 0] = preds
-            if w + 1 < horizon:                # conv position m + w now has its input
+            if w + 1 < day:                    # conv position m + w now has its input
                 # as [S, 3] products: conv1d_forward on it would make 1-row ones
                 col = buf[:, m + w] @ model.conv_w[0]
                 col += model.conv_b                # b + p: IEEE addition commutes
@@ -448,7 +454,7 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
                 _check_finite(col, "conv")
                 np.matmul(col, W1, out=x1[m + w])
                 x1[m + w] += b1
-        lo, hi = _diagonal(t, m, horizon)
+        lo, hi = _diagonal(t, m, day)
         if lo <= hi:
             rows = slice(lo * S, (hi + 1) * S)
             z = h1[rows] @ U1                  # h @ U + x: IEEE addition commutes
@@ -456,7 +462,8 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
             z_windows += x1[t - hi:t - lo + 1][::-1]    # window w is at position t - w
             _finish_step(z, c1[rows], offset1, scale1, c1[rows], h1[rows])
     return Forecast(horizon=horizon, per_spine={
-        series.spine_id: np.maximum(model.scaler.invert_latency(row[n:, 0]), 0.0)
+        series.spine_id: np.resize(np.maximum(model.scaler.invert_latency(row[n:, 0]), 0.0),
+                                   horizon)
         for series, row in zip(histories, buf)})
 
 

@@ -1,13 +1,16 @@
 """The recursive forecast as it was before its wavefront rewrite, used as a
 test oracle.
 
-`forecast_horizon` below is the per-hour loop, copied verbatim except that
-it reaches `forward_batch` through the `forecaster` module: one eval-mode
+`per_hour_loop` below is that forecast, copied verbatim except that it
+reaches `forward_batch` through the `forecaster` module: one eval-mode
 `forward_batch` call over all spines per horizon hour, each rerunning conv
 and both LSTM layers over its whole window from zero state.
-`per_spine_recursion` goes further back: one spine at a time, one `forward`
-call per hour, with the speed channels extended as the forecast goes.
-`spinescale.forecaster.forecast_horizon` must reproduce the per-hour loop
+`forecast_horizon` runs it for the first day only (at most
+SEASONAL_LAG_HOURS hours) and gives hour SEASONAL_LAG_HOURS + i hour i's
+value. `per_spine_recursion` goes further back: one spine at a time, one
+`forward` call per hour, with the speed channels extended as the forecast
+goes, over the first day, then that day repeated.
+`spinescale.forecaster.forecast_horizon` must reproduce `forecast_horizon`
 bit for bit when it has at least two spines and two LSTM steps per window
 (see test_forecaster.py).
 
@@ -26,7 +29,20 @@ from spinescale.forecaster import SEASONAL_LAG_HOURS, Forecast, LstmModel
 from spinescale.windows import N_CHANNELS, SwitchSeries
 
 
+def repeat_day(day: np.ndarray, horizon: int) -> np.ndarray:
+    """`horizon` hours whose hour i is the day's hour i mod its length."""
+    return day[np.arange(horizon) % len(day)]
+
+
 def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: int) -> Forecast:
+    """The per-hour loop over the first min(horizon, SEASONAL_LAG_HOURS)
+    hours, then that day repeated over the rest of the horizon."""
+    fc = per_hour_loop(model, histories, min(horizon, SEASONAL_LAG_HOURS))
+    return Forecast(horizon=horizon, per_spine={sid: repeat_day(day, horizon)
+                                                for sid, day in fc.per_spine.items()})
+
+
+def per_hour_loop(model: LstmModel, histories: list[SwitchSeries], horizon: int) -> Forecast:
     """Hourly latency forecast per spine over `horizon` hours.
 
     Predicted latency feeds the next window's latency channel; the speed
@@ -66,12 +82,13 @@ def forecast_horizon(model: LstmModel, histories: list[SwitchSeries], horizon: i
 
 def per_spine_recursion(model: LstmModel, series: SwitchSeries, horizon: int) -> np.ndarray:
     """One spine at a time, one forward call per hour, speed channels
-    extended as the forecast goes."""
-    n = model.hyper.lookback_hours
+    extended as the forecast goes; 24 hours at most, then repeated."""
+    n, day = model.hyper.lookback_hours, min(horizon, 24)
     norm = model.scaler.transform(series.data)
     lat, fab, edg = list(norm[:, 0]), list(norm[:, 1]), list(norm[:, 2])
-    for _ in range(horizon):
+    for _ in range(day):
         lat.append(forecaster.forward(model, np.stack([lat[-n:], fab[-n:], edg[-n:]], axis=1)))
         fab.append(fab[-24] if len(fab) >= 24 else fab[-1])
         edg.append(edg[-24] if len(edg) >= 24 else edg[-1])
-    return np.maximum(model.scaler.invert_latency(np.array(lat[-horizon:])), 0.0)
+    return repeat_day(np.maximum(model.scaler.invert_latency(np.array(lat[-day:])), 0.0),
+                      horizon)

@@ -562,6 +562,19 @@ def test_add_then_remove_restores_active_set(topo_3x5):
         sorted(link for link, _, _ in link_table(topo_3x5))
 
 
+def test_a_re_added_spine_keeps_its_hash_slots():
+    topo = build_topology(TopologyConfig(3, 3, CAP, 3.0, min_spines=1,
+                                         spine_slots=[1, 3, 2]))
+    removed = apply_action(topo, remove_action(1))
+    added = apply_action(removed, add_action())
+    assert added.active_spine_ids == [0, 1, 2]
+    assert added.spine_slots == {0: 1, 1: 3, 2: 2}
+    dm = DemandMatrix(t=0, entries={(src, dst): 1_000_000 for src in range(3)
+                                    for dst in range(3) if src != dst})
+    assert simulate_tick(hour_loads(added, dm, seed=4), seed=4, t=0).rows() == \
+        simulate_tick(hour_loads(topo, dm, seed=4), seed=4, t=0).rows()
+
+
 def test_add_mints_new_spine_when_none_inactive(topo_3x5):
     topo = apply_action(topo_3x5, add_action())
     assert topo.active_spine_ids == [0, 1, 2, 3, 4, 5]

@@ -218,6 +218,21 @@ def test_best_validation_epoch_retained():
     assert report.best_epoch == int(np.argmin(report.val_losses))
 
 
+def test_train_returns_the_best_epochs_parameters_not_the_last():
+    # the best validation epoch is neither the first nor the last, and the
+    # returned parameters are those of a run stopped after that epoch
+    hyper = TrainingConfig(**{**SMALL.__dict__, "dropout": 0.0, "epochs": 20})
+    train_ds, val_ds = toy_dataset(n=16, seed=0), toy_dataset(n=8, seed=10)
+    model, report = train(init_model(hyper, seed=1), train_ds, seed=2, val_ds=val_ds)
+    best = report.best_epoch
+    assert 0 < best < hyper.epochs - 1
+    assert report.val_losses[best] < report.val_losses[-1]
+    assert forecaster.evaluate_mse(model, val_ds) == report.val_losses[best]
+    stopped = TrainingConfig(**{**hyper.__dict__, "epochs": best + 1})
+    at_best, _ = train(init_model(stopped, seed=1), train_ds, seed=2, val_ds=val_ds)
+    assert np.array_equal(model.theta, at_best.theta)
+
+
 # ---------------------------------------------------------------------------
 # forecast_horizon
 # ---------------------------------------------------------------------------
@@ -352,6 +367,27 @@ def test_wavefront_forecast_equals_per_hour_loop(data, S, width, steps, hidden, 
             assert np.array_equal(got.per_spine[sid], want.per_spine[sid]), sid
         else:   # the per-hour loop's 1-row products took BLAS's matrix-vector path
             assert np.allclose(got.per_spine[sid], want.per_spine[sid], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [25, 30, 47, 48, 49, 120])
+def test_forecast_past_a_day_repeats_the_first_day(horizon):
+    # hour 24 + i is hour i, bit for bit, and the first day is the per-hour
+    # loop's; histories shorter and longer than the seasonal lag
+    histories = random_histories(np.random.default_rng(9), (12, 20, 30, 61))
+    model = init_model(SMALL, seed=7, scaler=Scaler.fit(histories))
+    day = forecast_horizon(model, histories, 24)
+    loop = oracle_forecast.per_hour_loop(model, histories, 24)
+    got = forecast_horizon(model, histories, horizon)
+    assert got.horizon == horizon and got.spine_ids() == day.spine_ids() == [0, 1, 2, 3]
+    for sid in got.spine_ids():
+        assert np.array_equal(day.per_spine[sid], loop.per_spine[sid])
+        assert np.array_equal(got.per_spine[sid],
+                              np.tile(day.per_spine[sid], 5)[:horizon]), sid
+    for short in (1, 7, 23):
+        fc, want = (f(model, histories, short)
+                    for f in (forecast_horizon, oracle_forecast.per_hour_loop))
+        for sid in want.spine_ids():
+            assert np.array_equal(fc.per_spine[sid], want.per_spine[sid]), (short, sid)
 
 
 def outcome(fn, *args):

@@ -270,6 +270,16 @@ def test_build_datasets_val_fallback_when_the_training_side_is_short(hours, look
     assert len(train_ds) == hours - lookback
 
 
+def test_build_datasets_keeps_the_split_when_each_side_holds_exactly_one_window():
+    # 8 h at val_fraction 0.5, lookback 3, horizon 1: each side is 4 hours,
+    # one window long, so the split stands
+    whole = [series(0, 0, np.linspace(3, 4, 8)), series(2, 0, np.linspace(5, 6, 8))]
+    scaler, train_ds, val_ds = build_datasets(whole, 0.5, lookback=3, horizon=1)
+    assert val_ds is not None
+    assert len(train_ds) == len(val_ds) == 2
+    assert scaler.maxs[0] == whole[1].data[3, 0]    # fitted on the training side only
+
+
 def test_build_datasets_of_no_series_is_insufficient_data():
     with pytest.raises(InsufficientDataError):
         build_datasets([], val_fraction=0.2, lookback=4, horizon=1)

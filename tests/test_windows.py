@@ -213,6 +213,19 @@ def test_aggregate_gap_matches_reference(drop):
     assert str(got.value) == str(want.value)
 
 
+def test_aggregate_refuses_a_non_finite_mean():
+    # the bus refuses a non-finite latency, so only a direct caller gets here
+    topo = build_topology(TopologyConfig(1, 2, 1000, 3.0, min_spines=1))
+    for bad in (np.nan, np.inf):
+        samples = [mk_sample(ts=m, link=link, spine=spine, lat=6.0)
+                   for m in range(120) for link, _, spine in link_table(topo)]
+        samples[150] = mk_sample(ts=samples[150].ts, link=samples[150].link_id,
+                                 spine=samples[150].spine_id, lat=bad)
+        with pytest.raises(DataError, match=f"non-finite aggregate for spine "
+                                            f"{samples[150].spine_id}"):
+            aggregate_hourly(samples, topo)
+
+
 # ---------------------------------------------------------------------------
 # Scaler
 # ---------------------------------------------------------------------------
@@ -231,6 +244,16 @@ def test_scaler_constant_channel_maps_to_zero_and_inverts():
     assert normed.data[:, 0].tolist() == [0.0, 0.0, 0.0]
     back = scaler.invert(normed.data)
     assert np.allclose(back, s.data, rtol=1e-12, atol=0)
+
+
+def test_scaler_fitted_on_a_constant_channel_shifts_new_data_by_the_constant():
+    # a channel constant in training has span 1: a later value moves by its
+    # offset from the constant, not by that offset over a tiny span
+    scaler = Scaler.fit([series(lat=[5.0, 5.0, 5.0], fab=[1, 2, 3], edg=[7, 7, 7])])
+    moved = np.array([[5.5, 2.0, 9.0], [4.0, 3.0, 6.0]])
+    assert scaler.transform(moved).tolist() == [[0.5, 0.5, 2.0], [-1.0, 1.0, -1.0]]
+    assert scaler.invert(scaler.transform(moved)).tolist() == moved.tolist()
+    assert scaler.invert_latency(0.5) == 5.5
 
 
 def test_scaler_roundtrip_identity_random():
@@ -372,6 +395,15 @@ def test_split_train_val_no_straddle():
     assert val[0].start_hour == 8
     assert train[0].data[:, 0].tolist() == list(range(8))
     assert val[0].data[:, 0].tolist() == [8.0, 9.0]
+
+
+def test_split_train_val_truncates_a_half_hour_cut():
+    # 11 h at val_fraction 0.5 cuts at 5.5 h: the training side takes 5
+    # hours (round would give it 6), the validation side the other 6
+    s = series(lat=np.arange(11, dtype=float), start_hour=3)
+    train, val = split_train_val([s], val_fraction=0.5)
+    assert len(train[0]) == 5 and len(val[0]) == 6
+    assert val[0].start_hour == 8 and val[0].data[0, 0] == 5.0
 
 
 def export_windows(dataset, path) -> int:
