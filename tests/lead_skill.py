@@ -3,9 +3,8 @@
 Run with `python tests/lead_skill.py` (pytest does not collect this file;
 a full run trains six models and takes a few minutes).
 
-For each scenario and seed it trains criterion 3's model exactly as
-`_skill_run` in test_acceptance.py does: the same fabric, traffic and
-training config, 21 simulated days, the same split and seeds. It then
+For each of criterion 3's scenarios and seeds 11, 12 and 13 it trains
+criterion 3's model with `skill_model` from test_acceptance.py. It then
 simulates 7 more days with the same seed and forecasts 120 h with
 `forecast_horizon` from origins 504, 506, ..., 552 (25 origins x 5 spines),
 each from the hours before its origin. Seasonal-naive predicts hour o + k
@@ -16,7 +15,6 @@ microseconds; below 1 the model wins.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -24,47 +22,24 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from spinescale.config import (LatencyConfig, SimConfig, TopologyConfig,
-                               TrafficConfig, TrainingConfig)
-from spinescale.forecaster import forecast_horizon, init_model, train
-from spinescale.pipeline import (METRICS_TOPIC, build_datasets, series_from_bus,
-                                 simulate_hours, topology_from_config)
-from spinescale.telemetry import TopicBus
+from test_acceptance import BURSTY, DIURNAL, SKILL_HOURS, skill_model
+
+from spinescale.config import TrafficConfig
+from spinescale.forecaster import forecast_horizon
+from spinescale.pipeline import METRICS_TOPIC, series_from_bus, simulate_hours
 from spinescale.windows import SEASONAL_LAG_HOURS, SwitchSeries
 
-# criterion 3's two scenarios (test_criterion_3_forecast_skill)
-SCENARIOS = {
-    "diurnal": TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=5_000_000_000,
-                             diurnal_phase_h=0.0, burst_rate_per_hour=0.0, burst_size_bps=0.0,
-                             noise_bps=300_000_000, flows_per_pair=64),
-    "bursty": TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=1_500_000_000,
-                            diurnal_phase_h=0.0, burst_rate_per_hour=0.7,
-                            burst_size_bps=3_000_000_000, noise_bps=300_000_000,
-                            flows_per_pair=64),
-}
-TRAIN_HOURS, TEST_HOURS, HORIZON = 21 * 24, 7 * 24, 120
-ORIGINS = range(TRAIN_HOURS, TRAIN_HOURS + 49, 2)
+SCENARIOS = {"diurnal": DIURNAL, "bursty": BURSTY}
+SEEDS = (11, 12, 13)
+TEST_HOURS, HORIZON = 7 * 24, 120
+ORIGINS = range(SKILL_HOURS, SKILL_HOURS + 49, 2)
 BUCKETS = ((1, 1), (2, 6), (7, 12), (13, 24), (25, 48), (49, 120), (1, 120))
 
 
-def lead_errors(traffic: TrafficConfig, seed: int, epochs: int = 40
-                ) -> tuple[np.ndarray, np.ndarray]:
+def lead_errors(traffic: TrafficConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared errors of the model and of seasonal-naive, [origin x spine, lead]."""
-    cfg = SimConfig(seed=seed)
-    cfg.topology = TopologyConfig(n_leaf=3, n_spine=5, capacity_bps=10_000_000_000,
-                                  base_latency_us=3.0)
-    cfg.latency = LatencyConfig(queue_factor=1.0, noise_us=0.2)
-    cfg.traffic = traffic
-    cfg.training = TrainingConfig(lookback_hours=48, epochs=epochs, dropout=0.2)
-    topo = topology_from_config(cfg)
-    bus = TopicBus()
-    simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, TRAIN_HOURS, seed=seed)
-    scaler, train_ds, val_ds = build_datasets(series_from_bus(bus, METRICS_TOPIC, topo),
-                                              0.2, 48, 1)
-    model, _ = train(init_model(cfg.training, seed=seed, scaler=scaler), train_ds,
-                     seed=seed + 1, val_ds=val_ds)
-
-    simulate_hours(cfg, topo, bus, METRICS_TOPIC, TRAIN_HOURS, TEST_HOURS, seed=seed)
+    cfg, topo, bus, model, _, _ = skill_model(traffic, seed)
+    simulate_hours(cfg, topo, bus, METRICS_TOPIC, SKILL_HOURS, TEST_HOURS, seed=seed)
     full = series_from_bus(bus, METRICS_TOPIC, topo)
     lead = np.arange(HORIZON)
     model_sq, naive_sq = [], []
@@ -80,17 +55,12 @@ def lead_errors(traffic: TrafficConfig, seed: int, epochs: int = 40
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12, 13])
-    parser.add_argument("--scenarios", nargs="+", choices=list(SCENARIOS),
-                        default=list(SCENARIOS))
-    args = parser.parse_args()
     print("| scenario, seed | " + " | ".join(
         str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in BUCKETS) + " |")
     print("| --- " * (len(BUCKETS) + 1) + "|")
-    for name in args.scenarios:
-        for seed in args.seeds:
-            model_sq, naive_sq = lead_errors(SCENARIOS[name], seed)
+    for name, traffic in SCENARIOS.items():
+        for seed in SEEDS:
+            model_sq, naive_sq = lead_errors(traffic, seed)
             ratios = [model_sq[:, lo - 1:hi].mean() / naive_sq[:, lo - 1:hi].mean()
                       for lo, hi in BUCKETS]
             print(f"| {name} {seed} | " + " | ".join(f"{r:.3f}" for r in ratios) + " |",

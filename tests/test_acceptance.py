@@ -132,22 +132,41 @@ def test_criterion_2_cell_oracle():
 # criterion 3: forecast skill vs baselines
 # ---------------------------------------------------------------------------
 
-def _skill_run(traffic: TrafficConfig, seed: int, days: int = 21, epochs: int = 40):
+# diurnal scenario; demand noise = 6% of the sinusoid amplitude (<= 10%)
+DIURNAL = TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=5_000_000_000,
+                        diurnal_phase_h=0.0, burst_rate_per_hour=0.0,
+                        burst_size_bps=0.0, noise_bps=300_000_000, flows_per_pair=64)
+# non-seasonal burst scenario: seasonal-naive echoes yesterday's bursts
+BURSTY = TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=1_500_000_000,
+                       diurnal_phase_h=0.0, burst_rate_per_hour=0.7,
+                       burst_size_bps=3_000_000_000, noise_bps=300_000_000,
+                       flows_per_pair=64)
+SKILL_HOURS = 21 * 24
+
+
+def skill_model(traffic: TrafficConfig, seed: int):
+    """Criterion 3's fabric simulated for SKILL_HOURS and its model trained
+    on them: (cfg, topology, bus, model, val_ds, training seconds). The bus
+    is left open for more hours (tests/lead_skill.py simulates on)."""
     cfg = SimConfig(seed=seed)
     cfg.topology = TopologyConfig(n_leaf=3, n_spine=5, capacity_bps=10_000_000_000,
                                   base_latency_us=3.0)
     cfg.latency = LatencyConfig(queue_factor=1.0, noise_us=0.2)
     cfg.traffic = traffic
-    cfg.training = TrainingConfig(lookback_hours=48, epochs=epochs, dropout=0.2)
+    cfg.training = TrainingConfig(lookback_hours=48, epochs=40, dropout=0.2)
     topo = topology_from_config(cfg)
     bus = TopicBus()
-    simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, days * 24, seed=seed)
+    simulate_hours(cfg, topo, bus, METRICS_TOPIC, 0, SKILL_HOURS, seed=seed)
     series = series_from_bus(bus, METRICS_TOPIC, topo)
     scaler, train_ds, val_ds = build_datasets(series, 0.2, 48, 1)
     model = init_model(cfg.training, seed=seed, scaler=scaler)
     t0 = time.time()
     model, _ = train(model, train_ds, seed=seed + 1, val_ds=val_ds)
-    train_seconds = time.time() - t0
+    return cfg, topo, bus, model, val_ds, time.time() - t0
+
+
+def _skill_run(traffic: TrafficConfig, seed: int):
+    _, _, _, model, val_ds, train_seconds = skill_model(traffic, seed)
     from spinescale.forecaster import evaluate_mse
     return (evaluate_mse(model, val_ds),
             mse(persistence_predictions(val_ds), val_ds.targets),
@@ -157,21 +176,12 @@ def _skill_run(traffic: TrafficConfig, seed: int, days: int = 21, epochs: int = 
 
 @criterion(3, "forecast skill vs persistence and seasonal-naive")
 def test_criterion_3_forecast_skill():
-    # diurnal scenario; demand noise = 6% of the sinusoid amplitude (<= 10%)
-    diurnal = TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=5_000_000_000,
-                            diurnal_phase_h=0.0, burst_rate_per_hour=0.0,
-                            burst_size_bps=0.0, noise_bps=300_000_000, flows_per_pair=64)
-    model_mse, pers_mse, _, t_train = _skill_run(diurnal, seed=11)
+    model_mse, pers_mse, _, t_train = _skill_run(DIURNAL, seed=11)
     assert t_train < 600.0, "training exceeded 10 minutes"
     assert model_mse <= 0.8 * pers_mse, \
         f"diurnal: model {model_mse:.3e} vs persistence {pers_mse:.3e}"
 
-    # non-seasonal burst scenario: seasonal-naive echoes yesterday's bursts
-    bursty = TrafficConfig(base_bps=12_500_000_000, diurnal_amp_bps=1_500_000_000,
-                           diurnal_phase_h=0.0, burst_rate_per_hour=0.7,
-                           burst_size_bps=3_000_000_000, noise_bps=300_000_000,
-                           flows_per_pair=64)
-    model_mse_b, pers_mse_b, seas_mse_b, t_train_b = _skill_run(bursty, seed=11)
+    model_mse_b, pers_mse_b, seas_mse_b, t_train_b = _skill_run(BURSTY, seed=11)
     assert t_train_b < 600.0, "training exceeded 10 minutes"
     assert model_mse_b < seas_mse_b, \
         f"bursty: model {model_mse_b:.3e} vs seasonal {seas_mse_b:.3e}"
