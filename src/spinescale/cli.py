@@ -34,8 +34,8 @@ from .errors import ConsistencyError, InvalidConfigError, SpinescaleError
 from .forecaster import (Forecast, forecast_horizon, load_checkpoint, load_forecast_csv,
                          save_checkpoint, save_forecast_csv)
 from .pipeline import (CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, METRICS_TOPIC,
-                       TELEMETRY_FILE, decide, history_from_bus, run_closed_loop, simulate_hours,
-                       topology_from_config, train_from_series)
+                       TELEMETRY_FILE, bus_from_log, decide, history_from_bus, run_closed_loop,
+                       simulate_hours, topology_from_config, train_from_series)
 from .policy import REMOVE_SPINE, PolicyJournal, evaluate
 from .telemetry import TopicBus, write_atomic
 
@@ -72,18 +72,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bus_from_log(path: Path) -> TopicBus:
-    if not path.exists():
-        raise SpinescaleError(f"telemetry log not found: {path}")
-    bus = TopicBus()
-    bus.attach(METRICS_TOPIC, path)
-    return bus
-
-
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    with _bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
+    with bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
         series = history_from_bus(bus, METRICS_TOPIC)
     model, report = train_from_series(cfg, series, seed=cfg.seed, final_grad_check=True)
     path = out / CHECKPOINT_FILE
@@ -99,7 +91,7 @@ def cmd_train(args) -> int:
 def cmd_forecast(args) -> int:
     out = _out_dir(args)
     model = load_checkpoint(args.checkpoint or out / CHECKPOINT_FILE)
-    with _bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
+    with bus_from_log(Path(args.telemetry or out / TELEMETRY_FILE)) as bus:
         series = history_from_bus(bus, METRICS_TOPIC)
     forecast = forecast_horizon(model, series, args.horizon)
     path = out / FORECAST_FILE

@@ -193,7 +193,7 @@ def build_topology(cfg: TopologyConfig) -> Topology:
                     active_spine_ids=list(range(cfg.n_spine)))
 
 
-def apply_action(topology: Topology, action: "PolicyAction") -> Topology:
+def apply_action(topology: Topology, action: "PolicyAction | JournalEntry") -> Topology:
     """Apply an add/remove decision, returning a new topology.
 
     Flow placement is stateless (re-hashed over the active set every block),

@@ -1,13 +1,11 @@
 """Stage orchestration: simulate -> stream -> train -> forecast -> decide -> apply.
 
 Every stage talks to the next only through file artifacts (telemetry log,
-checkpoint, forecast CSV, journal), so single stages can be re-run from
-disk and a full closed loop is just the stages chained in memory. Each
-stage is one function here (`simulate_hours`, `train_from_series`,
-`forecast_horizon`, `decide`) that both `run_closed_loop` and the CLI
-call. One root seed fans out per stage, making whole runs bit-reproducible.
+checkpoint, forecast CSV, journal) and is one function here that both the
+CLI and `run_cycle` call. The closed loop is a fold of `run_cycle` over a
+`LoopState`, which `loop_state_from_dir` rebuilds from a run's files. One
+root seed fans out per stage, making whole runs bit-reproducible.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -19,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import PolicyConfig, SimConfig, derive_seed, policy_from_config
-from .errors import DataError, InsufficientDataError, InvalidConfigError
+from .errors import (ConsistencyError, DataError, InsufficientDataError, InvalidConfigError,
+                     NotFoundError, SpinescaleError)
 from .fabric import (SampleColumns, Topology, apply_action, build_topology, generate_demands,
                      hour_loads, simulate_tick)
 from .forecaster import (Forecast, LstmModel, TrainReport, digest_forecast, forecast_horizon,
-                         init_model, save_checkpoint, save_forecast_csv, train)
-from .policy import PolicyAction, PolicyJournal, evaluate
+                         init_model, load_checkpoint, save_checkpoint, save_forecast_csv, train)
+from .policy import PolicyAction, PolicyJournal, evaluate, replay_journal
 from .telemetry import TopicBus, write_atomic
 from .windows import (Scaler, SwitchSeries, WindowedDataset, aggregate_hourly, make_windows,
                       split_train_val)
@@ -107,6 +106,15 @@ def extend_history(history: dict[int, SwitchSeries], latest: list[SwitchSeries]
             s = SwitchSeries(s.spine_id, prev.start_hour, np.concatenate([prev.data, s.data]))
         extended[s.spine_id] = s
     return extended
+
+
+def bus_from_log(path: Path) -> TopicBus:
+    """A bus whose METRICS_TOPIC replays the existing log at `path`."""
+    if not path.exists():
+        raise NotFoundError(f"telemetry log not found: {path}")
+    bus = TopicBus()
+    bus.attach(METRICS_TOPIC, path)
+    return bus
 
 
 def history_from_bus(bus: TopicBus, topic: str) -> list[SwitchSeries]:
@@ -204,79 +212,122 @@ class RunManifest:
         write_atomic(path, json.dumps(dataclasses.asdict(self), indent=2) + "\n")
 
 
+@dataclass(frozen=True)
+class LoopState:
+    """What the closed loop carries from one cycle to the next."""
+    topology: Topology                  # the active spines the next cycle simulates
+    history: dict[int, SwitchSeries]    # extend_history's runs, by spine id
+    model: LstmModel | None             # None until a cycle trains
+    cycles_since_action: int
+    start_hour: int                     # the next cycle's first hour
+    cycle: int                          # the next cycle's index
+
+
+def run_cycle(cfg: SimConfig, state: LoopState, bus: TopicBus, journal: PolicyJournal,
+              out: Path, timings: dict[str, float]) -> tuple[LoopState, dict]:
+    """One cycle from `state`; returns the next state and the cycle's manifest
+    entry. Each stage's time goes into `timings` as it ends, and a model
+    trained here is saved to out/model.ckpt also if a later stage raises."""
+    run_cfg, cycle, topology = cfg.run, state.cycle, state.topology
+    t0 = time.perf_counter()
+    offset_before = bus.length(METRICS_TOPIC)
+    simulate_hours(cfg, topology, bus, METRICS_TOPIC, state.start_hour, run_cfg.hours_per_cycle,
+                   derive_seed(cfg.seed, "simulate"))
+    timings[f"cycle{cycle}.simulate"] = time.perf_counter() - t0
+    history = extend_history(state.history,
+                             series_from_bus(bus, METRICS_TOPIC, topology, offset_before))
+    model = state.model
+    if model is None or run_cfg.retrain_each_cycle:
+        t0 = time.perf_counter()
+        model, _ = train_from_series(cfg, [history[sid] for sid in sorted(history)], seed=cfg.seed)
+        timings[f"cycle{cycle}.train"] = time.perf_counter() - t0
+    try:
+        t0 = time.perf_counter()
+        forecast = forecast_horizon(model, [history[sid] for sid in topology.active_spine_ids],
+                                    run_cfg.horizon_hours)
+        save_forecast_csv(forecast, out / FORECAST_FILE)
+        timings[f"cycle{cycle}.forecast"] = time.perf_counter() - t0
+        actions = decide(forecast, policy_from_config(cfg), topology.active_spine_ids,
+                         state.cycles_since_action, cycle, journal)
+    finally:
+        if model is not state.model:
+            save_checkpoint(model, out / CHECKPOINT_FILE)
+    for action in actions:
+        topology = apply_action(topology, action)
+    entry = {"cycle": cycle, "actions": [f"{a.kind}:{a.spine_id}" for a in actions],
+             "active_spines": topology.active_spine_ids}
+    return LoopState(topology, history, model, 0 if actions else state.cycles_since_action + 1,
+                     state.start_hour + run_cfg.hours_per_cycle, cycle + 1), entry
+
+
 def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
                     config_path: str | None = None) -> RunManifest:
-    """The full elastic loop: per decision cycle, simulate one window,
-    train (first cycle, or every cycle if configured), forecast the
-    horizon, evaluate the policy, apply its actions to the live topology,
-    and journal every decision. The manifest is written last, also when a
-    cycle raises: it then says "failed", names the error and holds the
-    cycles completed, and the exception propagates."""
+    """The elastic loop: `run_cycle` folded over `run.cycles` cycles from the
+    configured topology, with the cooldown elapsed. The manifest is written
+    last, also when a cycle raises: it then says "failed", names the error
+    and holds the cycles completed, and the exception propagates."""
     cfg.validate()
     cfg.training.validate_model()
-    run_cfg = cfg.run
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in (TELEMETRY_FILE, CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE, MANIFEST_FILE):
         (out / name).unlink(missing_ok=True)
 
     manifest = RunManifest(config_path=config_path, seed=cfg.seed, out_dir=str(out))
-    topology = topology_from_config(cfg)
-    policy_cfg = policy_from_config(cfg)
-    sim_seed = derive_seed(cfg.seed, "simulate")
-
+    state = LoopState(topology_from_config(cfg), {}, None, cfg.policy.cooldown_cycles, 0, 0)
     bus = TopicBus()
     bus.attach(METRICS_TOPIC, out / TELEMETRY_FILE)
     journal = PolicyJournal(out / JOURNAL_FILE)
-    history: dict[int, SwitchSeries] = {}
-    model: LstmModel | None = None
-    cycles_since_action = policy_cfg.cooldown_cycles   # first cycle may act
-    start_hour = 0
     try:
-        for cycle in range(run_cfg.cycles):
-            t0 = time.perf_counter()
-            offset_before = bus.length(METRICS_TOPIC)
-            simulate_hours(cfg, topology, bus, METRICS_TOPIC,
-                           start_hour, run_cfg.hours_per_cycle, sim_seed)
-            start_hour += run_cfg.hours_per_cycle
-            manifest.stage_timings_s[f"cycle{cycle}.simulate"] = time.perf_counter() - t0
-
-            history = extend_history(history, series_from_bus(bus, METRICS_TOPIC, topology,
-                                                              offset_before))
-
-            if model is None or run_cfg.retrain_each_cycle:
-                t0 = time.perf_counter()
-                model, _ = train_from_series(cfg, [history[sid] for sid in sorted(history)],
-                                             seed=cfg.seed)
-                manifest.stage_timings_s[f"cycle{cycle}.train"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            forecast = forecast_horizon(model, [history[sid] for sid in topology.active_spine_ids],
-                                        run_cfg.horizon_hours)
-            save_forecast_csv(forecast, out / FORECAST_FILE)
-            manifest.stage_timings_s[f"cycle{cycle}.forecast"] = time.perf_counter() - t0
-
-            actions = decide(forecast, policy_cfg, topology.active_spine_ids,
-                             cycles_since_action, cycle, journal)
-            for action in actions:
-                topology = apply_action(topology, action)
-            cycles_since_action = 0 if actions else cycles_since_action + 1
-            manifest.cycles.append({
-                "cycle": cycle,
-                "actions": [f"{a.kind}:{a.spine_id}" for a in actions],
-                "active_spines": topology.active_spine_ids,
-            })
+        while state.cycle < cfg.run.cycles:
+            state, entry = run_cycle(cfg, state, bus, journal, out, manifest.stage_timings_s)
+            manifest.cycles.append(entry)
     except BaseException as exc:
         manifest.status, manifest.error = "failed", f"{type(exc).__name__}: {exc}"
         raise
     finally:
         bus.close()
         journal.close()
-        if model is not None:
-            save_checkpoint(model, out / CHECKPOINT_FILE)
         artifacts = {"telemetry": TELEMETRY_FILE, "checkpoint": CHECKPOINT_FILE,
                      "forecast": FORECAST_FILE, "journal": JOURNAL_FILE}
         manifest.artifacts = {key: str(out / name) for key, name in artifacts.items()
                               if (out / name).exists()}
         manifest.write(out / MANIFEST_FILE)
     return manifest
+
+
+def loop_state_from_dir(cfg: SimConfig, out: str | Path) -> LoopState:
+    """The state `run_closed_loop` holds after the cycles whose hours the
+    telemetry.log in `out` holds, rebuilt from the run's files alone: the
+    configured topology with the journal's actions applied through
+    apply_action, history_from_bus of the log, the model in model.ckpt (none
+    before the first cycle), the cycles since the journal's last cycle (the
+    cooldown plus the cycles run if it is empty), and the next cycle's first
+    hour and index. A ConsistencyError names the file, and no state is
+    built, if the log does not end at a cycle's last hour, the journal holds
+    a cycle the log does not, model.ckpt is missing after a cycle, or
+    apply_action refuses a journal action."""
+    out, hours = Path(out), cfg.run.hours_per_cycle
+    log, journal, checkpoint = out / TELEMETRY_FILE, out / JOURNAL_FILE, out / CHECKPOINT_FILE
+    with bus_from_log(log) as bus:
+        series = history_from_bus(bus, METRICS_TOPIC) if bus.length(METRICS_TOPIC) else []
+    end = series[0].start_hour + len(series[0]) if series else 0   # all end at the last hour
+    if end % hours:
+        raise ConsistencyError(f"{log}: its last hour, {end - 1}, ends no {hours} h cycle")
+    cycles = end // hours
+    entries = replay_journal(journal)
+    last = max((e.cycle for e in entries), default=None)
+    if last is not None and last >= cycles:
+        raise ConsistencyError(f"{journal}: cycle {last} is past the {cycles} cycle(s) in {log}")
+    if cycles and not checkpoint.exists():
+        raise ConsistencyError(f"{checkpoint} is missing after {cycles} cycle(s)")
+    topology = topology_from_config(cfg)
+    for e in entries:
+        try:
+            topology = apply_action(topology, e)
+        except SpinescaleError as exc:
+            raise ConsistencyError(f"{journal} offset {e.offset}: {exc}") from exc
+    since = cfg.policy.cooldown_cycles + cycles if last is None else cycles - 1 - last
+    model = load_checkpoint(checkpoint) if cycles else None
+    history = {s.spine_id: s for s in series}
+    return LoopState(topology, history, model, since, cycles * hours, cycles)

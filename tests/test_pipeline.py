@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
+import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HalfWriteHandle, add_action, remove_action
+from conftest import HalfWriteHandle, add_action, models_equal, remove_action
 from oracle_simulate import reference_simulate_hours
 from spinescale import fabric, pipeline
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
-from spinescale.errors import (DataError, GapError, InsufficientDataError, InvalidConfigError,
-                               PersistenceError)
+from spinescale.errors import (ConsistencyError, DataError, GapError, InsufficientDataError,
+                               InvalidConfigError, PersistenceError)
 from spinescale.forecaster import forecast_horizon
 from spinescale.fabric import SampleColumns, apply_action, build_flows, simulate_tick
-from spinescale.pipeline import (_BLOCK_SAMPLES, METRICS_TOPIC, build_datasets, extend_history,
-                                 history_from_bus, recent_history, run_closed_loop,
+from spinescale.pipeline import (_BLOCK_SAMPLES, CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE,
+                                 METRICS_TOPIC, TELEMETRY_FILE, LoopState, build_datasets,
+                                 bus_from_log, extend_history, history_from_bus,
+                                 loop_state_from_dir, recent_history, run_closed_loop, run_cycle,
                                  series_from_bus, simulate_hours, topology_from_config)
-from spinescale.policy import replay_journal
+from spinescale.policy import PolicyJournal, replay_journal
 from spinescale.telemetry import TopicBus
 from spinescale.windows import SwitchSeries
 
@@ -400,6 +405,22 @@ def test_a_failing_cycle_still_writes_the_manifest_and_raises(tmp_path, monkeypa
     assert written["artifacts"]["checkpoint"] == str(tmp_path / "model.ckpt")
 
 
+def test_a_forecast_failing_in_the_first_cycle_still_leaves_the_model_it_trained(tmp_path,
+                                                                                 monkeypatch):
+    def forecast_fails(*args, **kwargs):
+        raise RuntimeError("forecast broke in cycle 0")
+
+    monkeypatch.setattr(pipeline, "forecast_horizon", forecast_fails)
+    with pytest.raises(RuntimeError, match="forecast broke in cycle 0"):
+        run_closed_loop(idle_cfg(), tmp_path)
+    written = json.loads((tmp_path / "manifest").read_text())
+    assert (written["status"], written["cycles"]) == ("failed", [])
+    assert (tmp_path / "model.ckpt").stat().st_size > 0
+    assert written["artifacts"]["checkpoint"] == str(tmp_path / "model.ckpt")
+    # the stages the cycle finished keep their times
+    assert sorted(written["stage_timings_s"]) == ["cycle0.simulate", "cycle0.train"]
+
+
 def test_closed_loop_floor_blocks_all_removals(tmp_path):
     cfg = small_cfg(cycles=2, hours_per_cycle=16, horizon_hours=12)
     # every spine idles below the remove threshold, but the floor binds
@@ -470,3 +491,141 @@ def test_closed_loop_retrain_each_cycle(tmp_path):
         [a for c in manifest.cycles for a in c["actions"]]
     assert [e.cycle for e in entries] == \
         [c["cycle"] for c in manifest.cycles for _ in c["actions"]]
+
+
+# ---------------------------------------------------------------------------
+# The loop as a fold of run_cycle, and its state rebuilt from a run's files
+# ---------------------------------------------------------------------------
+
+ARTIFACTS = (TELEMETRY_FILE, CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE)
+# the names the bench's hooks wrap to time a cycle's stages
+STAGE_NAMES = [(pipeline, "simulate_hours"), (pipeline, "train_from_series"),
+               (pipeline, "forecast_horizon"), (pipeline, "save_forecast_csv"),
+               (pipeline, "evaluate"), (PolicyJournal, "append")]
+
+
+def acting(retrain: bool, cycles: int = 4) -> SimConfig:
+    cfg = acting_cfg()
+    cfg.run.retrain_each_cycle, cfg.run.cycles = retrain, cycles
+    return cfg
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+@pytest.fixture(scope="module")
+def acting_runs(tmp_path_factory):
+    """runs(retrain) -> (out dir, calls of each STAGE_NAMES name) of one
+    uninterrupted acting_cfg() run, made once per module."""
+    runs = {}
+
+    def run(retrain: bool):
+        if retrain not in runs:
+            out, calls = tmp_path_factory.mktemp("acting"), Counter()
+            with pytest.MonkeyPatch.context() as mp:
+                for owner, name in STAGE_NAMES:
+                    def counted(*args, _stage=getattr(owner, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _stage(*args, **kwargs)
+                    mp.setattr(owner, name, counted)
+                run_closed_loop(acting(retrain), out)
+            runs[retrain] = out, calls
+        return runs[retrain]
+    return run
+
+
+def assert_same_state(got: LoopState, want: LoopState) -> None:
+    assert (got.topology, got.cycles_since_action, got.start_hour, got.cycle) == \
+        (want.topology, want.cycles_since_action, want.start_hour, want.cycle)
+    assert sorted(got.history) == sorted(want.history)
+    for sid, s in got.history.items():
+        assert s.start_hour == want.history[sid].start_hour
+        assert np.array_equal(s.data, want.history[sid].data)
+    assert (got.model is None) == (want.model is None)
+    assert got.model is None or models_equal(got.model, want.model)
+
+
+@pytest.mark.parametrize("retrain", [False, True])
+def test_the_loop_calls_every_stage_through_the_names_the_bench_wraps(acting_runs, retrain):
+    _, calls = acting_runs(retrain)
+    assert calls == {"simulate_hours": 4, "train_from_series": 4 if retrain else 1,
+                     "forecast_horizon": 4, "save_forecast_csv": 4, "evaluate": 4, "append": 3}
+
+
+@pytest.mark.parametrize("retrain", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_state_rebuilt_after_k_cycles_folds_on_to_the_uninterrupted_bytes(acting_runs, tmp_path,
+                                                                           k, retrain):
+    whole, _ = acting_runs(retrain)
+    cfg = acting(retrain)
+    run_closed_loop(acting(retrain, cycles=k), tmp_path)
+    state = loop_state_from_dir(cfg, tmp_path)
+    assert (state.cycle, state.start_hour) == (k, k * cfg.run.hours_per_cycle)
+    with bus_from_log(tmp_path / TELEMETRY_FILE) as bus, \
+            PolicyJournal(tmp_path / JOURNAL_FILE) as journal:
+        while state.cycle < cfg.run.cycles:
+            state, _ = run_cycle(cfg, state, bus, journal, tmp_path, {})
+    assert digests(tmp_path) == digests(whole)
+    assert_same_state(loop_state_from_dir(cfg, tmp_path), state)
+
+
+def test_the_state_of_a_finished_run(acting_runs):
+    whole, _ = acting_runs(False)
+    state = loop_state_from_dir(acting_cfg(), whole)
+    assert state.topology.active_spine_ids == [0, 1, 2, 3]
+    # the last action was cycle 2's add; cycle 3 did not act
+    assert (state.cycles_since_action, state.start_hour, state.cycle) == (1, 144, 4)
+    assert [(sid, s.start_hour, len(s)) for sid, s in sorted(state.history.items())] == \
+        [(0, 108, 36), (1, 0, 144), (2, 0, 144), (3, 0, 144)]
+
+
+def test_the_state_of_a_run_that_never_acted(tmp_path):
+    cfg = idle_cfg()
+    run_closed_loop(cfg, tmp_path)
+    state = loop_state_from_dir(cfg, tmp_path)
+    assert state.topology == topology_from_config(cfg)
+    assert (state.cycles_since_action, state.start_hour, state.cycle) == \
+        (cfg.policy.cooldown_cycles + 2, 32, 2)
+    assert [(sid, s.start_hour, len(s)) for sid, s in sorted(state.history.items())] == \
+        [(0, 0, 32), (1, 0, 32), (2, 0, 32)]
+
+
+def test_the_state_before_the_first_cycle_is_the_loops_initial_state(tmp_path):
+    for name in (TELEMETRY_FILE, JOURNAL_FILE):
+        (tmp_path / name).touch()
+    cfg = acting_cfg()
+    assert_same_state(loop_state_from_dir(cfg, tmp_path),
+                      LoopState(topology_from_config(cfg), {}, None, 1, 0, 0))
+
+
+def cut_log(path: Path, hours: int) -> None:
+    """Keep the lines of a telemetry log's first `hours` hours."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(line for line in lines
+                              if int(line.split(b" ", 1)[0].removeprefix(b"ts=")) < hours * 60))
+
+
+def double_first_journal_line(path: Path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + lines))
+
+
+@pytest.mark.parametrize("spoil, named", [
+    (lambda out: cut_log(out / TELEMETRY_FILE, 35), TELEMETRY_FILE),
+    (lambda out: cut_log(out / TELEMETRY_FILE, 36), JOURNAL_FILE),   # journal cycle 2 of 1
+    (lambda out: cut_log(out / TELEMETRY_FILE, 72), JOURNAL_FILE),   # journal cycle 2 of 2
+    (lambda out: (out / CHECKPOINT_FILE).unlink(), CHECKPOINT_FILE),
+    (lambda out: double_first_journal_line(out / JOURNAL_FILE), JOURNAL_FILE),  # spine 0 twice
+], ids=["log-ends-inside-a-cycle", "journal-past-the-log", "journal-at-the-log's-end",
+        "no-checkpoint", "journal-action-refused"])
+def test_a_run_directory_that_disagrees_with_itself_is_refused(acting_runs, tmp_path, spoil,
+                                                                named):
+    whole, _ = acting_runs(False)
+    out = tmp_path / "run"
+    shutil.copytree(whole, out)
+    spoil(out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(str(out / named))}"):
+        loop_state_from_dir(acting_cfg(), out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
