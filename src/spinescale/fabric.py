@@ -59,7 +59,7 @@ from .errors import (DataError, InvalidConfigError, NoCapacityError, NotFoundErr
                      PolicyViolationError)
 
 if TYPE_CHECKING:
-    from .policy import PolicyAction
+    from .policy import JournalEntry, PolicyAction
 
 
 # ---------------------------------------------------------------------------

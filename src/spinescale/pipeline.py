@@ -219,8 +219,7 @@ class LoopState:
     history: dict[int, SwitchSeries]    # extend_history's runs, by spine id
     model: LstmModel | None             # None until a cycle trains
     cycles_since_action: int
-    start_hour: int                     # the next cycle's first hour
-    cycle: int                          # the next cycle's index
+    cycle: int                          # the next cycle's; it starts at hours_per_cycle × cycle
 
 
 def run_cycle(cfg: SimConfig, state: LoopState, bus: TopicBus, journal: PolicyJournal,
@@ -229,13 +228,11 @@ def run_cycle(cfg: SimConfig, state: LoopState, bus: TopicBus, journal: PolicyJo
     entry. Each stage's time goes into `timings` as it ends, and a model
     trained here is saved to out/model.ckpt also if a later stage raises."""
     run_cfg, cycle, topology = cfg.run, state.cycle, state.topology
-    t0 = time.perf_counter()
-    offset_before = bus.length(METRICS_TOPIC)
-    simulate_hours(cfg, topology, bus, METRICS_TOPIC, state.start_hour, run_cfg.hours_per_cycle,
-                   derive_seed(cfg.seed, "simulate"))
+    t0, offset = time.perf_counter(), bus.length(METRICS_TOPIC)
+    simulate_hours(cfg, topology, bus, METRICS_TOPIC, cycle * run_cfg.hours_per_cycle,
+                   run_cfg.hours_per_cycle, derive_seed(cfg.seed, "simulate"))
     timings[f"cycle{cycle}.simulate"] = time.perf_counter() - t0
-    history = extend_history(state.history,
-                             series_from_bus(bus, METRICS_TOPIC, topology, offset_before))
+    history = extend_history(state.history, series_from_bus(bus, METRICS_TOPIC, topology, offset))
     model = state.model
     if model is None or run_cfg.retrain_each_cycle:
         t0 = time.perf_counter()
@@ -257,7 +254,7 @@ def run_cycle(cfg: SimConfig, state: LoopState, bus: TopicBus, journal: PolicyJo
     entry = {"cycle": cycle, "actions": [f"{a.kind}:{a.spine_id}" for a in actions],
              "active_spines": topology.active_spine_ids}
     return LoopState(topology, history, model, 0 if actions else state.cycles_since_action + 1,
-                     state.start_hour + run_cfg.hours_per_cycle, cycle + 1), entry
+                     cycle + 1), entry
 
 
 def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
@@ -274,7 +271,7 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
         (out / name).unlink(missing_ok=True)
 
     manifest = RunManifest(config_path=config_path, seed=cfg.seed, out_dir=str(out))
-    state = LoopState(topology_from_config(cfg), {}, None, cfg.policy.cooldown_cycles, 0, 0)
+    state = LoopState(topology_from_config(cfg), {}, None, cfg.policy.cooldown_cycles, 0)
     bus = TopicBus()
     bus.attach(METRICS_TOPIC, out / TELEMETRY_FILE)
     journal = PolicyJournal(out / JOURNAL_FILE)
@@ -298,15 +295,19 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
 
 def loop_state_from_dir(cfg: SimConfig, out: str | Path) -> LoopState:
     """The state `run_closed_loop` holds after the cycles whose hours the
-    telemetry.log in `out` holds, rebuilt from the run's files alone: the
+    telemetry.log in `out` holds, rebuilt from the run's files: the
     configured topology with the journal's actions applied through
     apply_action, history_from_bus of the log, the model in model.ckpt (none
     before the first cycle), the cycles since the journal's last cycle (the
-    cooldown plus the cycles run if it is empty), and the next cycle's first
-    hour and index. A ConsistencyError names the file, and no state is
-    built, if the log does not end at a cycle's last hour, the journal holds
-    a cycle the log does not, model.ckpt is missing after a cycle, or
-    apply_action refuses a journal action."""
+    cooldown plus the cycles run if it is empty), and the next cycle's index.
+    A ConsistencyError names the file, and no state is built, if the log
+    does not end at a cycle's last hour, the journal holds a cycle the log
+    does not, model.ckpt is missing after a cycle, apply_action refuses a
+    journal action, or a manifest counts other cycles than the log (a run
+    that failed after logging a cycle's hours). A run killed with no
+    manifest written is taken at its log's word, so its last cycle's
+    journal lines may be cut short, and with run.retrain_each_cycle its
+    model.ckpt may be the previous cycle's."""
     out, hours = Path(out), cfg.run.hours_per_cycle
     log, journal, checkpoint = out / TELEMETRY_FILE, out / JOURNAL_FILE, out / CHECKPOINT_FILE
     with bus_from_log(log) as bus:
@@ -327,7 +328,10 @@ def loop_state_from_dir(cfg: SimConfig, out: str | Path) -> LoopState:
             topology = apply_action(topology, e)
         except SpinescaleError as exc:
             raise ConsistencyError(f"{journal} offset {e.offset}: {exc}") from exc
+    manifest = out / MANIFEST_FILE
+    done = len(json.loads(manifest.read_text())["cycles"]) if manifest.exists() else cycles
+    if done != cycles:
+        raise ConsistencyError(f"{manifest}: {done} cycle(s) completed, {cycles} in {log}")
     since = cfg.policy.cooldown_cycles + cycles if last is None else cycles - 1 - last
     model = load_checkpoint(checkpoint) if cycles else None
-    history = {s.spine_id: s for s in series}
-    return LoopState(topology, history, model, since, cycles * hours, cycles)
+    return LoopState(topology, {s.spine_id: s for s in series}, model, since, cycles)

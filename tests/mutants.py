@@ -85,7 +85,7 @@ MUTANTS = [
            "0 if actions else state.cycles_since_action + 1",
            "0 if actions else state.cycles_since_action", (ACTING_GOLDEN,)),
     Mutant("loop-first-cycle-in-cooldown", PIPELINE,
-           "{}, None, cfg.policy.cooldown_cycles, 0, 0)", "{}, None, 0, 0, 0)", (ACTING_GOLDEN,)),
+           "{}, None, cfg.policy.cooldown_cycles, 0)", "{}, None, 0, 0)", (ACTING_GOLDEN,)),
     Mutant("extend-history-across-a-gap", PIPELINE,
            "prev.start_hour + len(prev) == s.start_hour",
            "prev.start_hour + len(prev) <= s.start_hour",
@@ -117,7 +117,7 @@ MUTANTS = [
            "            save_checkpoint(model, out / CHECKPOINT_FILE)\n",
            "    except BaseException:\n        raise\n    if model is not state.model:\n"
            "        save_checkpoint(model, out / CHECKPOINT_FILE)\n",
-           (f"{T_PIPE}::test_a_forecast_failing_in_the_first_cycle_still_leaves_the_model_it_trained",)),
+           (f"{T_PIPE}::test_a_failing_cycle_still_writes_the_manifest_and_raises",)),
     Mutant("checkpoint-of-the-first-model-only", PIPELINE,
            "if model is not state.model:", "if state.model is None:",
            (f"{T_PIPE}::test_a_state_rebuilt_after_k_cycles_folds_on_to_the_uninterrupted_bytes",)),
@@ -141,4 +141,6 @@ MUTANTS = [
            "cfg.policy.cooldown_cycles + cycles if last is None",
            "cfg.policy.cooldown_cycles if last is None",
            (f"{T_PIPE}::test_the_state_of_a_run_that_never_acted",)),
+    Mutant("rebuild-past-a-failed-cycle", PIPELINE, "if done != cycles:", "if False:",
+           (f"{T_PIPE}::test_a_failing_cycle_still_writes_the_manifest_and_raises",)),
 ]

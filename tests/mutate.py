@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Run the mutant catalogue (tests/mutants.py) against the test suite.
 
-    python tests/mutate.py                 # every mutant
-    python tests/mutate.py NAME [NAME ...] # only these
+    python tests/mutate.py
 
 The tree (without .git and run outputs) is copied to a temporary directory
 once. Each mutant then replaces its one occurrence of `old` with `new` in
@@ -53,20 +52,16 @@ def run_mutant(tree: Path, mutant: Mutant) -> str:
         return "killed"
     finally:
         path.write_text(original, encoding="utf-8")
-    return {0: "survived", 1: "killed"}.get(done.returncode, f"error (pytest exit {done.returncode})")
+    outcome = {0: "survived", 1: "killed"}.get(done.returncode)
+    return outcome or f"error (pytest exit {done.returncode})"
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        for mutant in chosen:
+        for mutant in MUTANTS:
             t0 = time.perf_counter()
             outcome = run_mutant(tree, mutant)
             expected = "survived" if mutant.equivalent else "killed"
@@ -75,9 +70,9 @@ def main(names: list[str]) -> int:
             flag = "" if outcome == expected else "  <-- unexpected"
             print(f"{outcome:<9} {mutant.name}{note}  {time.perf_counter() - t0:.1f} s{flag}",
                   flush=True)
-    print(f"{len(chosen)} mutant(s), {bad} unexpected")
+    print(f"{len(MUTANTS)} mutant(s), {bad} unexpected")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

@@ -21,8 +21,8 @@ from spinescale.errors import (ConsistencyError, DataError, GapError, Insufficie
 from spinescale.forecaster import forecast_horizon
 from spinescale.fabric import SampleColumns, apply_action, build_flows, simulate_tick
 from spinescale.pipeline import (_BLOCK_SAMPLES, CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE,
-                                 METRICS_TOPIC, TELEMETRY_FILE, LoopState, build_datasets,
-                                 bus_from_log, extend_history, history_from_bus,
+                                 MANIFEST_FILE, METRICS_TOPIC, TELEMETRY_FILE, LoopState,
+                                 build_datasets, bus_from_log, extend_history, history_from_bus,
                                  loop_state_from_dir, recent_history, run_closed_loop, run_cycle,
                                  series_from_bus, simulate_hours, topology_from_config)
 from spinescale.policy import PolicyJournal, replay_journal
@@ -385,40 +385,36 @@ def test_a_good_run_writes_an_ok_manifest(tmp_path):
     assert sorted(written["artifacts"]) == ["checkpoint", "forecast", "journal", "telemetry"]
 
 
-def test_a_failing_cycle_still_writes_the_manifest_and_raises(tmp_path, monkeypatch):
+# the stages the failed cycle finished keep their times; cycle 0 trains after
+# simulating, so its model is saved even though its forecast raised
+@pytest.mark.parametrize("failing, completed, timed", [
+    (0, [], ["cycle0.simulate", "cycle0.train"]),
+    (1, [0], ["cycle0.forecast", "cycle0.simulate", "cycle0.train", "cycle1.simulate"]),
+], ids=["cycle-0", "cycle-1"])
+def test_a_failing_cycle_still_writes_the_manifest_and_raises(tmp_path, monkeypatch, failing,
+                                                              completed, timed):
     calls = []
 
     def forecast_or_fail(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("forecast broke in cycle 1")
+        if len(calls) == failing + 1:
+            raise RuntimeError(f"forecast broke in cycle {failing}")
         return forecast_horizon(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "forecast_horizon", forecast_or_fail)
-    with pytest.raises(RuntimeError, match="forecast broke in cycle 1"):
+    with pytest.raises(RuntimeError, match=f"forecast broke in cycle {failing}"):
         run_closed_loop(idle_cfg(), tmp_path)
     written = json.loads((tmp_path / "manifest").read_text())
     assert written["status"] == "failed"
-    assert written["error"] == "RuntimeError: forecast broke in cycle 1"
-    assert [c["cycle"] for c in written["cycles"]] == [0]
+    assert written["error"] == f"RuntimeError: forecast broke in cycle {failing}"
+    assert [c["cycle"] for c in written["cycles"]] == completed
     assert (tmp_path / "model.ckpt").stat().st_size > 0
     assert written["artifacts"]["checkpoint"] == str(tmp_path / "model.ckpt")
-
-
-def test_a_forecast_failing_in_the_first_cycle_still_leaves_the_model_it_trained(tmp_path,
-                                                                                 monkeypatch):
-    def forecast_fails(*args, **kwargs):
-        raise RuntimeError("forecast broke in cycle 0")
-
-    monkeypatch.setattr(pipeline, "forecast_horizon", forecast_fails)
-    with pytest.raises(RuntimeError, match="forecast broke in cycle 0"):
-        run_closed_loop(idle_cfg(), tmp_path)
-    written = json.loads((tmp_path / "manifest").read_text())
-    assert (written["status"], written["cycles"]) == ("failed", [])
-    assert (tmp_path / "model.ckpt").stat().st_size > 0
-    assert written["artifacts"]["checkpoint"] == str(tmp_path / "model.ckpt")
-    # the stages the cycle finished keep their times
-    assert sorted(written["stage_timings_s"]) == ["cycle0.simulate", "cycle0.train"]
+    assert sorted(written["stage_timings_s"]) == timed
+    # the log holds the failed cycle's hours, which never reached a decision
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(str(tmp_path / 'manifest'))}: "
+                                               f"{failing} cycle"):
+        loop_state_from_dir(idle_cfg(), tmp_path)
 
 
 def test_closed_loop_floor_blocks_all_removals(tmp_path):
@@ -536,8 +532,8 @@ def acting_runs(tmp_path_factory):
 
 
 def assert_same_state(got: LoopState, want: LoopState) -> None:
-    assert (got.topology, got.cycles_since_action, got.start_hour, got.cycle) == \
-        (want.topology, want.cycles_since_action, want.start_hour, want.cycle)
+    assert (got.topology, got.cycles_since_action, got.cycle) == \
+        (want.topology, want.cycles_since_action, want.cycle)
     assert sorted(got.history) == sorted(want.history)
     for sid, s in got.history.items():
         assert s.start_hour == want.history[sid].start_hour
@@ -561,7 +557,8 @@ def test_a_state_rebuilt_after_k_cycles_folds_on_to_the_uninterrupted_bytes(acti
     cfg = acting(retrain)
     run_closed_loop(acting(retrain, cycles=k), tmp_path)
     state = loop_state_from_dir(cfg, tmp_path)
-    assert (state.cycle, state.start_hour) == (k, k * cfg.run.hours_per_cycle)
+    assert state.cycle == k
+    (tmp_path / MANIFEST_FILE).unlink()   # it counts k cycles; a resumed run writes its own
     with bus_from_log(tmp_path / TELEMETRY_FILE) as bus, \
             PolicyJournal(tmp_path / JOURNAL_FILE) as journal:
         while state.cycle < cfg.run.cycles:
@@ -575,7 +572,7 @@ def test_the_state_of_a_finished_run(acting_runs):
     state = loop_state_from_dir(acting_cfg(), whole)
     assert state.topology.active_spine_ids == [0, 1, 2, 3]
     # the last action was cycle 2's add; cycle 3 did not act
-    assert (state.cycles_since_action, state.start_hour, state.cycle) == (1, 144, 4)
+    assert (state.cycles_since_action, state.cycle) == (1, 4)
     assert [(sid, s.start_hour, len(s)) for sid, s in sorted(state.history.items())] == \
         [(0, 108, 36), (1, 0, 144), (2, 0, 144), (3, 0, 144)]
 
@@ -585,8 +582,7 @@ def test_the_state_of_a_run_that_never_acted(tmp_path):
     run_closed_loop(cfg, tmp_path)
     state = loop_state_from_dir(cfg, tmp_path)
     assert state.topology == topology_from_config(cfg)
-    assert (state.cycles_since_action, state.start_hour, state.cycle) == \
-        (cfg.policy.cooldown_cycles + 2, 32, 2)
+    assert (state.cycles_since_action, state.cycle) == (cfg.policy.cooldown_cycles + 2, 2)
     assert [(sid, s.start_hour, len(s)) for sid, s in sorted(state.history.items())] == \
         [(0, 0, 32), (1, 0, 32), (2, 0, 32)]
 
@@ -596,7 +592,7 @@ def test_the_state_before_the_first_cycle_is_the_loops_initial_state(tmp_path):
         (tmp_path / name).touch()
     cfg = acting_cfg()
     assert_same_state(loop_state_from_dir(cfg, tmp_path),
-                      LoopState(topology_from_config(cfg), {}, None, 1, 0, 0))
+                      LoopState(topology_from_config(cfg), {}, None, 1, 0))
 
 
 def cut_log(path: Path, hours: int) -> None:
