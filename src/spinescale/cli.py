@@ -149,7 +149,7 @@ def cmd_export_plots(args) -> int:
         if action.kind == REMOVE_SPINE:
             preds = forecast.per_spine[action.spine_id]
             below = int((preds < policy_cfg.remove_threshold_us).sum())
-            cand_lines.append(f"{action.spine_id},{action.reason.statistic_us!r},{below}")
+            cand_lines.append(f"{action.spine_id},{action.mean_pred_us!r},{below}")
     write_atomic(candidates_path, "\n".join(cand_lines) + "\n")
     rows = forecast.horizon * len(forecast.per_spine)
     print(f"wrote {plot_path} ({rows} rows) and {candidates_path} "

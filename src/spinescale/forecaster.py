@@ -201,9 +201,8 @@ def backward_batch(model: LstmModel, cache: dict, d_preds: np.ndarray) -> dict[s
     for name, g in grads1.items():
         grads[f"lstm1.{name}"] = g
 
-    _, d_kernel, d_bias = conv1d_backward(d_conv_out, cache["windows"], model.conv_w)
-    grads["conv.w"] = d_kernel
-    grads["conv.b"] = d_bias
+    grads["conv.w"], grads["conv.b"] = conv1d_backward(d_conv_out, cache["windows"],
+                                                         model.conv_w)
     return grads
 
 

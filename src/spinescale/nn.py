@@ -65,17 +65,13 @@ def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def conv1d_backward(d_out: np.ndarray, x: np.ndarray, kernel: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_kernel, d_bias) for conv1d_forward on a batch."""
-    width = kernel.shape[0]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (d_kernel, d_bias) for conv1d_forward on a batch, none for x."""
     m = d_out.shape[1]
-    d_x = np.zeros_like(x)
     d_kernel = np.zeros_like(kernel)
-    for dt in range(width):
+    for dt in range(kernel.shape[0]):
         d_kernel[dt] = np.einsum("btc,bto->co", x[:, dt:dt + m, :], d_out)
-        d_x[:, dt:dt + m, :] += d_out @ kernel[dt].T
-    d_bias = d_out.sum(axis=(0, 1))
-    return d_x, d_kernel, d_bias
+    return d_kernel, d_out.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

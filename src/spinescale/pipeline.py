@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import PolicyConfig, SimConfig, derive_seed, policy_from_config
-from .errors import (ConsistencyError, DataError, InsufficientDataError, InvalidConfigError,
-                     NotFoundError, SpinescaleError)
+from .errors import (ConsistencyError, DataError, DecodeError, InsufficientDataError,
+                     InvalidConfigError, NotFoundError, SpinescaleError)
 from .fabric import (SampleColumns, Topology, apply_action, build_topology, generate_demands,
                      hour_loads, simulate_tick)
 from .forecaster import (Forecast, LstmModel, TrainReport, digest_forecast, forecast_horizon,
@@ -293,6 +293,18 @@ def run_closed_loop(cfg: SimConfig, out_dir: str | Path,
     return manifest
 
 
+def _manifest_cycles(path: Path) -> int:
+    """How many cycles a RunManifest file lists; a DecodeError names it
+    unless it is UTF-8 JSON with a list under "cycles"."""
+    try:
+        cycles = json.loads(path.read_text(encoding="utf-8"))["cycles"]
+    except (ValueError, TypeError, KeyError) as exc:    # not UTF-8, not JSON, or no "cycles"
+        raise DecodeError(f"{path}: not a run manifest: {exc!r}") from exc
+    if not isinstance(cycles, list):
+        raise DecodeError(f"{path}: not a run manifest: its cycles are a {type(cycles).__name__}")
+    return len(cycles)
+
+
 def loop_state_from_dir(cfg: SimConfig, out: str | Path) -> LoopState:
     """The state `run_closed_loop` holds after the cycles whose hours the
     telemetry.log in `out` holds, rebuilt from the run's files: the
@@ -304,10 +316,10 @@ def loop_state_from_dir(cfg: SimConfig, out: str | Path) -> LoopState:
     does not end at a cycle's last hour, the journal holds a cycle the log
     does not, model.ckpt is missing after a cycle, apply_action refuses a
     journal action, or a manifest counts other cycles than the log (a run
-    that failed after logging a cycle's hours). A run killed with no
-    manifest written is taken at its log's word, so its last cycle's
-    journal lines may be cut short, and with run.retrain_each_cycle its
-    model.ckpt may be the previous cycle's."""
+    that failed after logging a cycle's hours); a DecodeError if the
+    manifest is not one. A run killed with no manifest written is taken at
+    its log's word, so its last cycle's journal lines may be cut short, and
+    with run.retrain_each_cycle its model.ckpt may be the previous cycle's."""
     out, hours = Path(out), cfg.run.hours_per_cycle
     log, journal, checkpoint = out / TELEMETRY_FILE, out / JOURNAL_FILE, out / CHECKPOINT_FILE
     with bus_from_log(log) as bus:
@@ -329,7 +341,7 @@ def loop_state_from_dir(cfg: SimConfig, out: str | Path) -> LoopState:
         except SpinescaleError as exc:
             raise ConsistencyError(f"{journal} offset {e.offset}: {exc}") from exc
     manifest = out / MANIFEST_FILE
-    done = len(json.loads(manifest.read_text())["cycles"]) if manifest.exists() else cycles
+    done = _manifest_cycles(manifest) if manifest.exists() else cycles
     if done != cycles:
         raise ConsistencyError(f"{manifest}: {done} cycle(s) completed, {cycles} in {log}")
     since = cfg.policy.cooldown_cycles + cycles if last is None else cycles - 1 - last

@@ -1,11 +1,11 @@
 """Knowledge plane: turn a latency forecast into add/remove spine actions.
 
-Reading of the thresholds: a spine predicted persistently BELOW the low
-threshold is under-utilized - its capacity is not needed, so it is a
-removal candidate (cost saving). A network-wide aggregate ABOVE the high
-threshold means congestion, so one spine is added. Safety floors,
-a cooldown between action cycles, and an append-only decision journal
-keep the loop auditable and non-flapping.
+A spine predicted persistently BELOW the low threshold is under-utilized,
+so it is a removal candidate (cost saving); a network-wide aggregate ABOVE
+the high threshold means congestion, so one spine is added. Safety floors,
+a cooldown between action cycles and an append-only decision journal keep
+the loop auditable and non-flapping. A PolicyAction holds what its journal
+line records, under the names of the JournalEntry that line replays to.
 """
 
 from __future__ import annotations
@@ -25,19 +25,12 @@ REMOVE_SPINE = "remove_spine"
 
 
 @dataclass(frozen=True)
-class ActionReason:
-    detail: str                 # compact token, e.g. "below-remove-threshold-120/120h"
-    threshold_us: float
-    statistic_us: float         # the spine's mean prediction, or the aggregate
-    horizon_hours: int
-
-
-@dataclass(frozen=True)
 class PolicyAction:
+    cycle: int
     kind: str                   # ADD_SPINE or REMOVE_SPINE
     spine_id: int | None        # None for additions
-    reason: ActionReason
-    decision_cycle: int
+    reason: str                 # compact token, e.g. "below-remove-threshold-120/120h"
+    mean_pred_us: float         # the spine's mean prediction, or the add's aggregate
 
 
 def evaluate(forecast: Forecast, config: PolicyConfig, active_spines: list[int],
@@ -69,20 +62,10 @@ def evaluate(forecast: Forecast, config: PolicyConfig, active_spines: list[int],
     candidates.sort(key=lambda c: (c[0], c[1]))
 
     room = len(active_spines) - config.min_spines
-    removals = [
-        PolicyAction(
-            kind=REMOVE_SPINE,
-            spine_id=sid,
-            reason=ActionReason(
-                detail=f"below-remove-threshold-{round(below * horizon)}/{horizon}h",
-                threshold_us=config.remove_threshold_us,
-                statistic_us=mean_pred,
-                horizon_hours=horizon,
-            ),
-            decision_cycle=decision_cycle,
-        )
-        for mean_pred, sid, below in candidates[:max(room, 0)]
-    ]
+    removals = [PolicyAction(decision_cycle, REMOVE_SPINE, sid,
+                             f"below-remove-threshold-{round(below * horizon)}/{horizon}h",
+                             mean_pred)
+                for mean_pred, sid, below in candidates[:max(room, 0)]]
     if removals:
         return removals
 
@@ -92,17 +75,8 @@ def evaluate(forecast: Forecast, config: PolicyConfig, active_spines: list[int],
     else:
         aggregate = float(np.mean(all_preds))
     if aggregate > config.add_threshold_us and len(active_spines) < config.max_spines:
-        return [PolicyAction(
-            kind=ADD_SPINE,
-            spine_id=None,
-            reason=ActionReason(
-                detail=f"{config.add_aggregate}-above-add-threshold",
-                threshold_us=config.add_threshold_us,
-                statistic_us=aggregate,
-                horizon_hours=horizon,
-            ),
-            decision_cycle=decision_cycle,
-        )]
+        return [PolicyAction(decision_cycle, ADD_SPINE, None,
+                             f"{config.add_aggregate}-above-add-threshold", aggregate)]
     return []
 
 
@@ -125,10 +99,9 @@ class JournalEntry:
 
 def encode_journal_line(action: PolicyAction, config: PolicyConfig, forecast_digest: str) -> str:
     """One action as its journal line (no trailing newline)."""
-    return _journal_line(action.decision_cycle, action.kind, action.spine_id,
-                         action.reason.detail, float(config.remove_threshold_us),
-                         float(config.add_threshold_us), float(action.reason.statistic_us),
-                         forecast_digest)
+    return _journal_line(action.cycle, action.kind, action.spine_id, action.reason,
+                         float(config.remove_threshold_us), float(config.add_threshold_us),
+                         float(action.mean_pred_us), forecast_digest)
 
 
 def _journal_line(cycle, kind, spine_id, reason, remove_thr, add_thr, mean_pred, digest) -> str:

@@ -3,17 +3,15 @@ import pytest
 
 from spinescale.config import TopologyConfig
 from spinescale.fabric import DemandMatrix, build_topology, hour_loads
-from spinescale.policy import ActionReason, PolicyAction
+from spinescale.policy import PolicyAction
 
 
 def remove_action(spine_id: int, cycle: int = 0) -> PolicyAction:
-    return PolicyAction(kind="remove_spine", spine_id=spine_id,
-                        reason=ActionReason("test", 6.0, 0.0, 0), decision_cycle=cycle)
+    return PolicyAction(cycle, "remove_spine", spine_id, "test", 0.0)
 
 
 def add_action(cycle: int = 0) -> PolicyAction:
-    return PolicyAction(kind="add_spine", spine_id=None,
-                        reason=ActionReason("test", 12.0, 0.0, 0), decision_cycle=cycle)
+    return PolicyAction(cycle, "add_spine", None, "test", 0.0)
 
 
 def link_table(topology) -> list[tuple[int, int, int]]:

@@ -80,6 +80,13 @@ MUTANTS = [
     Mutant("policy-max-aggregate-is-min", POLICY,
            "aggregate = float(np.max(", "aggregate = float(np.min(",
            (f"{T_POLICY}::test_add_aggregate_max_mode",)),
+    Mutant("policy-removal-records-the-threshold", POLICY,
+           "                             mean_pred)\n",
+           "                             config.remove_threshold_us)\n",
+           (f"{T_POLICY}::test_two_low_spines_removed_in_mean_order",)),
+    Mutant("policy-add-reason-always-mean", POLICY,
+           'f"{config.add_aggregate}-above-add-threshold"', '"mean-above-add-threshold"',
+           (f"{T_POLICY}::test_add_aggregate_max_mode",)),
     # -- the closed loop
     Mutant("loop-cooldown-counter-stuck", PIPELINE,
            "0 if actions else state.cycles_since_action + 1",
@@ -143,4 +150,8 @@ MUTANTS = [
            (f"{T_PIPE}::test_the_state_of_a_run_that_never_acted",)),
     Mutant("rebuild-past-a-failed-cycle", PIPELINE, "if done != cycles:", "if False:",
            (f"{T_PIPE}::test_a_failing_cycle_still_writes_the_manifest_and_raises",)),
+    Mutant("rebuild-reads-a-damaged-manifest", PIPELINE,
+           "done = _manifest_cycles(manifest) if",
+           'done = len(json.loads(manifest.read_text())["cycles"]) if',
+           (f"{T_PIPE}::test_a_run_directory_that_disagrees_with_itself_is_refused",)),
 ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracle_lines import INT64_MAX, INT64_MIN, oracle_journal_entry, oracle_sample
 from spinescale.errors import DecodeError
 from spinescale.fabric import LinkMetricSample
-from spinescale.policy import ActionReason, PolicyAction, decode_journal_line, encode_journal_line
+from spinescale.policy import PolicyAction, decode_journal_line, encode_journal_line
 from spinescale.telemetry import decode_sample, encode_sample
 
 # values at the edges of what each reader takes, for edits to cross
@@ -25,7 +25,7 @@ SAMPLE_LINES = [encode_sample(LinkMetricSample(*fields)) for fields in [
 
 
 def journal_line(kind, spine, cycle, detail, remove_thr, add_thr, mean_pred, digest) -> str:
-    action = PolicyAction(kind, spine, ActionReason(detail, remove_thr, mean_pred, 24), cycle)
+    action = PolicyAction(cycle, kind, spine, detail, mean_pred)
     thresholds = SimpleNamespace(remove_threshold_us=remove_thr, add_threshold_us=add_thr)
     return encode_journal_line(action, thresholds, digest)
 

@@ -16,8 +16,8 @@ from oracle_simulate import reference_simulate_hours
 from spinescale import fabric, pipeline
 from spinescale.config import (LatencyConfig, PolicySection, RunSection, SimConfig,
                                TopologyConfig, TrafficConfig, TrainingConfig)
-from spinescale.errors import (ConsistencyError, DataError, GapError, InsufficientDataError,
-                               InvalidConfigError, PersistenceError)
+from spinescale.errors import (ConsistencyError, DataError, DecodeError, GapError,
+                               InsufficientDataError, InvalidConfigError, PersistenceError)
 from spinescale.forecaster import forecast_horizon
 from spinescale.fabric import SampleColumns, apply_action, build_flows, simulate_tick
 from spinescale.pipeline import (_BLOCK_SAMPLES, CHECKPOINT_FILE, FORECAST_FILE, JOURNAL_FILE,
@@ -607,21 +607,34 @@ def double_first_journal_line(path: Path) -> None:
     path.write_bytes(b"".join(lines[:1] + lines))
 
 
-@pytest.mark.parametrize("spoil, named", [
-    (lambda out: cut_log(out / TELEMETRY_FILE, 35), TELEMETRY_FILE),
-    (lambda out: cut_log(out / TELEMETRY_FILE, 36), JOURNAL_FILE),   # journal cycle 2 of 1
-    (lambda out: cut_log(out / TELEMETRY_FILE, 72), JOURNAL_FILE),   # journal cycle 2 of 2
-    (lambda out: (out / CHECKPOINT_FILE).unlink(), CHECKPOINT_FILE),
-    (lambda out: double_first_journal_line(out / JOURNAL_FILE), JOURNAL_FILE),  # spine 0 twice
+def write_manifest(data: bytes):
+    return lambda out: (out / MANIFEST_FILE).write_bytes(data)
+
+
+@pytest.mark.parametrize("spoil, named, error", [
+    (lambda out: cut_log(out / TELEMETRY_FILE, 35), TELEMETRY_FILE, ConsistencyError),
+    (lambda out: cut_log(out / TELEMETRY_FILE, 36), JOURNAL_FILE,   # journal cycle 2 of 1
+     ConsistencyError),
+    (lambda out: cut_log(out / TELEMETRY_FILE, 72), JOURNAL_FILE,   # journal cycle 2 of 2
+     ConsistencyError),
+    (lambda out: (out / CHECKPOINT_FILE).unlink(), CHECKPOINT_FILE, ConsistencyError),
+    (lambda out: double_first_journal_line(out / JOURNAL_FILE), JOURNAL_FILE,  # spine 0 twice
+     ConsistencyError),
+    (write_manifest(b"{not json"), MANIFEST_FILE, DecodeError),
+    (write_manifest(b"[]"), MANIFEST_FILE, DecodeError),
+    (write_manifest(b"{}"), MANIFEST_FILE, DecodeError),
+    (write_manifest(b"\xff\xfe"), MANIFEST_FILE, DecodeError),
+    (write_manifest(b'{"cycles": 3}'), MANIFEST_FILE, DecodeError),
 ], ids=["log-ends-inside-a-cycle", "journal-past-the-log", "journal-at-the-log's-end",
-        "no-checkpoint", "journal-action-refused"])
+        "no-checkpoint", "journal-action-refused", "manifest-not-json", "manifest-a-list",
+        "manifest-without-cycles", "manifest-not-utf8", "manifest-cycles-a-number"])
 def test_a_run_directory_that_disagrees_with_itself_is_refused(acting_runs, tmp_path, spoil,
-                                                                named):
+                                                                named, error):
     whole, _ = acting_runs(False)
     out = tmp_path / "run"
     shutil.copytree(whole, out)
     spoil(out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(str(out / named))}"):
+    with pytest.raises(error, match=f"^{re.escape(str(out / named))}"):
         loop_state_from_dir(acting_cfg(), out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

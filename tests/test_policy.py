@@ -11,9 +11,8 @@ from spinescale.config import load_config, policy_from_config
 from spinescale.errors import (ConsistencyError, DecodeError, InvalidConfigError,
                                NotFoundError, PersistenceError)
 from spinescale.forecaster import Forecast
-from spinescale.policy import (ActionReason, PolicyAction, PolicyConfig, PolicyJournal,
-                               decode_journal_line, encode_journal_line, evaluate,
-                               replay_journal)
+from spinescale.policy import (PolicyAction, PolicyConfig, PolicyJournal, decode_journal_line,
+                               encode_journal_line, evaluate, replay_journal)
 
 H = 120
 
@@ -68,8 +67,8 @@ def test_two_low_spines_removed_in_mean_order():
     actions = evaluate(fc, cfg(), [0, 1, 2, 3, 4], cycles_since_last_action=99)
     assert as_pairs(actions) == [("remove_spine", 4), ("remove_spine", 0)]
     for a in actions:
-        assert a.reason.detail.startswith("below-remove-threshold")
-        assert a.reason.threshold_us == 6.0
+        assert a.reason.startswith("below-remove-threshold")
+        assert a.mean_pred_us == float(np.mean(fc.per_spine[a.spine_id]))
 
 
 def test_dead_zone_emits_nothing():
@@ -105,7 +104,7 @@ def test_add_when_aggregate_exceeds_threshold():
     fc = make_forecast({0: 14.0, 1: 15.0, 2: 13.0})
     actions = evaluate(fc, cfg(), [0, 1, 2], 99)
     assert as_pairs(actions) == [("add_spine", None)]
-    assert actions[0].reason.statistic_us == pytest.approx(14.0)
+    assert actions[0].mean_pred_us == pytest.approx(14.0)
 
 
 def test_no_add_at_max_spines():
@@ -125,6 +124,7 @@ def test_add_aggregate_max_mode():
     assert evaluate(fc, cfg(), [0, 1], 99) == []                      # mean = 10
     actions = evaluate(fc, cfg(add_aggregate="max"), [0, 1], 99)     # max mean = 13
     assert as_pairs(actions) == [("add_spine", None)]
+    assert (actions[0].reason, actions[0].mean_pred_us) == ("max-above-add-threshold", 13.0)
 
 
 def test_horizon_fraction_partial_condition():
@@ -438,8 +438,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_journal_line_roundtrips_any_valid_entry(cycle, spine, detail, thresholds, mean_pred,
                                                  digest):
     kind = "add_spine" if spine is None else "remove_spine"
-    action = PolicyAction(kind=kind, spine_id=spine, decision_cycle=cycle,
-                          reason=ActionReason(detail, thresholds[0], mean_pred, 1))
+    action = PolicyAction(cycle, kind, spine, detail, mean_pred)
     entry = decode_journal_line(
         encode_journal_line(action, cfg(remove_threshold_us=thresholds[0],
                                         add_threshold_us=thresholds[1]), digest), offset=3)
@@ -468,8 +467,8 @@ one_value_changed = st.tuples(st.integers(0, 7),
 
 
 def reencode(entry) -> str:
-    action = PolicyAction(kind=entry.kind, spine_id=entry.spine_id, decision_cycle=entry.cycle,
-                          reason=ActionReason(entry.reason, 0.0, entry.mean_pred_us, 1))
+    action = PolicyAction(entry.cycle, entry.kind, entry.spine_id, entry.reason,
+                          entry.mean_pred_us)
     thresholds = SimpleNamespace(remove_threshold_us=entry.remove_threshold_us,
                                  add_threshold_us=entry.add_threshold_us)
     return encode_journal_line(action, thresholds, entry.forecast_digest)
